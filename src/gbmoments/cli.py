@@ -54,14 +54,19 @@ def fmt_scalar(x) -> str | float:
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
+    """An exact rational; ValueError (argparse's usage error) when malformed
+    or when the denominator is zero."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def parse_rational_list(text: str) -> tuple[Fraction, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(Fraction(part) for part in text.split(","))
+    return tuple(parse_rational(part) for part in text.split(","))
 
 
 def _load_json(path: str):

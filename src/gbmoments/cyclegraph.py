@@ -12,8 +12,14 @@ moment formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .partitions import ColorArityError, ColoredPairPartition, PairPartition
+from .partitions import (
+    ColorArityError,
+    ColoredPairPartition,
+    PairPartition,
+    _walk_cycles,
+)
 
 D = "D"
 S = "S"
@@ -42,17 +48,29 @@ class ColorProfile:
         return self.r_values[k - 1]
 
 
+def _point_arrays(p: ColoredPairPartition):
+    """Point-indexed color and partner lists (index 0 unused) and the span
+    counts counts[b][u] for u in [0, 2m+1], from one difference array per
+    color."""
+    n = p.size
+    color = [0] * (n + 1)
+    partner = [0] * (n + 1)
+    diff = ([0] * (n + 2), [0] * (n + 2))
+    for (l, r), c in zip(p.base.pairs, p.colors):
+        color[l] = color[r] = c
+        partner[l], partner[r] = r, l
+        diff[c][l] += 1
+        diff[c][r + 1] -= 1
+    counts = (list(accumulate(diff[0])), list(accumulate(diff[1])))
+    return color, partner, counts
+
+
 def profile(p: ColoredPairPartition) -> ColorProfile:
     """Per-color span counts p_b(u) and the own-color count r(k)."""
     _require_two_colors(p)
-    n = p.size
-    counts = [[0] * (n + 2), [0] * (n + 2)]
-    for (l, r), c in zip(p.base.pairs, p.colors):
-        for u in range(l, r + 1):
-            counts[c][u] += 1
-    prof = (tuple(counts[0]), tuple(counts[1]))
-    r_values = tuple(prof[p.point_color(k)][k] for k in range(1, n + 1))
-    return ColorProfile(prof, r_values)
+    color, _, counts = _point_arrays(p)
+    r_values = tuple(counts[color[k]][k] for k in range(1, p.size + 1))
+    return ColorProfile((tuple(counts[0]), tuple(counts[1])), r_values)
 
 
 def classify(p: ColoredPairPartition) -> dict[int, str]:
@@ -61,12 +79,7 @@ def classify(p: ColoredPairPartition) -> dict[int, str]:
     Point k is dominant iff its own-color count r(k) exceeds the other
     color's count at k.
     """
-    prof = profile(p)
-    out = {}
-    for k in range(1, p.size + 1):
-        c = p.point_color(k)
-        out[k] = D if prof.r(k) > prof.p(1 - c, k) else S
-    return out
+    return build_graph(p).classification
 
 
 def z_map(p: ColoredPairPartition) -> dict[int, int]:
@@ -76,25 +89,7 @@ def z_map(p: ColoredPairPartition) -> dict[int, int]:
     Dominant left points and subordinate right points look right;
     dominant right points and subordinate left points look left.
     """
-    prof = profile(p)
-    cls = classify(p)
-    lefts = p.base.left_points()
-    n = p.size
-    z = {}
-    for k in range(1, n + 1):
-        rk = prof.r(k)
-        look_right = (k in lefts) == (cls[k] == D)
-        if look_right:
-            candidates = [k2 for k2 in range(k + 1, n + 1) if prof.r(k2) == rk]
-            assert candidates, f"no equivalent point right of {k}"
-            z[k] = min(candidates)
-        else:
-            candidates = [k2 for k2 in range(1, k) if prof.r(k2) == rk]
-            assert candidates, f"no equivalent point left of {k}"
-            z[k] = max(candidates)
-    for k, k2 in z.items():
-        assert k2 != k and z[k2] == k, "z must be a fixed-point-free involution"
-    return z
+    return build_graph(p).z
 
 
 def bar_partition(p: ColoredPairPartition) -> tuple[PairPartition, tuple[int, ...]]:
@@ -103,16 +98,8 @@ def bar_partition(p: ColoredPairPartition) -> tuple[PairPartition, tuple[int, ..
     A bar pair keeps the color of its subordinate endpoints and flips the
     color of dominant ones; the two endpoints always agree on the result.
     """
-    z = z_map(p)
-    cls = classify(p)
-    pairs = sorted((k, z[k]) for k in z if k < z[k])
-    colors = []
-    for k, k2 in pairs:
-        c1 = p.point_color(k) if cls[k] == S else 1 - p.point_color(k)
-        c2 = p.point_color(k2) if cls[k2] == S else 1 - p.point_color(k2)
-        assert c1 == c2, "bar coloring must not depend on the endpoint"
-        colors.append(c1)
-    return PairPartition(tuple(pairs)), tuple(colors)
+    analysis = build_graph(p)
+    return analysis.bar_pairs, analysis.bar_colors
 
 
 def _oriented(pair: tuple[int, int], color: int) -> tuple[int, int]:
@@ -187,60 +174,71 @@ def maximal_monotone_paths(
     return increasing, decreasing
 
 
-def _increasing_run_count(cycle_vertices: tuple[int, ...]) -> int:
-    """Number of maximal increasing runs in the cyclic arc sequence."""
-    n = len(cycle_vertices)
-    signs = [
-        cycle_vertices[i] < cycle_vertices[(i + 1) % n] for i in range(n)
-    ]
-    return sum(
-        1 for i in range(n) if signs[i] and not signs[(i + 1) % n]
-    )
-
-
 def build_graph(p: ColoredPairPartition) -> CycleGraphAnalysis:
-    """Build the directed graph and extract its cycle/path statistics."""
+    """Build the directed graph and extract its cycle/path statistics.
+
+    One pass each computes the profile, the dominance split, Z, the bar
+    coloring and the successor of every vertex; a violated invariant of
+    the construction raises RuntimeError.
+    """
     _require_two_colors(p)
-    cls = classify(p)
-    z = z_map(p)
-    bar_pp, bar_colors = bar_partition(p)
+    n = p.size
+    points = range(1, n + 1)
+    color, partner, counts = _point_arrays(p)
+    r = [counts[c][k] for k, c in enumerate(color)]
+    dominant = [r[k] > counts[1 - c][k] for k, c in enumerate(color)]
+    look_right = [(k < partner[k]) == dominant[k] for k in range(n + 1)]
+
+    # two sweeps, each keeping the last point seen with every r-value in 1..m;
+    # z[k] == 0 means no point of equal r-value lies on k's side
+    z = [0] * (n + 1)
+    for order, wanted in ((points, False), (reversed(points), True)):
+        last = [0] * (p.m + 1)
+        for k in order:
+            if look_right[k] == wanted:
+                z[k] = last[r[k]]
+            last[r[k]] = k
+    if any(z[z[k]] != k for k in points):
+        raise RuntimeError("z must be a fixed-point-free involution")
+
+    # a bar pair keeps the color of subordinate endpoints and flips dominant ones
+    bar = tuple((k, z[k]) for k in points if k < z[k])
+    bar_color = [c ^ d for c, d in zip(color, dominant)]
+    if any(bar_color[k] != bar_color[k2] for k, k2 in bar):
+        raise RuntimeError("bar coloring must not depend on the endpoint")
+    bar_colors = tuple(bar_color[k] for k, _ in bar)
 
     arcs_pairs = tuple(
         _oriented(pair, c) for pair, c in zip(p.base.pairs, p.colors)
     )
-    arcs_bar = tuple(
-        _oriented(pair, c) for pair, c in zip(bar_pp.pairs, bar_colors)
-    )
-    assert not set(arcs_pairs) & set(arcs_bar), "arc sets must be disjoint"
-
-    succ: dict[int, int] = {}
+    arcs_bar = tuple(_oriented(pair, c) for pair, c in zip(bar, bar_colors))
+    succ = [0] * (n + 1)
     for u, v in arcs_pairs + arcs_bar:
-        assert u not in succ, "every vertex must have out-degree 1"
+        if succ[u]:
+            raise RuntimeError(
+                "arc sets must be disjoint"
+                if succ[u] == v
+                else "every vertex must have out-degree 1"
+            )
         succ[u] = v
-    assert sorted(succ) == list(range(1, p.size + 1))
-    assert sorted(succ.values()) == list(range(1, p.size + 1))
+    if len(set(succ)) != n + 1:
+        raise RuntimeError("every vertex must have in-degree 1")
 
-    seen: set[int] = set()
-    cycles = []
-    for start in range(1, p.size + 1):
-        if start in seen:
-            continue
-        cyc = []
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            cyc.append(cur)
-            cur = succ[cur]
-        cycles.append(tuple(cyc))
-
-    path_counts = tuple(_increasing_run_count(c) for c in cycles)
+    # the first cycle is the fixed point 0 that pads the point-indexed list
+    cycles = tuple(_walk_cycles(succ)[1:])
+    # a maximal increasing path ends at each vertex entered by an
+    # increasing arc and left by a decreasing one
+    path_counts = tuple(
+        sum(1 for i, v in enumerate(cyc) if cyc[i - 1] < v > succ[v])
+        for cyc in cycles
+    )
     return CycleGraphAnalysis(
-        classification=cls,
-        z=z,
-        bar_pairs=bar_pp,
+        classification={k: D if dominant[k] else S for k in points},
+        z={k: z[k] for k in points},
+        bar_pairs=PairPartition(bar),
         bar_colors=bar_colors,
         arcs_pairs=arcs_pairs,
         arcs_bar=arcs_bar,
-        cycles=tuple(cycles),
+        cycles=cycles,
         path_counts=path_counts,
     )

@@ -117,11 +117,16 @@ def apply_word(
 def check_state(state: State) -> None:
     """Validate the basis-key invariants: the two value tuples of a key are
     equal-length permutations of each other, sized to the larger word, and
-    the state is fixed by the symmetrization projector."""
-    for x, y, wm, wp in state:
-        assert len(x) == len(y) == max(len(wm), len(wp))
-        assert sorted(x) == sorted(y)
-    assert sym_project(state) == state
+    the state is fixed by the symmetrization projector; raises ValueError
+    otherwise."""
+    for key in state:
+        x, y, wm, wp = key
+        if not len(x) == len(y) == max(len(wm), len(wp)):
+            raise ValueError(f"value tuples of {key} do not match its level")
+        if sorted(x) != sorted(y):
+            raise ValueError(f"value tuples of {key} are not permutations of each other")
+    if sym_project(state) != state:
+        raise ValueError("state is not fixed by the symmetrization projector")
 
 
 def state_inner(s1: State, s2: State, n: int) -> Fraction:

@@ -14,7 +14,12 @@ from typing import Callable, Mapping, Sequence
 
 from . import words as W
 from .cyclegraph import build_graph
-from .partitions import ColoredPairPartition, PairPartition, uncolored_cycles
+from .partitions import (
+    ColoredPairPartition,
+    PairPartition,
+    _walk_cycles,
+    uncolored_cycles,
+)
 
 Scalar = Fraction | float
 TFunction = Callable[[ColoredPairPartition], Scalar]
@@ -83,18 +88,9 @@ def permutation_cycle_type(perm: Sequence[int]) -> dict[int, int]:
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation in one-line notation")
-    seen = [False] * n
     out: dict[int, int] = {}
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            length += 1
-            cur = perm[cur]
-        out[length] = out.get(length, 0) + 1
+    for cycle in _walk_cycles(perm):
+        out[len(cycle)] = out.get(len(cycle), 0) + 1
     return out
 
 
@@ -120,11 +116,7 @@ def t_uncolored(tp: ThomaParameter, v: PairPartition) -> Scalar:
 
 def t_colored(tp: ThomaParameter, p: ColoredPairPartition) -> Scalar:
     """Moment weight of a two-colored pair partition via the cycle graph."""
-    value: Scalar = Fraction(1)
-    for m, count in sorted(build_graph(p).gamma.items()):
-        if m >= 2:
-            value *= tp.power_sum_factor(m) ** count
-    return value
+    return thoma_character(tp, build_graph(p).gamma)
 
 
 @lru_cache(maxsize=65536)

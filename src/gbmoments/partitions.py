@@ -60,13 +60,6 @@ class PairPartition:
     def right_points(self) -> frozenset[int]:
         return frozenset(r for _, r in self.pairs)
 
-    def pair_of(self, k: int) -> tuple[int, int]:
-        """The pair containing point k."""
-        for pair in self.pairs:
-            if k in pair:
-                return pair
-        raise KeyError(k)
-
     def pair_index(self, k: int) -> int:
         """0-based index (canonical order) of the pair containing point k."""
         for j, pair in enumerate(self.pairs):
@@ -74,9 +67,13 @@ class PairPartition:
                 return j
         raise KeyError(k)
 
-    def partner(self, k: int) -> int:
-        l, r = self.pair_of(k)
-        return r if k == l else l
+    def restrict(self, pair_ids: Iterable[int]) -> "PairPartition":
+        """The subpartition on the pairs with the given indices, points
+        relabeled order-preservingly to 1..2s."""
+        chosen = [self.pairs[j] for j in pair_ids]
+        points = sorted(p for pair in chosen for p in pair)
+        relabel = {p: i + 1 for i, p in enumerate(points)}
+        return PairPartition.of((relabel[l], relabel[r]) for l, r in chosen)
 
     def to_json(self) -> dict:
         return {"m": self.m, "pairs": [list(p) for p in self.pairs]}
@@ -118,17 +115,8 @@ class ColoredPairPartition:
     def color_class(self, color: int) -> PairPartition:
         """The subpartition of pairs with the given color, points relabeled
         order-preservingly to 1..2s."""
-        points = sorted(
-            p
-            for pair, c in zip(self.base.pairs, self.colors)
-            if c == color
-            for p in pair
-        )
-        relabel = {p: i + 1 for i, p in enumerate(points)}
-        return PairPartition.of(
-            (relabel[l], relabel[r])
-            for (l, r), c in zip(self.base.pairs, self.colors)
-            if c == color
+        return self.base.restrict(
+            j for j, c in enumerate(self.colors) if c == color
         )
 
     def to_json(self) -> dict:
@@ -138,16 +126,34 @@ class ColoredPairPartition:
         return d
 
 
-def pair_partition_from_json(obj: dict) -> PairPartition:
-    return PairPartition.of(obj["pairs"])
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
-def colored_from_json(obj: dict) -> ColoredPairPartition:
-    base = PairPartition.of(obj["pairs"])
+def pair_partition_from_json(obj) -> PairPartition:
+    """Read {"pairs": [[l, r], ...]}; any other shape raises ValueError."""
+    pairs = obj.get("pairs") if isinstance(obj, dict) else None
+    if not isinstance(pairs, list):
+        raise ValueError("a partition must be an object with a 'pairs' list")
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
+            raise ValueError(f"each pair must be a list of two integers, got {pair!r}")
+    return PairPartition.of(pairs)
+
+
+def colored_from_json(obj) -> ColoredPairPartition:
+    """Read a pair partition with optional integer "colors" (default all 0)
+    and "num_colors" (default 2)."""
+    base = pair_partition_from_json(obj)
     colors = obj.get("colors")
     if colors is None:
         colors = [0] * base.m
-    return ColoredPairPartition(base, tuple(colors), obj.get("num_colors", 2))
+    num_colors = obj.get("num_colors", 2)
+    if not (isinstance(colors, list) and all(map(_is_int, colors))):
+        raise ValueError("'colors' must be a list of integers")
+    if not _is_int(num_colors):
+        raise ValueError("'num_colors' must be an integer")
+    return ColoredPairPartition(base, tuple(colors), num_colors)
 
 
 def double_factorial(n: int) -> int:
@@ -228,6 +234,27 @@ def noncrossing_hat(v: PairPartition) -> PairPartition:
     return PairPartition.of(pairs)
 
 
+def _walk_cycles(succ: Sequence[int]) -> list[tuple[int, ...]]:
+    """The cycles of the permutation k -> succ[k] of 0..len(succ)-1.
+
+    Each cycle is listed in arc order from its smallest element, and the
+    cycles are ordered by that element.
+    """
+    seen = [False] * len(succ)
+    cycles = []
+    for start in range(len(succ)):
+        if seen[start]:
+            continue
+        cycle = []
+        cur = start
+        while not seen[cur]:
+            seen[cur] = True
+            cycle.append(cur)
+            cur = succ[cur]
+        cycles.append(tuple(cycle))
+    return cycles
+
+
 def uncolored_cycles(
     v: PairPartition,
 ) -> tuple[list[tuple[tuple[int, int], ...]], dict[int, int]]:
@@ -236,49 +263,12 @@ def uncolored_cycles(
     A cycle is a sequence of pairs ((l_1,r_1), ..., (l_s,r_s)) of v such
     that (l_i, r_{i+1 mod s}) lies in the noncrossing hat of v.
     """
-    hat = noncrossing_hat(v)
-    hat_right_of = {l: r for l, r in hat.pairs}
+    hat_right_of = dict(noncrossing_hat(v).pairs)
     # pair index whose right point is r
     owner_of_right = {r: j for j, (_, r) in enumerate(v.pairs)}
-    succ = {
-        j: owner_of_right[hat_right_of[l]] for j, (l, _) in enumerate(v.pairs)
-    }
-    seen = set()
-    cycles = []
-    for j in range(v.m):
-        if j in seen:
-            continue
-        cyc = []
-        cur = j
-        while cur not in seen:
-            seen.add(cur)
-            cyc.append(v.pairs[cur])
-            cur = succ[cur]
-        cycles.append(tuple(cyc))
+    succ = [owner_of_right[hat_right_of[l]] for l, _ in v.pairs]
+    cycles = [tuple(v.pairs[j] for j in cyc) for cyc in _walk_cycles(succ)]
     rho: dict[int, int] = {}
     for cyc in cycles:
         rho[len(cyc)] = rho.get(len(cyc), 0) + 1
     return cycles, rho
-
-
-def cycle_type_via_permutation(v: PairPartition) -> dict[int, int]:
-    """rho computed through the permutation sigma with
-    hat = {(a_i, z_{sigma^-1(i)})}; must agree with uncolored_cycles."""
-    hat = noncrossing_hat(v)
-    hat_right_of = {l: r for l, r in hat.pairs}
-    right_index = {r: j for j, (_, r) in enumerate(v.pairs)}
-    # sigma^-1(i) = index of the pair of v whose right point closes a_i in hat
-    sigma_inv = [right_index[hat_right_of[l]] for l, _ in v.pairs]
-    rho: dict[int, int] = {}
-    seen = set()
-    for j in range(v.m):
-        if j in seen:
-            continue
-        length = 0
-        cur = j
-        while cur not in seen:
-            seen.add(cur)
-            length += 1
-            cur = sigma_inv[cur]
-        rho[length] = rho.get(length, 0) + 1
-    return rho

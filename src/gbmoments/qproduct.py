@@ -22,6 +22,7 @@ from .partitions import (
     CapacityError,
     ColoredPairPartition,
     PairPartition,
+    _walk_cycles,
     crossings,
 )
 
@@ -81,14 +82,6 @@ def _crossing_index_pairs(v: PairPartition) -> list[tuple[int, int]]:
     return [(index[p1], index[p2]) for p1, p2 in crossings(v)]
 
 
-def _subpartition(v: PairPartition, pair_ids: list[int]) -> PairPartition:
-    points = sorted(p for j in pair_ids for p in v.pairs[j])
-    relabel = {p: i + 1 for i, p in enumerate(points)}
-    return PairPartition.of(
-        (relabel[v.pairs[j][0]], relabel[v.pairs[j][1]]) for j in pair_ids
-    )
-
-
 def q_product_eval(
     ts: Sequence[UncoloredTFunction], q: QMatrix, p: ColoredPairPartition
 ) -> Scalar:
@@ -96,8 +89,8 @@ def q_product_eval(
     if len(ts) != p.num_colors or q.size != p.num_colors:
         raise ValueError("need one component weight per color and a matching matrix")
     value: Scalar = Fraction(1)
-    for (p1, p2) in crossings(p.base):
-        value *= q.at(p.point_color(p1[0]), p.point_color(p2[0]))
+    for (j1, j2) in _crossing_index_pairs(p.base):
+        value *= q.at(p.colors[j1], p.colors[j2])
     for b in range(p.num_colors):
         value *= ts[b](p.color_class(b))
     return value
@@ -127,7 +120,7 @@ def t_q_star_n(
             value = partial
             for color in set(assignment):
                 ids = [jj for jj in range(m) if assignment[jj] == color]
-                value *= t(_subpartition(v, ids))
+                value *= t(v.restrict(ids))
                 if value == 0:
                     return
             total += value
@@ -188,20 +181,6 @@ def gram_psd_check(
     return min_eig, min_eig >= PSD_TOLERANCE
 
 
-def _permutation_cycle_count(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    count = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        count += 1
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = perm[cur]
-    return count
-
-
 def _stirling_unsigned(n: int) -> list[int]:
     """Row n of the unsigned cycle-count triangle: coefficients of
     x(x+1)...(x+n-1)."""
@@ -225,7 +204,7 @@ def stirling_check(n: int) -> tuple[int, bool]:
         raise CapacityError("factorial budget limited to |N| <= 7")
     degree = -n + 1
     by_enum = sum(
-        n ** _permutation_cycle_count(perm)
+        n ** len(_walk_cycles(perm))
         for perm in itertools.permutations(range(degree))
     )
     row = _stirling_unsigned(degree)
@@ -233,5 +212,6 @@ def stirling_check(n: int) -> tuple[int, bool]:
     rising = 1
     for j in range(degree):
         rising *= n + j
-    assert by_enum == by_identity == rising
+    if not by_enum == by_identity == rising:
+        raise RuntimeError("enumeration, Stirling row and rising factorial disagree")
     return by_enum, by_enum == 0

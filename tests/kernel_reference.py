@@ -1,0 +1,174 @@
+"""Reference implementations of the cycle-graph kernel, kept for
+differential tests.
+
+These are the direct, unoptimized transcriptions of the definitions that
+`gbmoments.cyclegraph.build_graph` replaced with one O(n) pass: every step
+recomputes what it needs from the partition and checks its invariants with
+plain asserts.  `cycle_type_via_permutation` is the permutation-based cycle
+type that `gbmoments.partitions.uncolored_cycles` must agree with.
+"""
+
+from __future__ import annotations
+
+from gbmoments.cyclegraph import ColorProfile, CycleGraphAnalysis
+from gbmoments.partitions import (
+    ColorArityError,
+    ColoredPairPartition,
+    PairPartition,
+    noncrossing_hat,
+)
+
+D = "D"
+S = "S"
+
+
+def _require_two_colors(p: ColoredPairPartition):
+    if p.num_colors != 2:
+        raise ColorArityError("cycle-graph analysis is defined for exactly 2 colors")
+
+
+def profile(p: ColoredPairPartition) -> ColorProfile:
+    """Per-color span counts p_b(u) and the own-color count r(k)."""
+    _require_two_colors(p)
+    n = p.size
+    counts = [[0] * (n + 2), [0] * (n + 2)]
+    for (l, r), c in zip(p.base.pairs, p.colors):
+        for u in range(l, r + 1):
+            counts[c][u] += 1
+    prof = (tuple(counts[0]), tuple(counts[1]))
+    r_values = tuple(prof[p.point_color(k)][k] for k in range(1, n + 1))
+    return ColorProfile(prof, r_values)
+
+
+def classify(p: ColoredPairPartition) -> dict[int, str]:
+    """Point k is dominant iff its own-color count r(k) exceeds the other
+    color's count at k."""
+    prof = profile(p)
+    out = {}
+    for k in range(1, p.size + 1):
+        c = p.point_color(k)
+        out[k] = D if prof.r(k) > prof.p(1 - c, k) else S
+    return out
+
+
+def z_map(p: ColoredPairPartition) -> dict[int, int]:
+    """Nearest point of equal r-value on the prescribed side."""
+    prof = profile(p)
+    cls = classify(p)
+    lefts = p.base.left_points()
+    n = p.size
+    z = {}
+    for k in range(1, n + 1):
+        rk = prof.r(k)
+        look_right = (k in lefts) == (cls[k] == D)
+        if look_right:
+            candidates = [k2 for k2 in range(k + 1, n + 1) if prof.r(k2) == rk]
+            assert candidates, f"no equivalent point right of {k}"
+            z[k] = min(candidates)
+        else:
+            candidates = [k2 for k2 in range(1, k) if prof.r(k2) == rk]
+            assert candidates, f"no equivalent point left of {k}"
+            z[k] = max(candidates)
+    for k, k2 in z.items():
+        assert k2 != k and z[k2] == k, "z must be a fixed-point-free involution"
+    return z
+
+
+def bar_partition(p: ColoredPairPartition) -> tuple[PairPartition, tuple[int, ...]]:
+    """The pair partition {(k, Z(k))} with its induced coloring."""
+    z = z_map(p)
+    cls = classify(p)
+    pairs = sorted((k, z[k]) for k in z if k < z[k])
+    colors = []
+    for k, k2 in pairs:
+        c1 = p.point_color(k) if cls[k] == S else 1 - p.point_color(k)
+        c2 = p.point_color(k2) if cls[k2] == S else 1 - p.point_color(k2)
+        assert c1 == c2, "bar coloring must not depend on the endpoint"
+        colors.append(c1)
+    return PairPartition(tuple(pairs)), tuple(colors)
+
+
+def _oriented(pair: tuple[int, int], color: int) -> tuple[int, int]:
+    return pair if color == 1 else (pair[1], pair[0])
+
+
+def _increasing_run_count(cycle_vertices: tuple[int, ...]) -> int:
+    """Number of maximal increasing runs in the cyclic arc sequence."""
+    n = len(cycle_vertices)
+    signs = [
+        cycle_vertices[i] < cycle_vertices[(i + 1) % n] for i in range(n)
+    ]
+    return sum(
+        1 for i in range(n) if signs[i] and not signs[(i + 1) % n]
+    )
+
+
+def build_graph(p: ColoredPairPartition) -> CycleGraphAnalysis:
+    """Build the directed graph and extract its cycle/path statistics."""
+    _require_two_colors(p)
+    cls = classify(p)
+    z = z_map(p)
+    bar_pp, bar_colors = bar_partition(p)
+
+    arcs_pairs = tuple(
+        _oriented(pair, c) for pair, c in zip(p.base.pairs, p.colors)
+    )
+    arcs_bar = tuple(
+        _oriented(pair, c) for pair, c in zip(bar_pp.pairs, bar_colors)
+    )
+    assert not set(arcs_pairs) & set(arcs_bar), "arc sets must be disjoint"
+
+    succ: dict[int, int] = {}
+    for u, v in arcs_pairs + arcs_bar:
+        assert u not in succ, "every vertex must have out-degree 1"
+        succ[u] = v
+    assert sorted(succ) == list(range(1, p.size + 1))
+    assert sorted(succ.values()) == list(range(1, p.size + 1))
+
+    seen: set[int] = set()
+    cycles = []
+    for start in range(1, p.size + 1):
+        if start in seen:
+            continue
+        cyc = []
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            cyc.append(cur)
+            cur = succ[cur]
+        cycles.append(tuple(cyc))
+
+    path_counts = tuple(_increasing_run_count(c) for c in cycles)
+    return CycleGraphAnalysis(
+        classification=cls,
+        z=z,
+        bar_pairs=bar_pp,
+        bar_colors=bar_colors,
+        arcs_pairs=arcs_pairs,
+        arcs_bar=arcs_bar,
+        cycles=tuple(cycles),
+        path_counts=path_counts,
+    )
+
+
+def cycle_type_via_permutation(v: PairPartition) -> dict[int, int]:
+    """rho computed through the permutation sigma with
+    hat = {(a_i, z_{sigma^-1(i)})}; must agree with uncolored_cycles."""
+    hat = noncrossing_hat(v)
+    hat_right_of = {l: r for l, r in hat.pairs}
+    right_index = {r: j for j, (_, r) in enumerate(v.pairs)}
+    # sigma^-1(i) = index of the pair of v whose right point closes a_i in hat
+    sigma_inv = [right_index[hat_right_of[l]] for l, _ in v.pairs]
+    rho: dict[int, int] = {}
+    seen = set()
+    for j in range(v.m):
+        if j in seen:
+            continue
+        length = 0
+        cur = j
+        while cur not in seen:
+            seen.add(cur)
+            length += 1
+            cur = sigma_inv[cur]
+        rho[length] = rho.get(length, 0) + 1
+    return rho

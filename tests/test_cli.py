@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from gbmoments.cli import dispatch, fmt_scalar
 from fractions import Fraction
 
@@ -143,3 +145,25 @@ def test_stirling(capsys):
     assert code == 0
     assert report["results"] == {"value": "0", "pass": True}
     assert dispatch(["stirling", "--N", "-8"]) == 3
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"pairs": [[1, "a"], [2, 3]]},
+        [[1, 2]],
+        {"pairs": [[1, 2]], "colors": [True]},
+    ],
+    ids=["non_int_point", "bare_list", "bool_color"],
+)
+def test_malformed_partition_exits_2(capsys, tmp_path, content):
+    path = tmp_path / "partition.json"
+    path.write_text(json.dumps(content))
+    assert dispatch(["graph", "--partition", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_zero_denominator_exits_2(capsys):
+    argv = ["eval", "--t", "thoma", "--alpha", "1/0", "--partition", TWELVE]
+    assert dispatch(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err

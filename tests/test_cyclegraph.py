@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import kernel_reference as reference
 from gbmoments.cyclegraph import (
     bar_partition,
     build_graph,
@@ -210,3 +212,30 @@ def test_monotone_path_endpoints_are_dominant():
             for run in dec:
                 assert a.classification[run[0]] == "D" and run[0] not in lefts
                 assert a.classification[run[-1]] == "D" and run[-1] in lefts
+
+
+def test_kernel_matches_reference_exhaustive():
+    for p in all_two_colored(4):
+        assert build_graph(p) == reference.build_graph(p)
+        assert profile(p) == reference.profile(p)
+        assert classify(p) == reference.classify(p)
+        assert z_map(p) == reference.z_map(p)
+        assert bar_partition(p) == reference.bar_partition(p)
+
+
+@st.composite
+def two_colored(draw, min_m=5, max_m=10):
+    m = draw(st.integers(min_value=min_m, max_value=max_m))
+    perm = draw(st.permutations(range(1, 2 * m + 1)))
+    colors = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    return ColoredPairPartition.of(zip(perm[::2], perm[1::2]), colors)
+
+
+@settings(deadline=None)
+@given(two_colored())
+def test_kernel_matches_reference_random(p):
+    a = build_graph(p)
+    assert a == reference.build_graph(p)
+    assert profile(p) == reference.profile(p)
+    assert all(a.z[k] != k and a.z[a.z[k]] == k for k in range(1, p.size + 1))
+    assert a.total_increasing_paths >= a.num_cycles

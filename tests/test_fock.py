@@ -135,6 +135,18 @@ def test_intermediate_states_stay_valid():
         check_state(state)
 
 
+def test_check_state_rejects_invalid_states():
+    from gbmoments.fock import check_state
+
+    # a lone key with a two-letter word is not fixed by the symmetrization
+    unsymmetrized = {((1, 2), (1, 2), (5, 6), ()): Fraction(1)}
+    with pytest.raises(ValueError, match="symmetrization"):
+        check_state(unsymmetrized)
+    check_state(sym_project(unsymmetrized))
+    with pytest.raises(ValueError, match="level"):
+        check_state({((1,), (1,), (5, 6), ()): Fraction(1)})
+
+
 def test_symmetrization_idempotent():
     for level_key in [
         ((1, 2, 1), (1, 1, 2), (5,), (7, 9)),

@@ -6,13 +6,14 @@ from gbmoments.partitions import (
     ColoredPairPartition,
     PairPartition,
     crossings,
-    cycle_type_via_permutation,
     double_factorial,
     enumerate_colored,
     enumerate_pair_partitions,
     noncrossing_hat,
     uncolored_cycles,
 )
+
+from kernel_reference import cycle_type_via_permutation
 
 
 def brute_force_crossings(v):
