@@ -19,9 +19,7 @@ and id 1 is +1.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -156,15 +154,13 @@ def cmd_oracle(args) -> tuple[dict, dict, list[dict]]:
     return {"word": obj, "N": args.N, "mode": args.mode}, results, checks
 
 
-def _compare_row(job: tuple[dict, int]) -> dict:
-    obj, n = job
-    p = colored_from_json(obj)
+def _compare_row(p, n: int) -> dict:
     dense = fock.vacuum_expectation_dense(W.canonical_word(p), n)
     lam = fock.vacuum_expectation_lambda(p, n)
     formula = moments.t_colored(moments.thoma_n(n), p)
     ratio = moments.t_n(n, p)
     return {
-        "partition": obj,
+        "partition": p.to_json(),
         "dense": fmt_scalar(dense),
         "lambda": fmt_scalar(lam),
         "character_formula": fmt_scalar(formula),
@@ -173,28 +169,12 @@ def _compare_row(job: tuple[dict, int]) -> dict:
     }
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("GBMOMENTS_THREADS", "1")
-    count = int(raw)
-    if count < 1:
-        raise ValueError("GBMOMENTS_THREADS must be a positive integer")
-    return count
-
-
 def cmd_compare(args) -> tuple[dict, dict, list[dict]]:
-    jobs = [
-        (p.to_json(), args.N)
+    rows = [
+        _compare_row(p, args.N)
         for m in range(1, args.max_pairs + 1)
         for p in enumerate_colored(m, 2)
     ]
-    workers = _worker_count()
-    if workers > 1:
-        # results are assembled in submission order, so output stays
-        # deterministic regardless of scheduling
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_compare_row, jobs, chunksize=16))
-    else:
-        rows = [_compare_row(job) for job in jobs]
     checks = [_check("all_agree", True, all(r["pass"] for r in rows))]
     checks += [
         _check(f"agreement_{json.dumps(r['partition'], sort_keys=True)}", True, False)
@@ -202,7 +182,7 @@ def cmd_compare(args) -> tuple[dict, dict, list[dict]]:
         if not r["pass"]
     ]
     return (
-        {"max_pairs": args.max_pairs, "N": args.N, "workers": workers},
+        {"max_pairs": args.max_pairs, "N": args.N},
         {"instances": len(rows), "matrix": rows},
         checks,
     )
@@ -244,16 +224,14 @@ def cmd_pd_check(args) -> tuple[dict, dict, list[dict]]:
     else:
         if args.t == "tn":
             tp = moments.thoma_n(args.N)
-        elif args.t == "thoma":
-            tp = moments.ThomaParameter(args.alpha, args.beta)
         else:
-            raise ValueError("pd-check supports the tn and thoma families")
+            tp = moments.ThomaParameter(args.alpha, args.beta)
         if args.colors == 1:
             handle = lambda p: moments.t_uncolored(tp, p.base)
         else:
             handle = moments.thoma_handle(tp)
-    min_eig, ok = qproduct.gram_psd_check(family, handle)
-    results = {"family_size": len(family), "min_eigenvalue": min_eig}
+    min_pivot, ok = qproduct.gram_psd_check(family, handle)
+    results = {"family_size": len(family), "min_pivot": fmt_scalar(min_pivot)}
     checks = [_check("psd", True, ok)]
     return (
         {"max_points": args.max_points, "colors": args.colors, "t": args.t},
@@ -290,7 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a moment weight on a partition")
     p.add_argument("--partition", required=True)
     p.add_argument("--t", choices=["tn", "thoma", "tensor"], required=True)
-    _add_weight_flags(p)
+    _add_thoma_flags(p)
+    p.add_argument("--alpha-minus", type=parse_rational_list, default=())
+    p.add_argument("--beta-minus", type=parse_rational_list, default=())
+    p.add_argument("--alpha-plus", type=parse_rational_list, default=())
+    p.add_argument("--beta-plus", type=parse_rational_list, default=())
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("oracle", help="vacuum expectation of a word")
@@ -315,10 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pd-check", help="Gram positive-semidefiniteness check")
     p.add_argument("--max-points", type=int, default=4)
     p.add_argument("--colors", type=int, default=1)
-    p.add_argument("--t", choices=["tn", "thoma", "tensor"], default="tn")
+    p.add_argument("--t", choices=["tn", "thoma"], default="tn")
     p.add_argument("--q12", type=parse_rational, default=None,
                    help="use the coupling-matrix product of two copies instead")
-    _add_weight_flags(p)
+    _add_thoma_flags(p)
     p.set_defaults(func=cmd_pd_check)
 
     p = sub.add_parser("stirling", help="signed cycle-count cancellation")
@@ -328,14 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_weight_flags(p: argparse.ArgumentParser):
+def _add_thoma_flags(p: argparse.ArgumentParser):
     p.add_argument("--N", type=int, default=2)
     p.add_argument("--alpha", type=parse_rational_list, default=())
     p.add_argument("--beta", type=parse_rational_list, default=())
-    p.add_argument("--alpha-minus", type=parse_rational_list, default=())
-    p.add_argument("--beta-minus", type=parse_rational_list, default=())
-    p.add_argument("--alpha-plus", type=parse_rational_list, default=())
-    p.add_argument("--beta-plus", type=parse_rational_list, default=())
 
 
 def dispatch(argv: list[str]) -> int:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .broken import BrokenPairPartition, gram_matrix
 from .moments import Scalar, TFunction, UncoloredTFunction
 from .partitions import (
@@ -27,7 +25,6 @@ from .partitions import (
 )
 
 MAX_COLORING_SUMS = 5_000_000
-PSD_TOLERANCE = -1e-9
 
 
 @dataclass(frozen=True)
@@ -142,19 +139,8 @@ def t_q_star_n(
 
 def t_q_limit(q_base: QMatrix, v: PairPartition) -> Scalar:
     """The limit kernel: N^-|V| sum over colorings into the base colors of
-    the crossing product alone."""
-    m = v.m
-    n = q_base.size
-    if n**m > MAX_COLORING_SUMS:
-        raise CapacityError("coloring sum exceeds the budget")
-    cross = _crossing_index_pairs(v)
-    total: Scalar = Fraction(0)
-    for assignment in itertools.product(range(1, n + 1), repeat=m):
-        value: Scalar = Fraction(1)
-        for (j1, j2) in cross:
-            value *= q_base.periodic(assignment[j1], assignment[j2])
-        total += value
-    return total / Fraction(n**m)
+    the crossing product alone, which is t_q_star_n of the weight 1 at n = N."""
+    return t_q_star_n(lambda _: 1, q_base, q_base.size, v)
 
 
 def clt_error_curve(
@@ -170,15 +156,39 @@ def clt_error_curve(
 
 def gram_psd_check(
     family: Sequence[BrokenPairPartition], t: TFunction
-) -> tuple[float, bool]:
-    """Minimum eigenvalue of the Gram matrix t_hat(d_i* d_j) and whether it
-    clears the positive-semidefiniteness tolerance."""
-    gram = gram_matrix(family, t)
-    matrix = np.array([[float(x) for x in row] for row in gram], dtype=float)
-    if not np.allclose(matrix, matrix.T):
-        raise AssertionError("gram matrix must be symmetric")
-    min_eig = float(np.linalg.eigvalsh(matrix)[0])
-    return min_eig, min_eig >= PSD_TOLERANCE
+) -> tuple[Fraction, bool]:
+    """Exact positive-semidefiniteness of the Gram matrix t_hat(d_i* d_j):
+    rational LDL^T pivoting on the largest remaining diagonal entry d.  The
+    update for d > 0 touches only the columns where its row is nonzero, so
+    the block structure is used for free; once d <= 0, the matrix is PSD iff
+    d == 0 and nothing nonzero remains.  Returns (smallest pivot, verdict)."""
+    a = [[_exact(x) for x in row] for row in gram_matrix(family, t)]
+    if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
+        raise ValueError("gram matrix must be symmetric")
+    rest = list(range(len(a)))
+    pivots = []
+    while rest:
+        p = max(rest, key=lambda i: a[i][i])
+        d = a[p][p]
+        pivots.append(d)
+        if d <= 0:
+            ok = d == 0 and not any(a[i][j] for i in rest for j in rest)
+            return min(pivots), ok
+        rest.remove(p)
+        row = a[p]
+        nonzero = [j for j in rest if row[j]]
+        for i in nonzero:
+            factor = row[i] / d
+            target = a[i]
+            for j in nonzero:
+                target[j] -= factor * row[j]
+    return min(pivots), True
+
+
+def _exact(x) -> Fraction:
+    if not isinstance(x, (int, Fraction)):
+        raise ValueError(f"Gram weights must be int or Fraction, not {type(x).__name__}")
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _stirling_unsigned(n: int) -> list[int]:

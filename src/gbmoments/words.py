@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .partitions import ColoredPairPartition
+from .partitions import ColoredPairPartition, _is_int
 
 ANNIHILATE = "a"
 CREATE = "a*"
@@ -118,5 +118,15 @@ def word_to_json(w: Word) -> list[dict]:
     return [{"b": let.b, "i": let.i, "k": let.k} for let in w]
 
 
-def word_from_json(obj: list[dict]) -> Word:
-    return word(Letter(int(d["b"]), int(d["i"]), str(d["k"])) for d in obj)
+def word_from_json(obj) -> Word:
+    """Read [{"b": int, "i": int, "k": str}, ...]; any other shape raises
+    ValueError."""
+    if not isinstance(obj, list) or not all(
+        isinstance(d, dict)
+        and _is_int(d.get("b"))
+        and _is_int(d.get("i"))
+        and isinstance(d.get("k"), str)
+        for d in obj
+    ):
+        raise ValueError("a word must be a list of {'b': int, 'i': int, 'k': str} letters")
+    return word(Letter(d["b"], d["i"], d["k"]) for d in obj)

@@ -1,8 +1,11 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gbmoments
 from gbmoments.cli import dispatch, fmt_scalar
 from fractions import Fraction
 
@@ -130,6 +133,7 @@ def test_pd_check(capsys):
     )
     assert code == 0
     assert report["checks"][0]["pass"]
+    assert report["results"]["min_pivot"] == "0"
 
 
 def test_pd_check_q_product(capsys):
@@ -167,3 +171,36 @@ def test_zero_denominator_exits_2(capsys):
     argv = ["eval", "--t", "thoma", "--alpha", "1/0", "--partition", TWELVE]
     assert dispatch(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_clt_empty_matrix_exits_2(capsys, tmp_path):
+    q = tmp_path / "q.json"
+    q.write_text("[]")
+    argv = ["clt", "--Q", str(q), "--V", str(FIXTURES / "v_crossing.json"),
+            "--t", "free", "--n", "2"]
+    assert dispatch(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [[1], {}], ids=["bare_int_letter", "object"])
+def test_malformed_word_exits_2(capsys, tmp_path, content):
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps(content))
+    assert dispatch(["oracle", "--word", str(path), "--N", "2"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra", [["--t", "tensor"], ["--alpha-minus", "1/2"]], ids=["tensor", "alpha_minus"]
+)
+def test_pd_check_rejects_unsupported_options(capsys, extra):
+    assert dispatch(["pd-check", "--max-points", "2", *extra]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_imports_without_numpy():
+    # a None entry in sys.modules makes any `import numpy` raise ImportError
+    src = str(Path(gbmoments.__file__).parents[1])
+    code = f'import sys; sys.modules["numpy"] = None; sys.path.insert(0, {src!r}); import gbmoments.cli'
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gbmoments.broken import enumerate_broken
+from gbmoments.broken import embed, empty, enumerate_broken
 from gbmoments.moments import (
     t_free,
     t_tensor,
@@ -153,6 +153,34 @@ def test_gram_psd_families():
     handle = q_product_handle([tn_uncolored_handle(2)] * 2, q)
     min_eig, ok = gram_psd_check(two_color, handle)
     assert ok, min_eig
+
+
+def _two_diagram_family():
+    """The empty diagram and one pair: the Gram matrix is [[t(0 pairs),
+    t(1 pair)], [t(1 pair), t(2 pairs)]], so a weight indexed by the number
+    of pairs sets it entry by entry."""
+    return [empty(1), embed(ColoredPairPartition.of([(1, 2)], [0], 1))]
+
+
+@pytest.mark.parametrize(
+    "by_pairs, expected",
+    [
+        ((1, 0, -1), (Fraction(-1), False)),  # negative pivot
+        ((0, 1, 0), (Fraction(0), False)),  # zero pivot, nonzero row
+        ((1, 1, 1), (Fraction(0), True)),  # singular PSD
+        ((2, 1, 1), (HALF, True)),  # positive definite
+    ],
+    ids=["negative_pivot", "zero_pivot_nonzero_row", "singular_psd", "definite"],
+)
+def test_gram_psd_exact_verdict(by_pairs, expected):
+    min_pivot, ok = gram_psd_check(_two_diagram_family(), lambda p: by_pairs[p.m])
+    assert (min_pivot, ok) == expected
+    assert ok is expected[1]
+
+
+def test_gram_psd_rejects_float_weights():
+    with pytest.raises(ValueError):
+        gram_psd_check(_two_diagram_family(), lambda p: (1.0, 0.5, 1.0)[p.m])
 
 
 def test_stirling_examples():
