@@ -3,14 +3,15 @@
 A broken pair partition is a diagram on base points 1..n where every point
 either belongs to a colored pair or carries a single open leg (left or
 right) of some color; the legs of each color/side are numbered bijectively
-1..count.  Multiplication concatenates diagrams and joins right legs of the
-first factor with left legs of the second factor of the same color:
-the lowest-numbered legs join first (number k with number k), so a freshly
-opened right leg carries number 1 and is the first one consumed; leg
-numbers count outward from the seam.  Surviving legs of the outer factor
-are renumbered above the inner factor's legs.  Equality is structural on
-this canonical form, which encodes equivalence up to order-preserving
-relabeling of base points.
+1..count.  Each color/side stores its leg points as a tuple in leg-number
+order: legs[j] carries number j + 1.  Multiplication concatenates diagrams
+and joins right legs of the first factor with left legs of the second
+factor of the same color: the lowest-numbered legs join first (number k
+with number k), so a freshly opened right leg carries number 1 and is the
+first one consumed; leg numbers count outward from the seam.  Surviving
+legs of the outer factor are numbered above the inner factor's legs.
+Equality is structural on this canonical form, which encodes equivalence
+up to order-preserving relabeling of base points.
 """
 
 from __future__ import annotations
@@ -18,19 +19,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .partitions import CapacityError, ColoredPairPartition
+from .partitions import CapacityError, ColoredPairPartition, _is_int, _json_pairs
 
 MAX_PRODUCT_POINTS = 64
 
-Legs = tuple[tuple[int, int], ...]  # sorted (point, leg number)
-
-
-def _check_legs(legs: Sequence[tuple[int, int]], what: str):
-    numbers = sorted(num for _, num in legs)
-    if numbers != list(range(1, len(legs) + 1)):
-        raise ValueError(f"{what} numbering must be a bijection onto 1..count")
+Legs = tuple[int, ...]  # leg points in leg-number order
 
 
 @dataclass(frozen=True)
@@ -49,23 +44,20 @@ class BrokenPairPartition:
                 raise ValueError("need one entry per color")
         used = []
         for a in range(self.num_colors):
+            if list(self.pairs[a]) != sorted(self.pairs[a]):
+                raise ValueError("each color's pairs must be sorted")
             for l, r in self.pairs[a]:
                 if not 1 <= l < r <= self.n:
                     raise ValueError(f"bad pair ({l},{r})")
                 used += [l, r]
-            _check_legs(self.left_legs[a], "left leg")
-            _check_legs(self.right_legs[a], "right leg")
-            used += [p for p, _ in self.left_legs[a]]
-            used += [p for p, _ in self.right_legs[a]]
-        if sorted(used) != list(range(1, self.n + 1)):
+            used += self.left_legs[a]
+            used += self.right_legs[a]
+        if len(used) != self.n or sorted(used) != list(range(1, self.n + 1)):
             raise ValueError("roles must partition the base set 1..n")
 
     @property
     def has_legs(self) -> bool:
         return any(self.left_legs) or any(self.right_legs)
-
-    def leg_counts(self, a: int) -> tuple[int, int]:
-        return len(self.left_legs[a]), len(self.right_legs[a])
 
     def as_colored(self) -> ColoredPairPartition:
         """View a leg-free diagram as a colored pair partition."""
@@ -85,26 +77,49 @@ class BrokenPairPartition:
             "per_color": [
                 {
                     "pairs": [list(p) for p in self.pairs[a]],
-                    "left_legs": {str(p): num for p, num in self.left_legs[a]},
-                    "right_legs": {str(p): num for p, num in self.right_legs[a]},
+                    "left_legs": _leg_map(self.left_legs[a]),
+                    "right_legs": _leg_map(self.right_legs[a]),
                 }
                 for a in range(self.num_colors)
             ],
         }
 
 
-def broken_from_json(obj: dict) -> BrokenPairPartition:
-    k = obj["colors"]
+def _leg_map(legs: Legs) -> dict[str, int]:
+    """{point: leg number}, keyed in point order."""
+    return {str(p): legs.index(p) + 1 for p in sorted(legs)}
+
+
+def _legs_from_json(leg_map) -> Legs:
+    """Leg points in leg-number order from a {point: number} map whose
+    numbers must be a bijection onto 1..count."""
+    if not isinstance(leg_map, dict):
+        raise ValueError("leg maps must be objects")
+    by_number = {}
+    for point, num in leg_map.items():
+        if not (isinstance(point, str) and point.isdecimal() and _is_int(num)):
+            raise ValueError(f"a leg must map a point to an integer number, got {point!r}: {num!r}")
+        by_number[num] = int(point)
+    count = len(leg_map)
+    if sorted(by_number) != list(range(1, count + 1)):
+        raise ValueError("leg numbering must be a bijection onto 1..count")
+    return tuple(by_number[num] for num in range(1, count + 1))
+
+
+def broken_from_json(obj) -> BrokenPairPartition:
+    """Read {"n", "colors", "per_color": [{"pairs", "left_legs",
+    "right_legs"}, ...]}; any other shape raises ValueError."""
+    if not (isinstance(obj, dict) and _is_int(obj.get("n")) and _is_int(obj.get("colors"))):
+        raise ValueError("a broken partition must be an object with integer 'n' and 'colors'")
+    per_color = obj.get("per_color")
+    if not (isinstance(per_color, list) and len(per_color) == obj["colors"]):
+        raise ValueError("'per_color' must be a list with one entry per color")
     pairs, lefts, rights = [], [], []
-    for entry in obj["per_color"]:
-        pairs.append(tuple(sorted((min(p), max(p)) for p in entry["pairs"])))
-        lefts.append(
-            tuple(sorted((int(p), num) for p, num in entry.get("left_legs", {}).items()))
-        )
-        rights.append(
-            tuple(sorted((int(p), num) for p, num in entry.get("right_legs", {}).items()))
-        )
-    return BrokenPairPartition(obj["n"], k, tuple(pairs), tuple(lefts), tuple(rights))
+    for entry in per_color:
+        pairs.append(tuple(sorted((min(p), max(p)) for p in _json_pairs(entry))))
+        lefts.append(_legs_from_json(entry.get("left_legs", {})))
+        rights.append(_legs_from_json(entry.get("right_legs", {})))
+    return BrokenPairPartition(obj["n"], obj["colors"], tuple(pairs), tuple(lefts), tuple(rights))
 
 
 def empty(num_colors: int = 2) -> BrokenPairPartition:
@@ -114,14 +129,14 @@ def empty(num_colors: int = 2) -> BrokenPairPartition:
 
 def left_hook(color: int, num_colors: int = 2) -> BrokenPairPartition:
     """One point with a single open left leg of the given color."""
-    lefts = tuple(((1, 1),) if a == color else () for a in range(num_colors))
+    lefts = tuple((1,) if a == color else () for a in range(num_colors))
     none: tuple = ((),) * num_colors
     return BrokenPairPartition(1, num_colors, none, lefts, none)
 
 
 def right_hook(color: int, num_colors: int = 2) -> BrokenPairPartition:
     """One point with a single open right leg of the given color."""
-    rights = tuple(((1, 1),) if a == color else () for a in range(num_colors))
+    rights = tuple((1,) if a == color else () for a in range(num_colors))
     none: tuple = ((),) * num_colors
     return BrokenPairPartition(1, num_colors, none, none, rights)
 
@@ -129,11 +144,7 @@ def right_hook(color: int, num_colors: int = 2) -> BrokenPairPartition:
 def embed(p: ColoredPairPartition) -> BrokenPairPartition:
     """A colored pair partition as a leg-free broken diagram."""
     pairs = tuple(
-        tuple(
-            pair
-            for pair, c in zip(p.base.pairs, p.colors)
-            if c == a
-        )
+        tuple(pair for pair, c in zip(p.base.pairs, p.colors) if c == a)
         for a in range(p.num_colors)
     )
     none: tuple = ((),) * p.num_colors
@@ -145,73 +156,36 @@ def multiply(d1: BrokenPairPartition, d2: BrokenPairPartition) -> BrokenPairPart
 
     Per color, min(|R_1|, |L_2|) pairs form; joined legs are matched by
     equal numbers starting at 1, the new pair's left point lying in d1.
-    Surviving right legs of d1 are renumbered above d2's right legs, and
-    surviving left legs of d2 above d1's left legs.
+    Surviving right legs of d1 follow d2's right legs, and surviving left
+    legs of d2 follow d1's left legs.
     """
     if d1.num_colors != d2.num_colors:
         raise ValueError("operands must share the color set")
     shift = d1.n
     pairs, lefts, rights = [], [], []
     for a in range(d1.num_colors):
-        r1 = {num: p for p, num in d1.right_legs[a]}
-        l2 = {num: p + shift for p, num in d2.left_legs[a]}
+        r1, l2 = d1.right_legs[a], d2.left_legs[a]
         m = min(len(r1), len(l2))
-        joined = [(r1[j], l2[j]) for j in range(1, m + 1)]
-        pairs.append(
-            tuple(
-                sorted(
-                    list(d1.pairs[a])
-                    + [(l + shift, r + shift) for l, r in d2.pairs[a]]
-                    + joined
-                )
-            )
-        )
-        n_l1 = len(d1.left_legs[a])
-        n_r2 = len(d2.right_legs[a])
-        lefts.append(
-            tuple(
-                sorted(
-                    list(d1.left_legs[a])
-                    + [
-                        (p + shift, num + n_l1 - m)
-                        for p, num in d2.left_legs[a]
-                        if num > m
-                    ]
-                )
-            )
-        )
-        rights.append(
-            tuple(
-                sorted(
-                    [(p + shift, num) for p, num in d2.right_legs[a]]
-                    + [
-                        (p, num + n_r2 - m)
-                        for p, num in d1.right_legs[a]
-                        if num > m
-                    ]
-                )
-            )
-        )
+        inner = [(l + shift, r + shift) for l, r in d2.pairs[a]]
+        joined = [(p, q + shift) for p, q in zip(r1, l2)]
+        pairs.append(tuple(sorted([*d1.pairs[a], *inner, *joined])))
+        lefts.append(d1.left_legs[a] + tuple(p + shift for p in l2[m:]))
+        rights.append(tuple(p + shift for p in d2.right_legs[a]) + r1[m:])
     return BrokenPairPartition(
         d1.n + d2.n, d1.num_colors, tuple(pairs), tuple(lefts), tuple(rights)
     )
 
 
 def involution(d: BrokenPairPartition) -> BrokenPairPartition:
-    """Mirror reflection: base order reversed, left and right legs swapped."""
+    """Mirror reflection: base order reversed, left and right legs swapped
+    with their numbers kept."""
     flip = lambda p: d.n + 1 - p
     pairs = tuple(
         tuple(sorted((flip(r), flip(l)) for l, r in d.pairs[a]))
         for a in range(d.num_colors)
     )
-    lefts = tuple(
-        tuple(sorted((flip(p), num) for p, num in d.right_legs[a]))
-        for a in range(d.num_colors)
-    )
-    rights = tuple(
-        tuple(sorted((flip(p), num) for p, num in d.left_legs[a]))
-        for a in range(d.num_colors)
-    )
+    lefts = tuple(tuple(map(flip, legs)) for legs in d.right_legs)
+    rights = tuple(tuple(map(flip, legs)) for legs in d.left_legs)
     return BrokenPairPartition(d.n, d.num_colors, pairs, lefts, rights)
 
 
@@ -278,13 +252,10 @@ def permute_right_legs(
     d: BrokenPairPartition, perms: Sequence[Sequence[int]]
 ) -> BrokenPairPartition:
     rights = []
-    for a in range(d.num_colors):
-        perm = perms[a]
-        if sorted(perm) != list(range(len(d.right_legs[a]))):
+    for legs, perm in zip(d.right_legs, perms):
+        if sorted(perm) != list(range(len(legs))):
             raise ValueError("permutation must match the open leg count")
-        rights.append(
-            tuple(sorted((p, perm[num - 1] + 1) for p, num in d.right_legs[a]))
-        )
+        rights.append(_permuted(legs, perm))
     return BrokenPairPartition(
         d.n, d.num_colors, d.pairs, d.left_legs, tuple(rights)
     )
@@ -297,44 +268,35 @@ def standard_form(p: ColoredPairPartition) -> StandardForm:
     a permutation block is inserted immediately before a left-hook run
     whenever the pairs it closes are not already on top, and nowhere else.
     """
-    lefts = p.base.left_points()
+    color = [0] * (p.size + 1)
+    opener = [0] * (p.size + 1)  # left point of the pair through each point
+    for (l, r), c in zip(p.base.pairs, p.colors):
+        color[l] = color[r] = c
+        opener[l] = opener[r] = l
     factors: list[Factor] = []
-    # per color: open pair ids, position 0 = leg number 1 (most recent)
+    # per color: openers of the open pairs, position 0 = leg number 1 (most recent)
     open_: list[list[int]] = [[] for _ in range(p.num_colors)]
-
-    k = 1
-    while k <= p.size:
-        if k in lefts:
-            run = []
-            while k <= p.size and k in lefts:
-                c = p.point_color(k)
-                run.append(c)
-                open_[c].insert(0, p.base.pair_index(k))
-                k += 1
-            factors.append(RightHookRun(tuple(run)))
-        else:
-            run_points = []
-            while k <= p.size and k not in lefts:
-                run_points.append(k)
-                k += 1
-            closing: list[list[int]] = [[] for _ in range(p.num_colors)]
-            for pt in run_points:
-                closing[p.point_color(pt)].append(p.base.pair_index(pt))
-            perms = []
-            nontrivial = False
-            for a in range(p.num_colors):
-                rest = [q for q in open_[a] if q not in closing[a]]
-                desired = closing[a] + rest
-                perm = tuple(desired.index(q) for q in open_[a])
-                perms.append(perm)
-                if perm != tuple(range(len(perm))):
-                    nontrivial = True
-                open_[a] = desired
-            if nontrivial:
-                factors.append(PermutationBlock(tuple(perms)))
-            factors.append(LeftHookRun(tuple(p.point_color(pt) for pt in run_points)))
-            for pt in run_points:
-                open_[p.point_color(pt)].pop(0)
+    runs = itertools.groupby(range(1, p.size + 1), key=lambda k: opener[k] == k)
+    for opens, run in runs:
+        run = list(run)
+        run_colors = tuple(color[k] for k in run)
+        if opens:
+            for k in run:
+                open_[color[k]].insert(0, k)
+            factors.append(RightHookRun(run_colors))
+            continue
+        closing: list[list[int]] = [[] for _ in range(p.num_colors)]
+        for k in run:
+            closing[color[k]].append(opener[k])
+        perms = []
+        for a in range(p.num_colors):
+            rest = [q for q in open_[a] if q not in closing[a]]
+            desired = closing[a] + rest
+            perms.append(tuple(desired.index(q) for q in open_[a]))
+            open_[a] = rest
+        if any(perm != tuple(range(len(perm))) for perm in perms):
+            factors.append(PermutationBlock(tuple(perms)))
+        factors.append(LeftHookRun(run_colors))
     return StandardForm(p.num_colors, tuple(factors))
 
 
@@ -360,64 +322,56 @@ def enumerate_broken(
 
     By default only diagrams without right legs are produced: in any Gram
     matrix t_hat(d_i* . d_j) the rows of right-legged diagrams vanish
-    identically, so they add nothing to a positivity check.
+    identically, so they add nothing to a positivity check.  The order is
+    fixed: by n, then matching, pair colors, the role (left colors, then
+    right colors) of each single point, and leg numberings.
     """
-    sides = ("L", "R") if include_right_legs else ("L",)
+    roles = (2 if include_right_legs else 1) * num_colors
     out: list[BrokenPairPartition] = []
     for n in range(max_points + 1):
-        for diagram in _enumerate_broken_exact(n, num_colors, sides):
-            out.append(diagram)
+        for match, singles in _partial_matchings(list(range(1, n + 1))):
+            for pair_colors in itertools.product(range(num_colors), repeat=len(match)):
+                pairs = tuple(
+                    tuple(sorted(pair for pair, c in zip(match, pair_colors) if c == a))
+                    for a in range(num_colors)
+                )
+                for assignment in itertools.product(range(roles), repeat=len(singles)):
+                    groups = [
+                        [p for p, role in zip(singles, assignment) if role == j]
+                        for j in range(2 * num_colors)
+                    ]
+                    for legs in itertools.product(*map(_numberings, groups)):
+                        out.append(
+                            BrokenPairPartition(
+                                n, num_colors, pairs, legs[:num_colors], legs[num_colors:]
+                            )
+                        )
     return out
 
 
-def _enumerate_broken_exact(
-    n: int, num_colors: int, sides: tuple[str, ...]
-) -> Iterable[BrokenPairPartition]:
-    def matchings(points: list[int]):
-        if not points:
-            yield []
-            return
-        first, rest = points[0], points[1:]
-        # first point stays single
-        for match in matchings(rest):
-            yield match
-        for j, other in enumerate(rest):
-            for match in matchings(rest[:j] + rest[j + 1 :]):
-                yield [(first, other)] + match
-
-    for match in matchings(list(range(1, n + 1))):
-        paired = {p for pair in match for p in pair}
-        singles = [p for p in range(1, n + 1) if p not in paired]
-        for pair_colors in itertools.product(range(num_colors), repeat=len(match)):
-            pairs = [[] for _ in range(num_colors)]
-            for pair, c in zip(match, pair_colors):
-                pairs[c].append(pair)
-            for roles in itertools.product(
-                [(s, c) for s in sides for c in range(num_colors)],
-                repeat=len(singles),
-            ):
-                groups: dict[tuple[str, int], list[int]] = {}
-                for pt, role in zip(singles, roles):
-                    groups.setdefault(role, []).append(pt)
-                for numbered in _leg_numberings(groups):
-                    lefts = [[] for _ in range(num_colors)]
-                    rights = [[] for _ in range(num_colors)]
-                    for (side, c), legs in numbered.items():
-                        (lefts if side == "L" else rights)[c] = legs
-                    yield BrokenPairPartition(
-                        n,
-                        num_colors,
-                        tuple(tuple(sorted(ps)) for ps in pairs),
-                        tuple(tuple(sorted(ls)) for ls in lefts),
-                        tuple(tuple(sorted(rs)) for rs in rights),
-                    )
+def _partial_matchings(points: list[int]) -> Iterator[tuple[list, list[int]]]:
+    """Every partial matching of the points, with its single points: the
+    first point stays single first, then pairs with each later point."""
+    if not points:
+        yield [], []
+        return
+    first, rest = points[0], points[1:]
+    for match, singles in _partial_matchings(rest):
+        yield match, [first] + singles
+    for j, other in enumerate(rest):
+        for match, singles in _partial_matchings(rest[:j] + rest[j + 1 :]):
+            yield [(first, other)] + match, singles
 
 
-def _leg_numberings(groups: dict[tuple[str, int], list[int]]):
-    keys = sorted(groups)
-    pools = [
-        [list(zip(groups[key], perm)) for perm in itertools.permutations(range(1, len(groups[key]) + 1))]
-        for key in keys
-    ]
-    for combo in itertools.product(*pools):
-        yield dict(zip(keys, combo))
+def _numberings(points: Sequence[int]) -> list[Legs]:
+    """Every leg numbering of the points, as legs in leg-number order.  The
+    numbers are permuted, not the points: point i takes number perm[i] + 1."""
+    return [_permuted(points, perm) for perm in itertools.permutations(range(len(points)))]
+
+
+def _permuted(points: Sequence[int], perm: Sequence[int]) -> Legs:
+    """The points with points[i] moved to position perm[i]."""
+    out = [0] * len(points)
+    for point, j in zip(points, perm):
+        out[j] = point
+    return tuple(out)

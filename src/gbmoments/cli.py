@@ -97,6 +97,22 @@ def _t_handle_from_args(args) -> moments.TFunction:
     raise ValueError(f"unknown weight family {args.t!r}")
 
 
+# the options each weight family reads, recorded in the report's inputs
+FAMILY_PARAMETERS = {
+    "free": (),
+    "tn": ("N",),
+    "thoma": ("alpha", "beta"),
+    "tensor": ("alpha_minus", "beta_minus", "alpha_plus", "beta_plus"),
+    "q12": ("N", "q12"),
+}
+
+
+def _family_inputs(args, family: str) -> dict:
+    """The family's parameters as exact strings (lists of them for sequences)."""
+    exact = lambda v: [fmt_scalar(x) for x in v] if isinstance(v, tuple) else fmt_scalar(v)
+    return {name: exact(getattr(args, name)) for name in FAMILY_PARAMETERS[family]}
+
+
 def _uncolored_t_from_args(args) -> moments.UncoloredTFunction:
     if args.t == "free":
         return moments.t_free
@@ -133,7 +149,7 @@ def cmd_eval(args) -> tuple[dict, dict, list[dict]]:
     handle = _t_handle_from_args(args)
     value = handle(p)
     return (
-        {"partition": obj, "t": args.t},
+        {"partition": obj, "t": args.t, **_family_inputs(args, args.t)},
         {"value": fmt_scalar(value)},
         [],
     )
@@ -208,7 +224,8 @@ def cmd_clt(args) -> tuple[dict, dict, list[dict]]:
                 abs(curve[-1][1]) <= abs(curve[0][1]),
             )
         )
-    return {"Q": args.Q, "V": args.V, "t": args.t, "n": ns}, results, checks
+    inputs = {"Q": args.Q, "V": args.V, "t": args.t, "n": ns, **_family_inputs(args, args.t)}
+    return inputs, results, checks
 
 
 def cmd_pd_check(args) -> tuple[dict, dict, list[dict]]:
@@ -233,11 +250,9 @@ def cmd_pd_check(args) -> tuple[dict, dict, list[dict]]:
     min_pivot, ok = qproduct.gram_psd_check(family, handle)
     results = {"family_size": len(family), "min_pivot": fmt_scalar(min_pivot)}
     checks = [_check("psd", True, ok)]
-    return (
-        {"max_points": args.max_points, "colors": args.colors, "t": args.t},
-        results,
-        checks,
-    )
+    weight = args.t if args.q12 is None else "q12"
+    inputs = {"max_points": args.max_points, "colors": args.colors, "t": args.t}
+    return {**inputs, **_family_inputs(args, weight)}, results, checks
 
 
 def cmd_stirling(args) -> tuple[dict, dict, list[dict]]:

@@ -188,13 +188,11 @@ def _propagate(
             if max(nb + 1, nother) > LAMBDA_MAX_LEVEL:
                 raise CapacityError(f"word drives a level above {LAMBDA_MAX_LEVEL}")
             scale *= nb + 1
-            if nb >= nother:
-                assert k in lam, "dominant creator must carry an assignment"
-                z = lam[k]
-                tuples[0].append(z)
-                tuples[1].append(z)
-            else:
-                assert k not in lam, "subordinate creator must not be assigned"
+            if (k in lam) != (nb >= nother):
+                raise RuntimeError("exactly the dominant creators carry an assignment")
+            if k in lam:
+                tuples[0].append(lam[k])
+                tuples[1].append(lam[k])
             words[b].append(i)
         else:
             pos = words[b].index(i)
@@ -213,7 +211,8 @@ def _propagate(
                 del tuples[b][pos]
                 tuples[b].insert(nb - 1, bound_value)
             del words[b][pos]
-    assert not words[0] and not words[1] and not tuples[0] and not tuples[1]
+    if words[0] or words[1] or tuples[0] or tuples[1]:
+        raise RuntimeError("the word must return to the vacuum")
     return scale
 
 

@@ -15,6 +15,7 @@ from typing import Callable, Mapping, Sequence
 from . import words as W
 from .cyclegraph import build_graph
 from .partitions import (
+    ColorArityError,
     ColoredPairPartition,
     PairPartition,
     _walk_cycles,
@@ -133,6 +134,8 @@ def t_n(n: int, p: ColoredPairPartition) -> Fraction:
     """(1/N)^(paths - cycles); equals t_colored at the rectangular parameter."""
     if n == 0:
         raise ValueError("N must be nonzero")
+    if p.num_colors != 2:
+        raise ColorArityError("t_n is defined for exactly 2 colors")
     return Fraction(1, n) ** _graph_exponent(p.base.pairs, p.colors)
 
 

@@ -60,13 +60,6 @@ class PairPartition:
     def right_points(self) -> frozenset[int]:
         return frozenset(r for _, r in self.pairs)
 
-    def pair_index(self, k: int) -> int:
-        """0-based index (canonical order) of the pair containing point k."""
-        for j, pair in enumerate(self.pairs):
-            if k in pair:
-                return j
-        raise KeyError(k)
-
     def restrict(self, pair_ids: Iterable[int]) -> "PairPartition":
         """The subpartition on the pairs with the given indices, points
         relabeled order-preservingly to 1..2s."""
@@ -110,7 +103,10 @@ class ColoredPairPartition:
 
     def point_color(self, k: int) -> int:
         """Color of point k (both endpoints of a pair share its color)."""
-        return self.colors[self.base.pair_index(k)]
+        for pair, c in zip(self.base.pairs, self.colors):
+            if k in pair:
+                return c
+        raise KeyError(k)
 
     def color_class(self, color: int) -> PairPartition:
         """The subpartition of pairs with the given color, points relabeled
@@ -132,13 +128,18 @@ def _is_int(x) -> bool:
 
 def pair_partition_from_json(obj) -> PairPartition:
     """Read {"pairs": [[l, r], ...]}; any other shape raises ValueError."""
+    return PairPartition.of(_json_pairs(obj))
+
+
+def _json_pairs(obj) -> list[list[int]]:
+    """The "pairs" list of a JSON object: each pair two integers, not bools."""
     pairs = obj.get("pairs") if isinstance(obj, dict) else None
     if not isinstance(pairs, list):
         raise ValueError("a partition must be an object with a 'pairs' list")
     for pair in pairs:
         if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
             raise ValueError(f"each pair must be a list of two integers, got {pair!r}")
-    return PairPartition.of(pairs)
+    return pairs
 
 
 def colored_from_json(obj) -> ColoredPairPartition:

@@ -20,6 +20,7 @@ from .partitions import (
     CapacityError,
     ColoredPairPartition,
     PairPartition,
+    _is_int,
     _walk_cycles,
     crossings,
 )
@@ -47,6 +48,13 @@ class QMatrix:
 
     @classmethod
     def of(cls, rows: Sequence[Sequence]) -> "QMatrix":
+        """From a list of row lists whose entries are "p/q" strings, floats,
+        Fractions or ints (not bools); any other shape raises ValueError."""
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise ValueError("a coupling matrix must be a list of row lists")
+        for x in (x for row in rows for x in row):
+            if not (isinstance(x, (str, float, Fraction)) or _is_int(x)):
+                raise ValueError(f"bad coupling entry {x!r}")
         return cls(tuple(tuple(_as_scalar(x) for x in row) for row in rows))
 
     @classmethod
@@ -71,7 +79,10 @@ class QMatrix:
 def _as_scalar(x) -> Scalar:
     if isinstance(x, float):
         return x
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 def _crossing_index_pairs(v: PairPartition) -> list[tuple[int, int]]:

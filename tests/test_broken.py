@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -32,8 +34,8 @@ def figure_d() -> BrokenPairPartition:
         n=4,
         num_colors=2,
         pairs=((), ()),
-        left_legs=((), ((2, 1),)),
-        right_legs=(((1, 2), (3, 1)), ((4, 1),)),
+        left_legs=((), (2,)),
+        right_legs=((3, 1), (4,)),
     )
 
 
@@ -42,8 +44,8 @@ def figure_dbar() -> BrokenPairPartition:
         n=6,
         num_colors=2,
         pairs=(((1, 4),), ((3, 6),)),
-        left_legs=(((2, 1),), ()),
-        right_legs=((), ((5, 1),)),
+        left_legs=((2,), ()),
+        right_legs=((), (5,)),
     )
 
 
@@ -53,15 +55,15 @@ def test_hook_products():
     )
     d = multiply(left_hook(0), right_hook(0))
     assert d.pairs == ((), ())
-    assert d.left_legs[0] == ((1, 1),)
-    assert d.right_legs[0] == ((2, 1),)
+    assert d.left_legs[0] == (1,)
+    assert d.right_legs[0] == (2,)
 
 
 def test_cross_color_hooks_do_not_join():
     d = multiply(right_hook(0), left_hook(1))
     assert d.pairs == ((), ())
-    assert d.right_legs[0] == ((1, 1),)
-    assert d.left_legs[1] == ((2, 1),)
+    assert d.right_legs[0] == (1,)
+    assert d.left_legs[1] == (2,)
 
 
 def test_figure_multiplication():
@@ -71,8 +73,8 @@ def test_figure_multiplication():
     assert prod.n == 10
     assert prod.pairs[0] == ((3, 6), (5, 8))
     assert prod.pairs[1] == ((7, 10),)
-    assert prod.left_legs == ((), ((2, 1),))
-    assert prod.right_legs == (((1, 1),), ((4, 2), (9, 1)))
+    assert prod.left_legs == ((), (2,))
+    assert prod.right_legs == ((1,), (9, 4))
 
 
 def test_figure_involution():
@@ -82,8 +84,8 @@ def test_figure_involution():
         n=6,
         num_colors=2,
         pairs=(((3, 6),), ((1, 4),)),
-        left_legs=((), ((2, 1),)),
-        right_legs=(((5, 1),), ()),
+        left_legs=((), (2,)),
+        right_legs=((5,), ()),
     )
 
 
@@ -180,3 +182,64 @@ def test_enumerate_broken_counts():
 def test_json_round_trip():
     d = figure_dbar()
     assert broken_from_json(d.to_json()) == d
+
+
+def test_legs_are_points_in_leg_number_order():
+    # solid right legs: number 1 at point 3, number 2 at point 1
+    assert figure_d().to_json()["per_color"][0]["right_legs"] == {"1": 2, "3": 1}
+
+
+def test_unsorted_pairs_rejected():
+    with pytest.raises(ValueError):
+        BrokenPairPartition(4, 1, (((3, 4), (1, 2)),), ((),), ((),))
+
+
+@pytest.mark.parametrize(
+    "args, sha256",
+    [
+        ((4, 2), "986022fc7f5792aa254320986f2603defc26a8b0090bd27fed097db44c4c98dd"),
+        ((3, 2, True), "f6f98898f44cfd424a68a3743f78ff087ce1f80febdb8e2375031792778d30f8"),
+    ],
+    ids=["4_2", "3_2_right_legs"],
+)
+def test_enumerate_broken_order_pinned(args, sha256):
+    # Gram subfamilies are sampled by index, so the order is part of the API
+    listing = json.dumps([d.to_json() for d in enumerate_broken(*args)], sort_keys=True)
+    assert hashlib.sha256(listing.encode()).hexdigest() == sha256
+
+
+def _one_color(entry, n=2):
+    return {"n": n, "colors": 1, "per_color": [entry]}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        _one_color({"pairs": [[1, 2, 3]], "left_legs": {"2": 1}}, n=3),
+        _one_color({"pairs": [[True, 2]]}),
+        _one_color({"pairs": [], "left_legs": {"1": 1}, "right_legs": {"2": 2}}),
+        _one_color({"pairs": [], "left_legs": {"1": 1}, "right_legs": {"2": True}}),
+        _one_color({"pairs": [], "left_legs": {"x": 1, "2": 2}}),
+        {"n": 2, "colors": 2, "per_color": [{"pairs": [[1, 2]]}]},
+        {"n": True, "colors": 1, "per_color": [{"pairs": []}]},
+        [[1, 2]],
+    ],
+    ids=[
+        "three_point_pair",
+        "bool_point",
+        "non_bijective_numbering",
+        "bool_leg_number",
+        "non_numeric_point",
+        "per_color_count",
+        "bool_n",
+        "not_an_object",
+    ],
+)
+def test_broken_from_json_rejects_malformed(obj):
+    with pytest.raises(ValueError):
+        broken_from_json(obj)
+
+
+def test_broken_from_json_reads_leg_numbers():
+    obj = _one_color({"pairs": [], "right_legs": {"1": 2, "2": 1}})
+    assert broken_from_json(obj).right_legs == ((2, 1),)

@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -173,12 +174,26 @@ def test_zero_denominator_exits_2(capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_clt_empty_matrix_exits_2(capsys, tmp_path):
+def _clt_with_matrix(tmp_path, content: str) -> int:
     q = tmp_path / "q.json"
-    q.write_text("[]")
+    q.write_text(content)
     argv = ["clt", "--Q", str(q), "--V", str(FIXTURES / "v_crossing.json"),
             "--t", "free", "--n", "2"]
-    assert dispatch(argv) == 2
+    return dispatch(argv)
+
+
+def test_clt_empty_matrix_exits_2(capsys, tmp_path):
+    assert _clt_with_matrix(tmp_path, "[]") == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["[[1,[2]],[[2],1]]", "5", "[[true]]", '[["1/0"]]'],
+    ids=["nested_entry", "scalar", "bool_entry", "zero_denominator"],
+)
+def test_clt_malformed_matrix_exits_2(capsys, tmp_path, content):
+    assert _clt_with_matrix(tmp_path, content) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -196,6 +211,50 @@ def test_malformed_word_exits_2(capsys, tmp_path, content):
 def test_pd_check_rejects_unsupported_options(capsys, extra):
     assert dispatch(["pd-check", "--max-points", "2", *extra]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_eval_tn_three_colors_exits_2(capsys, tmp_path):
+    path = tmp_path / "partition.json"
+    path.write_text(json.dumps({"pairs": [[1, 3], [2, 4]], "colors": [0, 1], "num_colors": 3}))
+    assert dispatch(["eval", "--t", "tn", "--partition", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["pd-check", "--N", "2"], ["pd-check", "--N", "3"]),
+        (["pd-check", "--q12", "-1"], ["pd-check", "--q12", "1/2"]),
+        (["pd-check", "--t", "thoma", "--alpha", "1/2"], ["pd-check", "--t", "thoma", "--beta", "1/2"]),
+        (["eval", "--t", "tn", "--N", "2"], ["eval", "--t", "tn", "--N", "3"]),
+        (["eval", "--t", "thoma", "--alpha", "1/2"], ["eval", "--t", "thoma", "--alpha", "1/3"]),
+        (["eval", "--t", "tensor", "--beta-plus", "1/2"], ["eval", "--t", "tensor", "--beta-minus", "1/2"]),
+        (["clt", "--t", "tn", "--N", "2"], ["clt", "--t", "tn", "--N", "3"]),
+    ],
+    ids=["pd_N", "pd_q12", "pd_thoma", "eval_N", "eval_thoma", "eval_tensor", "clt_N"],
+)
+def test_inputs_record_weight_parameters(capsys, tmp_path, first, second):
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps([["1", "1/2"], ["1/2", "1"]]))
+    common = {
+        "pd-check": ["--max-points", "2", "--colors", "2"],
+        "eval": ["--partition", TWELVE],
+        "clt": ["--Q", str(q), "--V", str(FIXTURES / "v_crossing.json"), "--n", "2"],
+    }
+    inputs = []
+    for argv in (first, second):
+        code, report = run(capsys, argv + common[argv[0]])
+        assert code == 0
+        inputs.append(report["inputs"])
+    assert inputs[0] != inputs[1]
+
+
+def test_no_assert_statements_in_src():
+    # invariants must hold under `python -O`, which strips assert statements
+    for path in Path(gbmoments.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not asserts, f"{path.name}: assert on lines {asserts}"
 
 
 def test_cli_imports_without_numpy():

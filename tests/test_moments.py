@@ -20,6 +20,7 @@ from gbmoments.moments import (
     tn_uncolored_handle,
 )
 from gbmoments.partitions import (
+    ColorArityError,
     ColoredPairPartition,
     PairPartition,
     enumerate_colored,
@@ -94,6 +95,13 @@ def test_t_n_examples(twelve_point):
         assert t_n(n, twelve_point) == Fraction(1, n)
     p = ColoredPairPartition.of([(1, 3), (2, 4)], [1, 1])
     assert t_n(2, p) == HALF
+
+
+@pytest.mark.parametrize("num_colors", [1, 3])
+def test_t_n_needs_two_colors(num_colors):
+    p = ColoredPairPartition.of([(1, 3), (2, 4)], [0, num_colors - 1], num_colors)
+    with pytest.raises(ColorArityError):
+        t_n(2, p)
 
 
 def test_t_n_matches_t_colored_everywhere():
