@@ -28,6 +28,7 @@ from . import broken, fock, moments, qproduct
 from . import words as W
 from .cyclegraph import build_graph
 from .partitions import (
+    MAX_ENUM_PAIRS,
     CapacityError,
     ColorArityError,
     colored_from_json,
@@ -108,9 +109,18 @@ FAMILY_PARAMETERS = {
 
 
 def _family_inputs(args, family: str) -> dict:
-    """The family's parameters as exact strings (lists of them for sequences)."""
+    """Reject any family option the family does not read and fill in the
+    defaults of those it does (N = 2, empty sequences); returns the family's
+    parameters as exact strings (lists of them for sequences)."""
+    reads = FAMILY_PARAMETERS[family]
+    for name in {name for names in FAMILY_PARAMETERS.values() for name in names} - set(reads):
+        if getattr(args, name, None) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} is not read by the {family} weight")
+    for name in reads:
+        if getattr(args, name) is None:
+            setattr(args, name, 2 if name == "N" else ())
     exact = lambda v: [fmt_scalar(x) for x in v] if isinstance(v, tuple) else fmt_scalar(v)
-    return {name: exact(getattr(args, name)) for name in FAMILY_PARAMETERS[family]}
+    return {name: exact(getattr(args, name)) for name in reads}
 
 
 def _uncolored_t_from_args(args) -> moments.UncoloredTFunction:
@@ -118,6 +128,9 @@ def _uncolored_t_from_args(args) -> moments.UncoloredTFunction:
         return moments.t_free
     if args.t == "tn":
         return moments.tn_uncolored_handle(args.N)
+    if args.t == "thoma":
+        tp = moments.ThomaParameter(args.alpha, args.beta)
+        return lambda v: moments.t_uncolored(tp, v)
     raise ValueError(f"unknown weight family {args.t!r}")
 
 
@@ -144,12 +157,13 @@ def cmd_graph(args) -> tuple[dict, dict, list[dict]]:
 
 
 def cmd_eval(args) -> tuple[dict, dict, list[dict]]:
+    parameters = _family_inputs(args, args.t)
     obj = _load_json(args.partition)
     p = colored_from_json(obj)
     handle = _t_handle_from_args(args)
     value = handle(p)
     return (
-        {"partition": obj, "t": args.t, **_family_inputs(args, args.t)},
+        {"partition": obj, "t": args.t, **parameters},
         {"value": fmt_scalar(value)},
         [],
     )
@@ -158,6 +172,9 @@ def cmd_eval(args) -> tuple[dict, dict, list[dict]]:
 def cmd_oracle(args) -> tuple[dict, dict, list[dict]]:
     obj = _load_json(args.word)
     w = W.word_from_json(obj)
+    budget = double_factorial(2 * MAX_ENUM_PAIRS - 1)
+    if W.compatible_count(w) > budget:
+        raise CapacityError(f"the word has more than {budget} compatible partitions")
     combinatorial = fock.rho_n_combinatorial(w, args.N)
     results = {"combinatorial": fmt_scalar(combinatorial)}
     checks = []
@@ -205,12 +222,14 @@ def cmd_compare(args) -> tuple[dict, dict, list[dict]]:
 
 
 def cmd_clt(args) -> tuple[dict, dict, list[dict]]:
+    parameters = _family_inputs(args, args.t)
     q = qproduct.QMatrix.of(_load_json(args.Q))
     v = pair_partition_from_json(_load_json(args.V))
     handle = _uncolored_t_from_args(args)
     ns = [int(x) for x in args.n.split(",")]
     limit = qproduct.t_q_limit(q, v)
-    curve = qproduct.clt_error_curve(handle, q, v, ns)
+    # clt_error_curve would compute the limit a second time
+    curve = [(n, abs(qproduct.t_q_star_n(handle, q, n, v) - limit)) for n in ns]
     results = {
         "limit": fmt_scalar(limit),
         "errors": [{"n": n, "error": fmt_scalar(e)} for n, e in curve],
@@ -224,35 +243,31 @@ def cmd_clt(args) -> tuple[dict, dict, list[dict]]:
                 abs(curve[-1][1]) <= abs(curve[0][1]),
             )
         )
-    inputs = {"Q": args.Q, "V": args.V, "t": args.t, "n": ns, **_family_inputs(args, args.t)}
+    inputs = {"Q": args.Q, "V": args.V, "t": args.t, "n": ns, **parameters}
     return inputs, results, checks
 
 
 def cmd_pd_check(args) -> tuple[dict, dict, list[dict]]:
+    # --t and --q12 are exclusive; the report names tn for a q12 run
+    args.t = args.t or "tn"
+    parameters = _family_inputs(args, args.t if args.q12 is None else "q12")
     family = broken.enumerate_broken(args.max_points, args.colors)
     if args.q12 is not None:
         if args.colors != 2:
             raise ValueError("--q12 needs a two-color family")
-        q = qproduct.QMatrix.of(
-            [[Fraction(1), args.q12], [args.q12, Fraction(1)]]
-        )
+        q = qproduct.QMatrix.of([[Fraction(1), args.q12], [args.q12, Fraction(1)]])
         components = [moments.tn_uncolored_handle(args.N)] * 2
         handle = qproduct.q_product_handle(components, q)
+    elif args.colors == 1:
+        uncolored = _uncolored_t_from_args(args)
+        handle = lambda p: uncolored(p.base)
     else:
-        if args.t == "tn":
-            tp = moments.thoma_n(args.N)
-        else:
-            tp = moments.ThomaParameter(args.alpha, args.beta)
-        if args.colors == 1:
-            handle = lambda p: moments.t_uncolored(tp, p.base)
-        else:
-            handle = moments.thoma_handle(tp)
+        handle = _t_handle_from_args(args)
     min_pivot, ok = qproduct.gram_psd_check(family, handle)
     results = {"family_size": len(family), "min_pivot": fmt_scalar(min_pivot)}
     checks = [_check("psd", True, ok)]
-    weight = args.t if args.q12 is None else "q12"
     inputs = {"max_points": args.max_points, "colors": args.colors, "t": args.t}
-    return {**inputs, **_family_inputs(args, weight)}, results, checks
+    return {**inputs, **parameters}, results, checks
 
 
 def cmd_stirling(args) -> tuple[dict, dict, list[dict]]:
@@ -284,10 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", required=True)
     p.add_argument("--t", choices=["tn", "thoma", "tensor"], required=True)
     _add_thoma_flags(p)
-    p.add_argument("--alpha-minus", type=parse_rational_list, default=())
-    p.add_argument("--beta-minus", type=parse_rational_list, default=())
-    p.add_argument("--alpha-plus", type=parse_rational_list, default=())
-    p.add_argument("--beta-plus", type=parse_rational_list, default=())
+    for option in ("--alpha-minus", "--beta-minus", "--alpha-plus", "--beta-plus"):
+        p.add_argument(option, type=parse_rational_list)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("oracle", help="vacuum expectation of a word")
@@ -305,16 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Q", required=True, help="JSON file: matrix rows")
     p.add_argument("--V", required=True, help="JSON file: pair partition")
     p.add_argument("--t", choices=["free", "tn"], required=True)
-    p.add_argument("--N", type=int, default=2)
+    p.add_argument("--N", type=int)
     p.add_argument("--n", required=True, help="comma-separated sizes")
     p.set_defaults(func=cmd_clt)
 
     p = sub.add_parser("pd-check", help="Gram positive-semidefiniteness check")
     p.add_argument("--max-points", type=int, default=4)
     p.add_argument("--colors", type=int, default=1)
-    p.add_argument("--t", choices=["tn", "thoma"], default="tn")
-    p.add_argument("--q12", type=parse_rational, default=None,
-                   help="use the coupling-matrix product of two copies instead")
+    weight = p.add_mutually_exclusive_group()
+    weight.add_argument("--t", choices=["tn", "thoma"], help="default: tn")
+    weight.add_argument("--q12", type=parse_rational,
+                        help="use the coupling-matrix product of two t_N copies instead")
     _add_thoma_flags(p)
     p.set_defaults(func=cmd_pd_check)
 
@@ -326,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_thoma_flags(p: argparse.ArgumentParser):
-    p.add_argument("--N", type=int, default=2)
-    p.add_argument("--alpha", type=parse_rational_list, default=())
-    p.add_argument("--beta", type=parse_rational_list, default=())
+    p.add_argument("--N", type=int)
+    p.add_argument("--alpha", type=parse_rational_list)
+    p.add_argument("--beta", type=parse_rational_list)
 
 
 def dispatch(argv: list[str]) -> int:

@@ -21,7 +21,7 @@ from math import factorial
 
 from . import words as W
 from .cyclegraph import classify
-from .moments import t_n
+from .moments import fock_moment, tn_handle
 from .partitions import CapacityError, ColoredPairPartition
 
 DENSE_MAX_LEVEL = 4
@@ -37,9 +37,9 @@ VACUUM_KEY: StateKey = ((), (), (), ())
 
 def _check_dense_params(n: int):
     if n < 2:
-        raise ValueError("dense oracle requires N >= 2 (signed case unsupported)")
+        raise ValueError("the Fock-space oracles require N >= 2 (signed case unsupported)")
     if n > DENSE_MAX_N:
-        raise CapacityError(f"dense oracle limited to N <= {DENSE_MAX_N}")
+        raise CapacityError(f"the Fock-space oracles are limited to N <= {DENSE_MAX_N}")
 
 
 def vacuum_state() -> State:
@@ -66,9 +66,7 @@ def sym_project(state: State) -> State:
     return {k: v for k, v in out.items() if v}
 
 
-def apply_letter(
-    state: State, letter: W.Letter, n: int, max_level: int = DENSE_MAX_LEVEL
-) -> State:
+def apply_letter(state: State, letter: W.Letter, n: int) -> State:
     """One creation or annihilation operator, exactly, then re-symmetrize."""
     b, i = letter.b, letter.i
     out: State = defaultdict(Fraction)
@@ -76,8 +74,8 @@ def apply_letter(
         words = (wm, wp)
         nb, nother = len(words[b]), len(words[1 - b])
         if letter.k == W.CREATE:
-            if max(nb + 1, nother) > max_level:
-                raise CapacityError(f"word drives a level above {max_level}")
+            if max(nb + 1, nother) > DENSE_MAX_LEVEL:
+                raise CapacityError(f"word drives a level above {DENSE_MAX_LEVEL}")
             coef = amp * (nb + 1)
             new_word = words[b] + (i,)
             pair = (new_word, words[1 - b]) if b == 0 else (words[1 - b], new_word)
@@ -103,12 +101,10 @@ def apply_letter(
     return sym_project(out)
 
 
-def apply_word(
-    state: State, w: W.Word, n: int, max_level: int = DENSE_MAX_LEVEL
-) -> State:
+def apply_word(state: State, w: W.Word, n: int) -> State:
     """Apply a word as an operator product (rightmost letter first)."""
     for letter in reversed(w):
-        state = apply_letter(state, letter, n, max_level)
+        state = apply_letter(state, letter, n)
         if not state:
             break
     return state
@@ -152,10 +148,7 @@ def vacuum_expectation_dense(w: W.Word, n: int) -> Fraction:
 def vacuum_expectation_lambda(p: ColoredPairPartition, n: int) -> Fraction:
     """<vacuum, A vacuum> for the canonical word of p, via elementary-state
     propagation summed over value assignments to the dominant creators."""
-    if n < 2:
-        raise ValueError("lambda oracle requires N >= 2 (signed case unsupported)")
-    if n > DENSE_MAX_N:
-        raise CapacityError(f"lambda oracle limited to N <= {DENSE_MAX_N}")
+    _check_dense_params(n)
     word = W.canonical_word(p)
     cls = classify(p)
     rights = p.base.right_points()
@@ -221,10 +214,7 @@ def rho_n_combinatorial(w: W.Word, n: int) -> Fraction:
     valid for any nonzero N, in particular negative ones."""
     if n == 0:
         raise ValueError("N must be nonzero")
-    total = Fraction(0)
-    for p in W.compatible_partitions(w):
-        total += t_n(n, p)
-    return total
+    return fock_moment(w, tn_handle(n))
 
 
 def one_color_words(max_len: int, num_indices: int, color: int = 1):
@@ -266,8 +256,6 @@ def commutation_check(
 
     Requires the color-b profile weight of A to dominate the other color's.
     """
-    if n == 0:
-        raise ValueError("N must be nonzero")
     if W.profile_weight(a_word, b) < W.profile_weight(a_word, 1 - b):
         raise ValueError("hypothesis violated: |w_b| < |w_-b| for the word A")
     middle = (W.annihilate(b, i), W.create(b, i))
@@ -279,11 +267,17 @@ def commutation_check(
     return lhs, rhs, lhs == rhs
 
 
-def _check_padding(a_word: W.Word, b_word: W.Word, b: int, pad: int):
+def _padded(
+    a_word: W.Word, b_word: W.Word, b: int, pad: int, middle: W.Word
+) -> W.Word:
+    """B* a_{2p}..a_{p+1} middle a*_{p+1}..a*_{2p} A on the color-b padding
+    indices p+1..2p (p = pad), which A and B must not use."""
     used = {(let.b, let.i) for let in a_word + b_word}
-    for j in range(pad + 1, 2 * pad + 1):
-        if (b, j) in used:
-            raise ValueError("padding indices must be unused by A and B")
+    if any((b, j) in used for j in range(pad + 1, 2 * pad + 1)):
+        raise ValueError("padding indices must be unused by A and B")
+    left_pad = tuple(W.annihilate(b, j) for j in range(2 * pad, pad, -1))
+    right_pad = tuple(W.create(b, j) for j in range(pad + 1, 2 * pad + 1))
+    return W.adjoint(b_word) + left_pad + middle + right_pad + a_word
 
 
 def wlim_identity_check(
@@ -292,17 +286,10 @@ def wlim_identity_check(
     """Exact finite-padding identity
     rho(B* a_{2p}..a_{p+1} a* a a*_{p+1}..a*_{2p} A) = (w^A_b(i)/N^2) rho(B* A)
     for padding size p beyond the profile threshold."""
-    if n == 0:
-        raise ValueError("N must be nonzero")
-    _check_padding(a_word, b_word, b, pad)
+    full = _padded(a_word, b_word, b, pad, (W.create(b, i), W.annihilate(b, i)))
     if pad + W.profile_weight(a_word, b) <= W.profile_weight(a_word, 1 - b):
         raise ValueError("padding size below the identity's threshold")
-    left_pad = tuple(W.annihilate(b, j) for j in range(2 * pad, pad, -1))
-    right_pad = tuple(W.create(b, j) for j in range(pad + 1, 2 * pad + 1))
-    middle = (W.create(b, i), W.annihilate(b, i))
-    lhs = rho_n_combinatorial(
-        W.adjoint(b_word) + left_pad + middle + right_pad + a_word, n
-    )
+    lhs = rho_n_combinatorial(full, n)
     weight = W.word_profile(a_word).get((b, i), 0)
     rhs = Fraction(weight, n**2) * rho_n_combinatorial(
         W.adjoint(b_word) + a_word, n
@@ -316,16 +303,10 @@ def wlim_creator_pair_bound(
     """Decay bound for the doubled-creator padding variant:
     |rho(B* pads a* a* pads* A)| <= C |N|^(1-r) with C the number of
     compatible partitions, valid once pad + |w_b| - |w_-b| > 2r."""
-    if n == 0:
-        raise ValueError("N must be nonzero")
-    _check_padding(a_word, b_word, b, pad)
+    full = _padded(a_word, b_word, b, pad, (W.create(b, i), W.create(b, i)))
     if pad + W.profile_weight(a_word, b) - W.profile_weight(a_word, 1 - b) <= 2 * r:
         raise ValueError("padding size below the bound's threshold")
-    left_pad = tuple(W.annihilate(b, j) for j in range(2 * pad, pad, -1))
-    right_pad = tuple(W.create(b, j) for j in range(pad + 1, 2 * pad + 1))
-    middle = (W.create(b, i), W.create(b, i))
-    full = W.adjoint(b_word) + left_pad + middle + right_pad + a_word
     value = rho_n_combinatorial(full, n)
-    count = len(W.compatible_partitions(full))
+    count = W.compatible_count(full)
     bound = Fraction(count * abs(n), abs(n) ** r)
     return value, bound, abs(value) <= bound

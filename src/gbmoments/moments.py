@@ -158,10 +158,7 @@ def t_tensor(
 def fock_moment(w: W.Word, t: TFunction) -> Scalar:
     """Vacuum moment of the word: sum of t over all compatible colored
     pair partitions (0 when there are none)."""
-    total: Scalar = Fraction(0)
-    for p in W.compatible_partitions(w):
-        total += t(p)
-    return total
+    return sum(map(t, W.compatible_partitions(w)), Fraction(0))
 
 
 def thoma_handle(tp: ThomaParameter) -> TFunction:

@@ -166,31 +166,41 @@ def double_factorial(n: int) -> int:
     return out
 
 
-def enumerate_pair_partitions(m: int) -> list[PairPartition]:
-    """All (2m-1)!! pair partitions of [2m], in a fixed deterministic order.
+def _matchings(opens: Sequence, closes: Sequence) -> list[tuple[tuple[int, int], ...]]:
+    """The perfect matchings of 1..len(opens)-1 whose pairs (l, r) have
+    opens[l] is not None and closes[r] == opens[l] (index 0 is unused), each
+    as its pairs sorted by l.  The smallest free point is paired with each
+    allowed partner in ascending order, recursively."""
+    out: list[tuple[tuple[int, int], ...]] = []
+    pairs: list[tuple[int, int]] = []
 
-    The smallest free point is paired with each possible partner in
-    ascending order, recursively.
-    """
+    def rec(free: list[int]):
+        if not free:
+            out.append(tuple(pairs))
+            return
+        l = free[0]
+        key = opens[l]
+        if key is None:
+            return
+        for j in range(1, len(free)):
+            r = free[j]
+            if closes[r] == key:
+                pairs.append((l, r))
+                rec(free[1:j] + free[j + 1 :])
+                pairs.pop()
+
+    rec(list(range(1, len(opens))))
+    return out
+
+
+def enumerate_pair_partitions(m: int) -> list[PairPartition]:
+    """All (2m-1)!! pair partitions of [2m], in the order of `_matchings`."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > MAX_ENUM_PAIRS:
         raise CapacityError(f"enumeration limited to m <= {MAX_ENUM_PAIRS}")
-    out: list[PairPartition] = []
-
-    def rec(free: list[int], acc: list[tuple[int, int]]):
-        if not free:
-            out.append(PairPartition(tuple(acc)))
-            return
-        l = free[0]
-        for j in range(1, len(free)):
-            r = free[j]
-            acc.append((l, r))
-            rec(free[1:j] + free[j + 1 :], acc)
-            acc.pop()
-
-    rec(list(range(1, 2 * m + 1)), [])
-    return out
+    unconstrained = [0] * (2 * m + 1)
+    return [PairPartition(pairs) for pairs in _matchings(unconstrained, unconstrained)]
 
 
 def enumerate_colored(m: int, k: int) -> list[ColoredPairPartition]:

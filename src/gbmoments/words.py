@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .partitions import ColoredPairPartition, _is_int
+from .partitions import ColoredPairPartition, PairPartition, _is_int, _matchings
 
 ANNIHILATE = "a"
 CREATE = "a*"
@@ -68,39 +68,35 @@ def profile_weight(w: Word, b: int) -> int:
 
 
 def compatible_partitions(w: Word) -> list[ColoredPairPartition]:
-    """All colored pair partitions compatible with the word.
+    """All colored pair partitions compatible with the word, in the order of
+    `partitions._matchings`.
 
     A pair (l, r) with l < r requires an annihilator at l and a creator at
     r with equal colors and equal basis indices; the pair inherits that
     color.  Empty for odd length or unbalanced words.
     """
-    n = len(w)
-    if n % 2:
+    if len(w) % 2:
         return []
-    out: list[ColoredPairPartition] = []
-    pairs: list[tuple[int, int]] = []
+    # an annihilator opens a pair that its creator closes
+    opens = [None] + [(let.b, let.i, CREATE) if let.k == ANNIHILATE else None for let in w]
+    return [
+        ColoredPairPartition(PairPartition(pairs), tuple(opens[l][0] for l, _ in pairs), 2)
+        for pairs in _matchings(opens, (None,) + w)
+    ]
 
-    def rec(free: list[int]):
-        if not free:
-            out.append(
-                ColoredPairPartition.of(
-                    list(pairs), [w[l - 1].b for l, _ in pairs], num_colors=2
-                )
-            )
-            return
-        l = free[0]
-        if w[l - 1].k != ANNIHILATE:
-            return
-        for j in range(1, len(free)):
-            r = free[j]
-            let_l, let_r = w[l - 1], w[r - 1]
-            if let_r.k == CREATE and let_r.b == let_l.b and let_r.i == let_l.i:
-                pairs.append((l, r))
-                rec(free[1:j] + free[j + 1 :])
-                pairs.pop()
 
-    rec(list(range(1, n + 1)))
-    return out
+def compatible_count(w: Word) -> int:
+    """len(compatible_partitions(w)) in closed form: the product, over the
+    creators read left to right, of the still-unmatched earlier annihilators
+    of the same color and index; 0 unless every (color, index) balances."""
+    unmatched: dict[tuple[int, int], int] = {}
+    count = 1
+    for let in w:
+        key = (let.b, let.i)
+        if let.k == CREATE:
+            count *= unmatched.get(key, 0)
+        unmatched[key] = unmatched.get(key, 0) + (1 if let.k == ANNIHILATE else -1)
+    return 0 if any(unmatched.values()) else count
 
 
 def canonical_word(p: ColoredPairPartition) -> Word:

@@ -2,11 +2,14 @@ import ast
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import gbmoments
+from gbmoments import qproduct
+from gbmoments import words as W
 from gbmoments.cli import dispatch, fmt_scalar
 from fractions import Fraction
 
@@ -128,6 +131,32 @@ def test_clt(capsys, tmp_path):
     ]
 
 
+def test_clt_computes_limit_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    limit = qproduct.t_q_limit
+    monkeypatch.setattr(qproduct, "t_q_limit", lambda q, v: calls.append(1) or limit(q, v))
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps([["1/2", "1/2"], ["1/2", "1/2"]]))
+    argv = ["clt", "--Q", str(q), "--V", str(FIXTURES / "v_crossing.json"), "--t", "free"]
+    code, report = run(capsys, argv + ["--n", "4,8"])
+    assert code == 0 and report["results"]["limit"] == "1/2"
+    assert len(calls) == 1
+
+
+def test_oracle_over_partition_budget_exits_3(capsys, tmp_path, monkeypatch):
+    # a^10 a*^10 has 10! = 3,628,800 compatible partitions; fail fast
+    # rather than enumerate them if the guard stops firing
+    monkeypatch.setattr(W, "compatible_partitions", lambda w: pytest.fail("enumerated"))
+    word = [{"b": 0, "i": 1, "k": k} for k in ["a"] * 10 + ["a*"] * 10]
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps(word))
+    start = time.perf_counter()
+    code = dispatch(["oracle", "--word", str(path), "--N", "2", "--mode", "combinatorial"])
+    assert code == 3
+    assert time.perf_counter() - start < 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_pd_check(capsys):
     code, report = run(
         capsys, ["pd-check", "--max-points", "3", "--colors", "2", "--t", "tn", "--N", "2"]
@@ -210,6 +239,25 @@ def test_malformed_word_exits_2(capsys, tmp_path, content):
 )
 def test_pd_check_rejects_unsupported_options(capsys, extra):
     assert dispatch(["pd-check", "--max-points", "2", *extra]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--t", "tn", "--N", "3", "--alpha", "1/2", "--partition", TWELVE],
+        ["eval", "--t", "thoma", "--N", "7", "--partition", TWELVE],
+        ["clt", "--t", "free", "--N", "5", "--Q", str(FIXTURES / "q_mixed.json"),
+         "--V", str(FIXTURES / "v_crossing.json"), "--n", "2"],
+        ["pd-check", "--max-points", "2", "--colors", "1", "--t", "tn", "--alpha", "1/2"],
+        ["pd-check", "--max-points", "2", "--colors", "2", "--q12", "-1", "--t", "thoma",
+         "--alpha", "1/2"],
+        ["pd-check", "--max-points", "2", "--colors", "2", "--q12", "-1", "--t", "tn"],
+    ],
+    ids=["eval_tn_alpha", "eval_thoma_N", "clt_free_N", "pd_tn_alpha", "pd_q12_thoma", "pd_q12_tn"],
+)
+def test_unread_family_options_exit_2(capsys, argv):
+    assert dispatch(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -1,8 +1,12 @@
+import hashlib
 import itertools
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbmoments import words as W
 from gbmoments.fock import (
@@ -21,7 +25,12 @@ from gbmoments.fock import (
     wlim_identity_check,
 )
 from gbmoments.moments import t_colored, t_n, thoma_n
-from gbmoments.partitions import CapacityError, ColoredPairPartition, enumerate_colored
+from gbmoments.partitions import (
+    CapacityError,
+    ColoredPairPartition,
+    enumerate_colored,
+    enumerate_pair_partitions,
+)
 
 
 def test_word_profile():
@@ -48,6 +57,95 @@ def test_compatible_partitions_odd_and_unbalanced():
     assert W.compatible_partitions(W.word([W.create(0, 1)])) == []
     w = W.word([W.annihilate(0, 1), W.create(0, 2)])
     assert W.compatible_partitions(w) == []
+
+
+def balanced_words(seed, count, max_m):
+    """Seeded words with at least one compatible partition: a random
+    partition whose pairs get random colors and indices 1 or 2."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m = rng.randint(1, max_m)
+        points = list(range(1, 2 * m + 1))
+        rng.shuffle(points)
+        letters = [None] * (2 * m)
+        for l, r in zip(points[::2], points[1::2]):
+            l, r = min(l, r), max(l, r)
+            b, i = rng.randrange(2), rng.randint(1, 2)
+            letters[l - 1] = W.annihilate(b, i)
+            letters[r - 1] = W.create(b, i)
+        out.append(W.word(letters))
+    return out
+
+
+def test_compatible_partitions_order_pinned():
+    # same order as enumerate_pair_partitions, which the hash pins as well
+    words = balanced_words(20260, 300, 6)
+    listing = [p.to_json() for w in words for p in W.compatible_partitions(w)]
+    assert len(listing) == 1039
+    digest = hashlib.sha256(json.dumps(listing).encode()).hexdigest()
+    assert digest == "32bb1be409f143bc3f77470989ce50bbb92028ea581aa65cf24bc6ebcea6afe6"
+
+
+def _compatible_by_filter(w):
+    """Reference: every pair partition of the word's points, in enumeration
+    order, kept when each pair is an annihilator followed by its creator."""
+    if len(w) % 2:
+        return []
+    out = []
+    for base in enumerate_pair_partitions(len(w) // 2):
+        if all(
+            w[l - 1].k == W.ANNIHILATE and w[r - 1] == W.create(w[l - 1].b, w[l - 1].i)
+            for l, r in base.pairs
+        ):
+            out.append(ColoredPairPartition(base, tuple(w[l - 1].b for l, _ in base.pairs), 2))
+    return out
+
+
+LETTERS = [W.Letter(b, i, k) for b in (0, 1) for i in (1, 2) for k in (W.ANNIHILATE, W.CREATE)]
+
+
+def test_compatible_partitions_match_filtered_enumeration():
+    rng = random.Random(5150)
+    words = balanced_words(5151, 100, 5)
+    # shuffled one-key and two-key words, odd and unbalanced ones included
+    for _ in range(100):
+        alphabet = LETTERS[:2] if rng.random() < 0.5 else LETTERS[:4]
+        words.append(tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 10))))
+    nonempty = 0
+    for w in words:
+        found = W.compatible_partitions(w)
+        assert found == _compatible_by_filter(w), w
+        nonempty += bool(found)
+    assert nonempty > 100
+
+
+@st.composite
+def shuffled_words(draw):
+    """Letters of a random balanced word in random order, sometimes with
+    one letter more, so odd, unbalanced and unmatchable words occur."""
+    letters = []
+    for _ in range(draw(st.integers(0, 5))):
+        b, i = draw(st.integers(0, 1)), draw(st.integers(1, 2))
+        letters += [W.annihilate(b, i), W.create(b, i)]
+    if draw(st.booleans()):
+        letters.append(draw(st.sampled_from(LETTERS)))
+    return tuple(draw(st.permutations(letters)))
+
+
+@settings(deadline=None)
+@given(shuffled_words())
+def test_compatible_count_matches_enumeration(w):
+    assert W.compatible_count(w) == len(W.compatible_partitions(w))
+
+
+def test_compatible_count_closed_form():
+    a, c = W.annihilate(0, 1), W.create(0, 1)
+    for m in range(1, 11):
+        assert W.compatible_count((a,) * m + (c,) * m) == math.factorial(m)
+    assert W.compatible_count(()) == 1
+    assert W.compatible_count((c, a)) == 0
+    assert W.compatible_count((a, a, c)) == 0
 
 
 def test_canonical_word_unique_compatible():

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -56,6 +59,25 @@ def test_enumeration_is_deterministic():
     assert once == again
     # smallest free point always pairs ascending partners
     assert once[0] == ((1, 2), (3, 4), (5, 6), (7, 8))
+
+
+# SHA-256 of json.dumps([p.to_json() for p in enumerate_pair_partitions(m)])
+ENUMERATION_SHA256 = [
+    "c1c39fd77bc7c433773dbb183d3acf9bc200331f9a3318141a8f7ca5e8565271",
+    "d6f741562e00c4e1722e1f89d723541c898f0fe7df8c7dc369e9abd81ecb3180",
+    "4a6220e74d45874a6c60e727f00a7c509d7995174c3dc0e378ab2c2b73e68b9a",
+    "fd6a9d0f416f73adbe746ebca45c01ce72ce4d837b7a40dcdfadacd27fcff014",
+    "8a74399bcd6a5e596e39d8730d1fb09bafa87fa8949ca76472d1401e1cdb7023",
+    "ddcbf6c45d8ccd3bcef2819f1b8dc7a3927fe5195165dad2ba4c28af6a09aa01",
+    "27228f098beb7bf35ff74b81a17c0a0961c129a5d3f5faa70351fd27f2f7220c",
+]
+
+
+@pytest.mark.parametrize("m", range(len(ENUMERATION_SHA256)))
+def test_enumeration_order_pinned(m):
+    # colored enumerations and samples index into this order
+    listing = json.dumps([p.to_json() for p in enumerate_pair_partitions(m)])
+    assert hashlib.sha256(listing.encode()).hexdigest() == ENUMERATION_SHA256[m]
 
 
 def test_enumerate_colored_counts():
