@@ -17,11 +17,18 @@ up to order-preserving relabeling of base points.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .partitions import CapacityError, ColoredPairPartition, _is_int, _json_pairs
+from .partitions import (
+    CapacityError,
+    ColoredPairPartition,
+    _is_int,
+    _json_pairs,
+    double_factorial,
+)
 
 MAX_PRODUCT_POINTS = 64
 
@@ -202,19 +209,34 @@ def gram_matrix(
     family: Sequence[BrokenPairPartition],
     t: Callable[[ColoredPairPartition], object],
 ) -> list[list]:
-    """The matrix t_hat(d_i* . d_j) over the given family."""
+    """The matrix t_hat(d_i* . d_j) over the given family.
+
+    d_i* . d_j is leg-free exactly when d_i* has no left legs, d_j has no
+    right legs and d_i*'s right-leg count equals d_j's left-leg count in
+    every color, so only those products are formed; every other entry is
+    an exact 0 and t is called on the same diagrams in the same order as
+    when every product is formed."""
     if not family:
         raise ValueError("family must be nonempty")
     stars = [involution(d) for d in family]
+    row_keys = [_seam_key(d.right_legs, d.left_legs) for d in stars]
+    col_keys = [_seam_key(d.left_legs, d.right_legs) for d in family]
+    zero = Fraction(0)
     out = []
-    for di in stars:
+    for di, ki in zip(stars, row_keys):
         row = []
-        for dj in family:
+        for dj, kj in zip(family, col_keys):
             if di.n + dj.n > MAX_PRODUCT_POINTS:
                 raise CapacityError("gram product exceeds the size budget")
-            row.append(evaluate_t_hat(multiply(di, dj), t))
+            row.append(evaluate_t_hat(multiply(di, dj), t) if ki is not None and ki == kj else zero)
         out.append(row)
     return out
+
+
+def _seam_key(facing: tuple[Legs, ...], away: tuple[Legs, ...]) -> tuple[int, ...] | None:
+    """Per-color counts of the legs facing the seam of a product, or None
+    when a leg faces away from it and so survives every product."""
+    return None if any(away) else tuple(map(len, facing))
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +369,24 @@ def enumerate_broken(
                             )
                         )
     return out
+
+
+def broken_count(max_points: int, num_colors: int, include_right_legs: bool = False) -> int:
+    """len(enumerate_broken(max_points, num_colors, include_right_legs)) in
+    closed form.  A diagram on n points with p pairs picks its 2p paired
+    points, matches and colors them, then spreads the s = n - 2p single
+    points over the r leg roles and numbers each role's legs, which can be
+    done in s! * C(s + r - 1, r - 1) ways."""
+    if num_colors < 1:
+        raise ValueError("need at least one color")
+    roles = (2 if include_right_legs else 1) * num_colors
+    total = 0
+    for n in range(max_points + 1):
+        for p in range(n // 2 + 1):
+            s = n - 2 * p
+            paired = math.comb(n, 2 * p) * double_factorial(2 * p - 1) * num_colors**p
+            total += paired * math.factorial(s) * math.comb(s + roles - 1, roles - 1)
+    return total
 
 
 def _partial_matchings(points: list[int]) -> Iterator[tuple[list, list[int]]]:

@@ -40,6 +40,8 @@ from .partitions import (
 
 USAGE_EXIT = 2
 CAPACITY_EXIT = 3
+# pd-check families hold at most this many diagrams (5 points x 2 colors is 1,571)
+MAX_GRAM_FAMILY = 2048
 
 
 def fmt_scalar(x) -> str | float:
@@ -251,6 +253,13 @@ def cmd_pd_check(args) -> tuple[dict, dict, list[dict]]:
     # --t and --q12 are exclusive; the report names tn for a q12 run
     args.t = args.t or "tn"
     parameters = _family_inputs(args, args.t if args.q12 is None else "q12")
+    # every n <= max_points adds a diagram, so a huge max_points is refused
+    # without summing its count
+    if (
+        args.max_points >= MAX_GRAM_FAMILY
+        or broken.broken_count(args.max_points, args.colors) > MAX_GRAM_FAMILY
+    ):
+        raise CapacityError(f"the Gram family has more than {MAX_GRAM_FAMILY} diagrams")
     family = broken.enumerate_broken(args.max_points, args.colors)
     if args.q12 is not None:
         if args.colors != 2:

@@ -207,6 +207,10 @@ def enumerate_colored(m: int, k: int) -> list[ColoredPairPartition]:
     """All pair partitions of [2m] with all k^m colorings, (2m-1)!!*k^m total."""
     if k < 1:
         raise ValueError("need at least one color")
+    budget = double_factorial(2 * MAX_ENUM_PAIRS - 1)
+    # m is bounded first, so a huge m costs no double factorial
+    if m > MAX_ENUM_PAIRS or double_factorial(2 * m - 1) * k**m > budget:
+        raise CapacityError(f"colored enumeration limited to {budget} partitions")
     bases = enumerate_pair_partitions(m)
     return [
         ColoredPairPartition(base, coloring, k)

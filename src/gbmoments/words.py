@@ -73,9 +73,10 @@ def compatible_partitions(w: Word) -> list[ColoredPairPartition]:
 
     A pair (l, r) with l < r requires an annihilator at l and a creator at
     r with equal colors and equal basis indices; the pair inherits that
-    color.  Empty for odd length or unbalanced words.
+    color.  Empty for odd length or unbalanced words, and for words that
+    start with a creator or end with an annihilator.
     """
-    if len(w) % 2:
+    if len(w) % 2 or w and (w[0].k == CREATE or w[-1].k == ANNIHILATE):
         return []
     # an annihilator opens a pair that its creator closes
     opens = [None] + [(let.b, let.i, CREATE) if let.k == ANNIHILATE else None for let in w]

@@ -5,13 +5,22 @@ These are the direct, unoptimized transcriptions of the definitions that
 `gbmoments.cyclegraph.build_graph` replaced with one O(n) pass: every step
 recomputes what it needs from the partition and checks its invariants with
 plain asserts.  `cycle_type_via_permutation` is the permutation-based cycle
-type that `gbmoments.partitions.uncolored_cycles` must agree with.
+type that `gbmoments.partitions.uncolored_cycles` must agree with, and
+`gram_matrix` is the all-products Gram assembly that
+`gbmoments.broken.gram_matrix` must agree with.
 """
 
 from __future__ import annotations
 
+from gbmoments.broken import (
+    MAX_PRODUCT_POINTS,
+    evaluate_t_hat,
+    involution,
+    multiply,
+)
 from gbmoments.cyclegraph import ColorProfile, CycleGraphAnalysis
 from gbmoments.partitions import (
+    CapacityError,
     ColorArityError,
     ColoredPairPartition,
     PairPartition,
@@ -172,3 +181,19 @@ def cycle_type_via_permutation(v: PairPartition) -> dict[int, int]:
             cur = sigma_inv[cur]
         rho[length] = rho.get(length, 0) + 1
     return rho
+
+
+def gram_matrix(family, t) -> list[list]:
+    """The matrix t_hat(d_i* . d_j), every product formed and evaluated."""
+    if not family:
+        raise ValueError("family must be nonempty")
+    stars = [involution(d) for d in family]
+    out = []
+    for di in stars:
+        row = []
+        for dj in family:
+            if di.n + dj.n > MAX_PRODUCT_POINTS:
+                raise CapacityError("gram product exceeds the size budget")
+            row.append(evaluate_t_hat(multiply(di, dj), t))
+        out.append(row)
+    return out

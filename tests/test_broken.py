@@ -1,14 +1,20 @@
+import functools
 import hashlib
 import json
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+import kernel_reference as reference
+from gbmoments import broken
 from gbmoments.broken import (
     BrokenPairPartition,
     LeftHookRun,
     PermutationBlock,
     RightHookRun,
+    broken_count,
     broken_from_json,
     embed,
     empty,
@@ -22,9 +28,16 @@ from gbmoments.broken import (
     standard_form,
     standard_form_product,
 )
-from gbmoments.moments import t_uncolored, thoma_n, tn_handle
+from gbmoments.moments import (
+    ThomaParameter,
+    t_uncolored,
+    thoma_handle,
+    thoma_n,
+    tn_handle,
+    tn_uncolored_handle,
+)
 from gbmoments.partitions import ColoredPairPartition, enumerate_colored
-from gbmoments.qproduct import gram_psd_check
+from gbmoments.qproduct import QMatrix, gram_psd_check, q_product_handle
 
 
 def figure_d() -> BrokenPairPartition:
@@ -147,6 +160,80 @@ def test_gram_psd_two_point_one_color():
     assert len(family) == 10
     handle = lambda p: t_uncolored(thoma_n(2), p.base)
     assert gram_psd_check(family, handle)[1] is True
+
+
+THOMA = ThomaParameter((Fraction(1, 2), Fraction(1, 5)), (Fraction(1, 4),))
+
+
+def _weights(k):
+    """t_N (N = 2), a Thoma weight and the q12 = -1 product on k-colored
+    partitions; with k != 2 the first two are per-color products."""
+    product = lambda t, q: q_product_handle([t] * k, QMatrix.constant(k, q))
+    if k == 2:
+        tn, thoma = tn_handle(2), thoma_handle(THOMA)
+    else:
+        tn, thoma = product(tn_uncolored_handle(2), 1), product(lambda v: t_uncolored(THOMA, v), 1)
+    q12 = QMatrix.of([[1 if a == b else -1 for b in range(k)] for a in range(k)])
+    return tn, thoma, q_product_handle([tn_uncolored_handle(2)] * k, q12)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (2, 1, True),
+        (3, 2, True),
+        pytest.param((3, 3, True), marks=pytest.mark.slow),
+        (4, 1, True),
+        (4, 2),
+        (3, 3),
+    ],
+    ids=["2_1_right_legs", "3_2_right_legs", "3_3_right_legs", "4_1_right_legs", "4_2", "3_3"],
+)
+def test_gram_matrix_matches_all_products_reference(args):
+    # one pass per side: t records its argument and returns all three
+    # weights, so each entry compares every weight at once
+    weights = _weights(args[1])
+    weigh = functools.cache(lambda p: tuple(w(p) for w in weights))
+    family = enumerate_broken(*args)
+    calls = {"reference": [], "blocked": []}
+
+    def recording(side):
+        return lambda p: calls[side].append(p) or weigh(p)
+
+    expected = reference.gram_matrix(family, recording("reference"))
+    assert gram_matrix(family, recording("blocked")) == expected
+    assert calls["blocked"] == calls["reference"]
+
+
+@pytest.mark.parametrize("args, products", [((4, 2), 5375), ((3, 2, True), 263)])
+def test_gram_matrix_multiplies_only_matching_blocks(monkeypatch, args, products):
+    # the diagrams without right legs, in blocks of equal left-leg counts
+    family = enumerate_broken(*args)
+    calls = []
+    product = broken.multiply
+    monkeypatch.setattr(broken, "multiply", lambda d1, d2: calls.append(1) or product(d1, d2))
+    gram_matrix(family, tn_handle(2))
+    blocks = Counter(tuple(map(len, d.left_legs)) for d in family if not any(d.right_legs))
+    assert sum(size**2 for size in blocks.values()) == products
+    assert len(calls) == products
+
+
+@pytest.mark.parametrize(
+    "max_points, num_colors",
+    [(n, k) for n in range(5) for k in range(1, 4)] + [(5, 2)],
+)
+@pytest.mark.parametrize("include_right_legs", [False, True])
+def test_broken_count_matches_enumeration(max_points, num_colors, include_right_legs):
+    family = enumerate_broken(max_points, num_colors, include_right_legs)
+    assert broken_count(max_points, num_colors, include_right_legs) == len(family)
+
+
+def test_broken_count_closed_form():
+    assert [broken_count(n, k) for n, k in [(5, 2), (4, 3), (6, 1), (6, 2), (5, 3)]] == [
+        1571, 709, 1433, 11411, 5434
+    ]
+    with pytest.raises(ValueError):
+        broken_count(3, 0)
 
 
 def test_standard_form_single_pair():

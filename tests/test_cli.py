@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gbmoments
-from gbmoments import qproduct
+from gbmoments import broken, partitions, qproduct
 from gbmoments import words as W
 from gbmoments.cli import dispatch, fmt_scalar
 from fractions import Fraction
@@ -153,6 +153,30 @@ def test_oracle_over_partition_budget_exits_3(capsys, tmp_path, monkeypatch):
     start = time.perf_counter()
     code = dispatch(["oracle", "--word", str(path), "--N", "2", "--mode", "combinatorial"])
     assert code == 3
+    assert time.perf_counter() - start < 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 11,411 diagrams and 1.3e8 Gram cells
+        ["pd-check", "--max-points", "6", "--colors", "2"],
+        ["pd-check", "--max-points", "5", "--colors", "3"],
+        ["pd-check", "--max-points", "1000000000", "--colors", "1"],
+        # 15!! * 2^8, about 5.2e8 partitions
+        ["enumerate", "--pairs", "8", "--colors", "2"],
+        ["enumerate", "--pairs", "3", "--colors", "1000"],
+        ["enumerate", "--pairs", "1000000000", "--colors", "2"],
+    ],
+    ids=["pd_6_2", "pd_5_3", "pd_huge", "enum_8_2", "enum_3_1000", "enum_huge"],
+)
+def test_over_enumeration_budget_exits_3(capsys, monkeypatch, argv):
+    # fail fast rather than enumerate if the guard stops firing
+    monkeypatch.setattr(broken, "enumerate_broken", lambda *a: pytest.fail("enumerated"))
+    monkeypatch.setattr(partitions, "enumerate_pair_partitions", lambda m: pytest.fail("enumerated"))
+    start = time.perf_counter()
+    assert dispatch(argv) == 3
     assert time.perf_counter() - start < 1
     assert "Traceback" not in capsys.readouterr().err
 

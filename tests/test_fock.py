@@ -87,6 +87,19 @@ def test_compatible_partitions_order_pinned():
     assert digest == "32bb1be409f143bc3f77470989ce50bbb92028ea581aa65cf24bc6ebcea6afe6"
 
 
+def test_compatible_partitions_reject_at_the_ends(monkeypatch):
+    # a creator first or an annihilator last closes or opens a pair with
+    # no partner, so no matching is searched
+    monkeypatch.setattr(W, "_matchings", lambda opens, closes: pytest.fail("searched"))
+    a, a_star = W.annihilate(0, 1), W.create(0, 1)
+    assert W.compatible_partitions((a_star, a)) == []
+    assert W.compatible_partitions((a, a_star, a, a)) == []
+    assert W.compatible_partitions((a_star, a_star, a, a_star)) == []
+    monkeypatch.undo()
+    assert len(W.compatible_partitions(())) == 1
+    assert len(W.compatible_partitions((a, a_star))) == 1
+
+
 def _compatible_by_filter(w):
     """Reference: every pair partition of the word's points, in enumeration
     order, kept when each pair is an annihilator followed by its creator."""
