@@ -213,30 +213,29 @@ def gram_matrix(
 
     d_i* . d_j is leg-free exactly when d_i* has no left legs, d_j has no
     right legs and d_i*'s right-leg count equals d_j's left-leg count in
-    every color, so only those products are formed; every other entry is
-    an exact 0 and t is called on the same diagrams in the same order as
-    when every product is formed."""
+    every color.  d_i* carries d_i's legs with the sides swapped, so one key
+    per diagram serves both: None with right legs, else the per-color
+    left-leg counts.  Only products of equal keys are formed; every other
+    entry is an exact 0 and t is called on the same diagrams in the same
+    order as when every product is formed."""
     if not family:
         raise ValueError("family must be nonempty")
-    stars = [involution(d) for d in family]
-    row_keys = [_seam_key(d.right_legs, d.left_legs) for d in stars]
-    col_keys = [_seam_key(d.left_legs, d.right_legs) for d in family]
+    if 2 * max(d.n for d in family) > MAX_PRODUCT_POINTS:
+        raise CapacityError("gram product exceeds the size budget")
+    keys = [None if any(d.right_legs) else tuple(map(len, d.left_legs)) for d in family]
+    columns: dict[tuple[int, ...] | None, list[int]] = {}
+    for j, key in enumerate(keys):
+        columns.setdefault(key, []).append(j)
     zero = Fraction(0)
     out = []
-    for di, ki in zip(stars, row_keys):
-        row = []
-        for dj, kj in zip(family, col_keys):
-            if di.n + dj.n > MAX_PRODUCT_POINTS:
-                raise CapacityError("gram product exceeds the size budget")
-            row.append(evaluate_t_hat(multiply(di, dj), t) if ki is not None and ki == kj else zero)
+    for d, key in zip(family, keys):
+        row = [zero] * len(family)
+        if key is not None:
+            star = involution(d)
+            for j in columns[key]:
+                row[j] = evaluate_t_hat(multiply(star, family[j]), t)
         out.append(row)
     return out
-
-
-def _seam_key(facing: tuple[Legs, ...], away: tuple[Legs, ...]) -> tuple[int, ...] | None:
-    """Per-color counts of the legs facing the seam of a product, or None
-    when a leg faces away from it and so survives every product."""
-    return None if any(away) else tuple(map(len, facing))
 
 
 # ---------------------------------------------------------------------------

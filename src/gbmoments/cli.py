@@ -28,7 +28,7 @@ from . import broken, fock, moments, qproduct
 from . import words as W
 from .cyclegraph import build_graph
 from .partitions import (
-    MAX_ENUM_PAIRS,
+    MAX_ENUM_PARTITIONS,
     CapacityError,
     ColorArityError,
     colored_from_json,
@@ -42,6 +42,9 @@ USAGE_EXIT = 2
 CAPACITY_EXIT = 3
 # pd-check families hold at most this many diagrams (5 points x 2 colors is 1,571)
 MAX_GRAM_FAMILY = 2048
+# clt's exact errors have denominators up to n^m, and Python prints no
+# integer of more than 4,300 digits
+MAX_CLT_DIGITS = 4300
 
 
 def fmt_scalar(x) -> str | float:
@@ -174,13 +177,12 @@ def cmd_eval(args) -> tuple[dict, dict, list[dict]]:
 def cmd_oracle(args) -> tuple[dict, dict, list[dict]]:
     obj = _load_json(args.word)
     w = W.word_from_json(obj)
-    budget = double_factorial(2 * MAX_ENUM_PAIRS - 1)
-    if W.compatible_count(w) > budget:
-        raise CapacityError(f"the word has more than {budget} compatible partitions")
+    if W.compatible_count(w) > MAX_ENUM_PARTITIONS:
+        raise CapacityError(f"the word has more than {MAX_ENUM_PARTITIONS} compatible partitions")
     combinatorial = fock.rho_n_combinatorial(w, args.N)
     results = {"combinatorial": fmt_scalar(combinatorial)}
     checks = []
-    if args.mode in ("dense", "both"):
+    if args.mode == "both":
         dense = fock.vacuum_expectation_dense(w, args.N)
         results["dense"] = fmt_scalar(dense)
         checks.append(
@@ -229,6 +231,8 @@ def cmd_clt(args) -> tuple[dict, dict, list[dict]]:
     v = pair_partition_from_json(_load_json(args.V))
     handle = _uncolored_t_from_args(args)
     ns = [int(x) for x in args.n.split(",")]
+    if any(v.m * len(str(n)) > MAX_CLT_DIGITS for n in ns):
+        raise CapacityError(f"n^m would have more than {MAX_CLT_DIGITS} digits")
     limit = qproduct.t_q_limit(q, v)
     # clt_error_curve would compute the limit a second time
     curve = [(n, abs(qproduct.t_q_star_n(handle, q, n, v) - limit)) for n in ns]
@@ -315,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="vacuum expectation of a word")
     p.add_argument("--word", required=True, help="JSON file: [{b,i,k}, ...]")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--mode", choices=["dense", "combinatorial", "both"], default="both")
+    p.add_argument("--mode", choices=["combinatorial", "both"], default="both")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("compare", help="formula-vs-oracle sweep")

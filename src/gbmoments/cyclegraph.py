@@ -152,28 +152,6 @@ class CycleGraphAnalysis:
         }
 
 
-def maximal_monotone_paths(
-    cycle_vertices: tuple[int, ...]
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Maximal increasing and decreasing vertex runs of a directed cycle.
-
-    The cycle is given in arc order; each arc is increasing or decreasing
-    and maximal runs of equal direction form the monotone paths.  A 2-cycle
-    has exactly one of each.
-    """
-    n = len(cycle_vertices)
-    signs = [cycle_vertices[i] < cycle_vertices[(i + 1) % n] for i in range(n)]
-    increasing, decreasing = [], []
-    starts = [i for i in range(n) if signs[i] != signs[i - 1]]
-    for i in starts:
-        j = i
-        while signs[j % n] == signs[i]:
-            j += 1
-        run = tuple(cycle_vertices[k % n] for k in range(i, j + 1))
-        (increasing if signs[i] else decreasing).append(run)
-    return increasing, decreasing
-
-
 def build_graph(p: ColoredPairPartition) -> CycleGraphAnalysis:
     """Build the directed graph and extract its cycle/path statistics.
 

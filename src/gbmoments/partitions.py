@@ -101,13 +101,6 @@ class ColoredPairPartition:
     def size(self) -> int:
         return self.base.size
 
-    def point_color(self, k: int) -> int:
-        """Color of point k (both endpoints of a pair share its color)."""
-        for pair, c in zip(self.base.pairs, self.colors):
-            if k in pair:
-                return c
-        raise KeyError(k)
-
     def color_class(self, color: int) -> PairPartition:
         """The subpartition of pairs with the given color, points relabeled
         order-preservingly to 1..2s."""
@@ -166,6 +159,10 @@ def double_factorial(n: int) -> int:
     return out
 
 
+# enumerations hold at most (2 * MAX_ENUM_PAIRS - 1)!! partitions
+MAX_ENUM_PARTITIONS = double_factorial(2 * MAX_ENUM_PAIRS - 1)
+
+
 def _matchings(opens: Sequence, closes: Sequence) -> list[tuple[tuple[int, int], ...]]:
     """The perfect matchings of 1..len(opens)-1 whose pairs (l, r) have
     opens[l] is not None and closes[r] == opens[l] (index 0 is unused), each
@@ -207,10 +204,9 @@ def enumerate_colored(m: int, k: int) -> list[ColoredPairPartition]:
     """All pair partitions of [2m] with all k^m colorings, (2m-1)!!*k^m total."""
     if k < 1:
         raise ValueError("need at least one color")
-    budget = double_factorial(2 * MAX_ENUM_PAIRS - 1)
     # m is bounded first, so a huge m costs no double factorial
-    if m > MAX_ENUM_PAIRS or double_factorial(2 * m - 1) * k**m > budget:
-        raise CapacityError(f"colored enumeration limited to {budget} partitions")
+    if m > MAX_ENUM_PAIRS or double_factorial(2 * m - 1) * k**m > MAX_ENUM_PARTITIONS:
+        raise CapacityError(f"colored enumeration limited to {MAX_ENUM_PARTITIONS} partitions")
     bases = enumerate_pair_partitions(m)
     return [
         ColoredPairPartition(base, coloring, k)

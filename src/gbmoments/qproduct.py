@@ -9,7 +9,9 @@ so convergence rates can be asserted as rational identities.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -17,6 +19,7 @@ from typing import Sequence
 from .broken import BrokenPairPartition, gram_matrix
 from .moments import Scalar, TFunction, UncoloredTFunction
 from .partitions import (
+    MAX_ENUM_PAIRS,
     CapacityError,
     ColoredPairPartition,
     PairPartition,
@@ -25,7 +28,9 @@ from .partitions import (
     crossings,
 )
 
-MAX_COLORING_SUMS = 5_000_000
+# t_q_star_n sums at most this many (kernel, residue) terms; m = 8 pairs
+# with a 2x2 matrix is 89,918 terms
+MAX_COLORING_SUMS = 100_000
 
 
 @dataclass(frozen=True)
@@ -71,10 +76,6 @@ class QMatrix:
         """Entry for 0-based color ids."""
         return self.entries[i][j]
 
-    def periodic(self, i: int, j: int) -> Scalar:
-        """Entry for 1-based indices of any size, reduced mod the base size."""
-        return self.entries[(i - 1) % self.size][(j - 1) % self.size]
-
 
 def _as_scalar(x) -> Scalar:
     if isinstance(x, float):
@@ -108,44 +109,52 @@ def q_product_handle(ts: Sequence[UncoloredTFunction], q: QMatrix) -> TFunction:
     return lambda p: q_product_eval(ts, q, p)
 
 
+def _kernels(m: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every set partition of the pairs 0..m-1 as class ids in order of
+    first use, with its class count."""
+    kernels: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for _ in range(m):
+        kernels = [(ids + (b,), max(used, b + 1)) for ids, used in kernels for b in range(used + 1)]
+    return kernels
+
+
 def t_q_star_n(
     t: UncoloredTFunction, q_base: QMatrix, n: int, v: PairPartition
 ) -> Scalar:
     """Coloring-averaged n-fold product with the periodically extended matrix:
-    n^-|V| sum over colorings of (crossing product) * (per-class weights)."""
-    m = v.m
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n**m > MAX_COLORING_SUMS:
-        raise CapacityError("coloring sum exceeds the budget")
-    cross = _crossing_index_pairs(v)
-    total: Scalar = Fraction(0)
-    assignment = [0] * m
+    n^-|V| sum over colorings of (crossing product) * (per-class weights).
 
-    def rec(j: int, partial: Scalar):
-        nonlocal total
-        if j == m:
-            value = partial
-            for color in set(assignment):
-                ids = [jj for jj in range(m) if assignment[jj] == color]
-                value *= t(v.restrict(ids))
-                if value == 0:
-                    return
-            total += value
-            return
-        for color in range(1, n + 1):
-            assignment[j] = color
-            factor: Scalar = Fraction(1)
-            for (j1, j2) in cross:
-                if j2 == j:
-                    factor *= q_base.periodic(assignment[j1], color)
-            new_partial = partial * factor
-            if new_partial == 0:
+    A coloring enters only through its kernel (which pairs share a color)
+    and each class's color residue mod K = q_base.size, so the sum runs over
+    kernels and residue assignments; the colorings sharing both number
+    prod_r perm(n_r, #classes with residue r), with n_r colors of residue r.
+    """
+    if n < 1 or q_base.size < 1:
+        raise ValueError("n and the matrix size must be positive")
+    if v.m > MAX_ENUM_PAIRS:
+        raise CapacityError(f"coloring sums limited to m <= {MAX_ENUM_PAIRS}")
+    k, kernels = q_base.size, _kernels(v.m)
+    if sum(k**blocks for _, blocks in kernels) > MAX_COLORING_SUMS:
+        raise CapacityError(f"coloring sum exceeds {MAX_COLORING_SUMS} terms")
+    sizes = [(n - 1 - r) // k + 1 for r in range(k)]  # colors c <= n, c = r + 1 mod k
+    # a class's weight depends on the kernel alone, not on the residues
+    weight = functools.cache(t)
+    # float terms are summed exactly and rounded once, so no count overflows;
+    # the mean is a float when a nonzero term is
+    total, inexact = Fraction(0), False
+    for ids, blocks in kernels:
+        p = ColoredPairPartition(v, ids, blocks)
+        for res in itertools.product(range(k), repeat=blocks):
+            count = math.prod(math.perm(sizes[r], res.count(r)) for r in set(res))
+            if count == 0:
                 continue
-            rec(j + 1, new_partial)
-
-    rec(0, Fraction(1))
-    return total / Fraction(n**m)
+            q = QMatrix(tuple(tuple(q_base.at(a, b) for b in res) for a in res))
+            term = q_product_eval([weight] * blocks, q, p)
+            if term:
+                inexact = inexact or isinstance(term, float)
+                total += count * Fraction(term)
+    mean = total / n**v.m
+    return float(mean) if inexact else mean
 
 
 def t_q_limit(q_base: QMatrix, v: PairPartition) -> Scalar:

@@ -5,12 +5,17 @@ These are the direct, unoptimized transcriptions of the definitions that
 `gbmoments.cyclegraph.build_graph` replaced with one O(n) pass: every step
 recomputes what it needs from the partition and checks its invariants with
 plain asserts.  `cycle_type_via_permutation` is the permutation-based cycle
-type that `gbmoments.partitions.uncolored_cycles` must agree with, and
+type that `gbmoments.partitions.uncolored_cycles` must agree with,
 `gram_matrix` is the all-products Gram assembly that
-`gbmoments.broken.gram_matrix` must agree with.
+`gbmoments.broken.gram_matrix` must agree with, and `t_q_star_n` is the
+n^m coloring enumeration that `gbmoments.qproduct.t_q_star_n` must agree
+with.  `point_color` and `maximal_monotone_paths` are direct readings of a
+partition and a cycle that only the tests use.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from gbmoments.broken import (
     MAX_PRODUCT_POINTS,
@@ -24,11 +29,20 @@ from gbmoments.partitions import (
     ColorArityError,
     ColoredPairPartition,
     PairPartition,
+    crossings,
     noncrossing_hat,
 )
 
 D = "D"
 S = "S"
+
+
+def point_color(p: ColoredPairPartition, k: int) -> int:
+    """Color of point k (both endpoints of a pair share its color)."""
+    for pair, c in zip(p.base.pairs, p.colors):
+        if k in pair:
+            return c
+    raise KeyError(k)
 
 
 def _require_two_colors(p: ColoredPairPartition):
@@ -45,7 +59,7 @@ def profile(p: ColoredPairPartition) -> ColorProfile:
         for u in range(l, r + 1):
             counts[c][u] += 1
     prof = (tuple(counts[0]), tuple(counts[1]))
-    r_values = tuple(prof[p.point_color(k)][k] for k in range(1, n + 1))
+    r_values = tuple(prof[point_color(p, k)][k] for k in range(1, n + 1))
     return ColorProfile(prof, r_values)
 
 
@@ -55,7 +69,7 @@ def classify(p: ColoredPairPartition) -> dict[int, str]:
     prof = profile(p)
     out = {}
     for k in range(1, p.size + 1):
-        c = p.point_color(k)
+        c = point_color(p, k)
         out[k] = D if prof.r(k) > prof.p(1 - c, k) else S
     return out
 
@@ -90,11 +104,33 @@ def bar_partition(p: ColoredPairPartition) -> tuple[PairPartition, tuple[int, ..
     pairs = sorted((k, z[k]) for k in z if k < z[k])
     colors = []
     for k, k2 in pairs:
-        c1 = p.point_color(k) if cls[k] == S else 1 - p.point_color(k)
-        c2 = p.point_color(k2) if cls[k2] == S else 1 - p.point_color(k2)
+        c1 = point_color(p, k) if cls[k] == S else 1 - point_color(p, k)
+        c2 = point_color(p, k2) if cls[k2] == S else 1 - point_color(p, k2)
         assert c1 == c2, "bar coloring must not depend on the endpoint"
         colors.append(c1)
     return PairPartition(tuple(pairs)), tuple(colors)
+
+
+def maximal_monotone_paths(
+    cycle_vertices: tuple[int, ...]
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Maximal increasing and decreasing vertex runs of a directed cycle.
+
+    The cycle is given in arc order; each arc is increasing or decreasing
+    and maximal runs of equal direction form the monotone paths.  A 2-cycle
+    has exactly one of each.
+    """
+    n = len(cycle_vertices)
+    signs = [cycle_vertices[i] < cycle_vertices[(i + 1) % n] for i in range(n)]
+    increasing, decreasing = [], []
+    starts = [i for i in range(n) if signs[i] != signs[i - 1]]
+    for i in starts:
+        j = i
+        while signs[j % n] == signs[i]:
+            j += 1
+        run = tuple(cycle_vertices[k % n] for k in range(i, j + 1))
+        (increasing if signs[i] else decreasing).append(run)
+    return increasing, decreasing
 
 
 def _oriented(pair: tuple[int, int], color: int) -> tuple[int, int]:
@@ -197,3 +233,40 @@ def gram_matrix(family, t) -> list[list]:
             row.append(evaluate_t_hat(multiply(di, dj), t))
         out.append(row)
     return out
+
+
+def t_q_star_n(t, q_base, n: int, v: PairPartition):
+    """n^-|V| times the sum over all n^m colorings of (crossing product
+    with the periodically extended matrix) * (per-class weights), one
+    color at a time, pruning a partial product once it is 0."""
+    m = v.m
+    k = q_base.size
+    index = {pair: j for j, pair in enumerate(v.pairs)}
+    cross = [(index[p1], index[p2]) for p1, p2 in crossings(v)]
+    total = Fraction(0)
+    assignment = [0] * m
+
+    def rec(j: int, partial):
+        nonlocal total
+        if j == m:
+            value = partial
+            for color in set(assignment):
+                ids = [jj for jj in range(m) if assignment[jj] == color]
+                value *= t(v.restrict(ids))
+                if value == 0:
+                    return
+            total += value
+            return
+        for color in range(1, n + 1):
+            assignment[j] = color
+            factor = Fraction(1)
+            for (j1, j2) in cross:
+                if j2 == j:
+                    factor *= q_base.entries[(assignment[j1] - 1) % k][(color - 1) % k]
+            new_partial = partial * factor
+            if new_partial == 0:
+                continue
+            rec(j + 1, new_partial)
+
+    rec(0, Fraction(1))
+    return total / Fraction(n**m)

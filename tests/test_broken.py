@@ -36,7 +36,7 @@ from gbmoments.moments import (
     tn_handle,
     tn_uncolored_handle,
 )
-from gbmoments.partitions import ColoredPairPartition, enumerate_colored
+from gbmoments.partitions import CapacityError, ColoredPairPartition, enumerate_colored
 from gbmoments.qproduct import QMatrix, gram_psd_check, q_product_handle
 
 
@@ -216,6 +216,20 @@ def test_gram_matrix_multiplies_only_matching_blocks(monkeypatch, args, products
     blocks = Counter(tuple(map(len, d.left_legs)) for d in family if not any(d.right_legs))
     assert sum(size**2 for size in blocks.values()) == products
     assert len(calls) == products
+
+
+def test_gram_matrix_size_guard_precedes_every_product():
+    # 16 pairs and one left leg: d* . d would have 66 > MAX_PRODUCT_POINTS
+    # points, and the empty diagram's own product comes first in row order
+    pairs = tuple((2 * j - 1, 2 * j) for j in range(1, 17))
+    big = BrokenPairPartition(33, 1, (pairs,), ((33,),), ((),))
+    assert 2 * big.n > broken.MAX_PRODUCT_POINTS >= big.n
+
+    def refuse(_):
+        raise AssertionError("t was called before the size guard fired")
+
+    with pytest.raises(CapacityError):
+        gram_matrix([empty(1), big], refuse)
 
 
 @pytest.mark.parametrize(

@@ -107,6 +107,13 @@ def test_oracle(capsys, tmp_path):
     assert report["results"]["combinatorial"] == "1/2"
 
 
+def test_oracle_dense_mode_exits_2(capsys, tmp_path):
+    # --mode both already reports the dense value beside the combinatorial one
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps([{"b": 1, "i": 1, "k": "a"}, {"b": 1, "i": 1, "k": "a*"}]))
+    assert dispatch(["oracle", "--word", str(path), "--N", "2", "--mode", "dense"]) == 2
+
+
 def test_compare_exits_zero(capsys):
     code, report = run(capsys, ["compare", "--max-pairs", "3", "--N", "2"])
     assert code == 0
@@ -129,6 +136,27 @@ def test_clt(capsys, tmp_path):
         {"n": 16, "error": "1/32"},
         {"n": 32, "error": "1/64"},
     ]
+
+
+def test_clt_at_large_n(capsys, tmp_path):
+    # the coloring sum runs over kernels and residues, so its cost does not grow with n
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps([["1/2", "1/2"], ["1/2", "1/2"]]))
+    argv = ["clt", "--Q", str(q), "--V", str(FIXTURES / "v_crossing.json"), "--t", "free"]
+    start = time.perf_counter()
+    code, report = run(capsys, argv + ["--n", "1000000"])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert report["results"]["errors"] == [{"n": 1000000, "error": "1/2000000"}]
+
+
+def test_clt_unprintable_n_exits_3(capsys, tmp_path):
+    # 2 pairs at n = 10^2200: the exact error's denominator has 4,401 digits
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps([["1/2", "1/2"], ["1/2", "1/2"]]))
+    argv = ["clt", "--Q", str(q), "--V", str(FIXTURES / "v_crossing.json"), "--t", "free"]
+    assert dispatch(argv + ["--n", "4," + "1" + "0" * 2200]) == 3
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_clt_computes_limit_once(capsys, tmp_path, monkeypatch):

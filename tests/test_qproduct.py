@@ -1,7 +1,11 @@
+import functools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import kernel_reference as reference
 from gbmoments.broken import embed, empty, enumerate_broken
 from gbmoments.moments import (
     t_free,
@@ -42,9 +46,6 @@ def test_qmatrix_validation():
     for malformed in ([[1, [2]], [[2], 1]], 5, [[True]], [["1/0"]]):
         with pytest.raises(ValueError):
             QMatrix.of(malformed)
-    q = QMatrix.of([[1, -1], [-1, 1]])
-    assert q.periodic(3, 4) == -1
-    assert q.periodic(1, 3) == 1
 
 
 def test_q_product_examples():
@@ -92,7 +93,7 @@ def test_t_q_star_n_examples():
     for n in (1, 2, 5):
         assert t_q_star_n(t_free, q, n, single) == 1
     # closed form q(1 - 1/n) for the crossing under the free weight
-    for n in (2, 4, 8):
+    for n in (2, 4, 8, 10**6):
         assert t_q_star_n(t_free, q, n, CROSSING) == HALF * (1 - Fraction(1, n))
 
 
@@ -129,10 +130,56 @@ def test_clt_mixed_matrix_monotone():
     assert curve[32] <= curve[8]
 
 
+def _refuse(_):
+    raise AssertionError("the weight was called before the guard fired")
+
+
 def test_coloring_sum_capacity():
+    # the guard counts (kernel, residue) terms, sum over set partitions of
+    # the pairs of K^blocks, and never depends on n
+    nine = PairPartition.of([(j, j + 9) for j in range(1, 10)])
+    eight = PairPartition.of([(j, j + 8) for j in range(1, 9)])
+    for q, v in ((QMatrix.constant(1, HALF), nine), (QMatrix.constant(3, HALF), eight)):
+        with pytest.raises(CapacityError):
+            t_q_star_n(_refuse, q, 2, v)
+    # 4 pairs at n = 64 was over the old n^m budget and is 94 terms now;
+    # under the weight 1 and a constant matrix every coloring gives q^6
     v = PairPartition.of([(1, 5), (2, 6), (3, 7), (4, 8)])
-    with pytest.raises(CapacityError):
-        t_q_star_n(t_free, QMatrix.constant(2, HALF), 64, v)
+    assert t_q_star_n(lambda _: 1, QMatrix.constant(2, HALF), 64, v) == HALF**6
+
+
+def _random_matrix(rng: random.Random, k: int, exact: bool) -> QMatrix:
+    rows = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            x = Fraction(rng.randint(-6, 6), 6)
+            rows[i][j] = rows[j][i] = x if exact else rng.uniform(-1, 1)
+    return QMatrix(tuple(map(tuple, rows)))
+
+
+def test_t_q_star_n_matches_coloring_enumeration():
+    """The kernel/residue sum against the n^m enumeration: exact Fractions
+    for rational matrices, and within rounding for float ones (summed in a
+    different order, so near-cancelling sums differ at ~1e-17)."""
+    rng = random.Random(7)
+    # cached, since the enumeration asks for the same class weights many times
+    weights = [t_free, tn_uncolored_handle(2), tn_uncolored_handle(-3), lambda _: 1]
+    weights = [functools.cache(t) for t in weights]
+    cases = [v for m in range(4) for v in enumerate_pair_partitions(m)]
+    cases += rng.sample(enumerate_pair_partitions(4), 2)
+    for v in cases:
+        for k in (1, 2, 3):
+            exact, inexact = _random_matrix(rng, k, True), _random_matrix(rng, k, False)
+            for n in range(1, 6):
+                for t in weights:
+                    got = t_q_star_n(t, exact, n, v)
+                    want = reference.t_q_star_n(t, exact, n, v)
+                    assert got == want and type(got) is Fraction, (v, k, n)
+            for n in (2, 5):
+                got = t_q_star_n(weights[0], inexact, n, v)
+                want = reference.t_q_star_n(weights[0], inexact, n, v)
+                assert type(got) is type(want), (v, k, n)
+                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15), (v, k, n)
 
 
 def test_gram_psd_orthonormal_hooks():
