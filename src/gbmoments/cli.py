@@ -42,8 +42,8 @@ USAGE_EXIT = 2
 CAPACITY_EXIT = 3
 # pd-check families hold at most this many diagrams (5 points x 2 colors is 1,571)
 MAX_GRAM_FAMILY = 2048
-# clt's exact errors have denominators up to n^m, and Python prints no
-# integer of more than 4,300 digits
+# bounds the factor n^m of clt's exact error denominators (the --Q entries'
+# denominators add more); Python prints no integer of more than 4,300 digits
 MAX_CLT_DIGITS = 4300
 
 

@@ -28,8 +28,8 @@ from .partitions import (
     crossings,
 )
 
-# t_q_star_n sums at most this many (kernel, residue) terms; m = 8 pairs
-# with a 2x2 matrix is 89,918 terms
+# t_q_star_n sums at most this many (kernel, residue) terms, each standing
+# for at least one coloring; m = 8 pairs with a 2x2 matrix is 89,918 terms
 MAX_COLORING_SUMS = 100_000
 
 
@@ -118,6 +118,16 @@ def _kernels(m: int) -> list[tuple[tuple[int, ...], int]]:
     return kernels
 
 
+def _residue_counts(m: int, sizes: Sequence[int]) -> list[int]:
+    """For each length b <= m, how many residue tuples of length b use each
+    residue r at most sizes[r] times (an exponential generating function)."""
+    ways = [1] + [0] * m  # ways[b]: such tuples over the residues so far
+    for s in sizes:
+        ways = [sum(math.comb(b, j) * ways[b - j] for j in range(min(s, b) + 1))
+                for b in range(m + 1)]
+    return ways
+
+
 def t_q_star_n(
     t: UncoloredTFunction, q_base: QMatrix, n: int, v: PairPartition
 ) -> Scalar:
@@ -126,35 +136,38 @@ def t_q_star_n(
 
     A coloring enters only through its kernel (which pairs share a color)
     and each class's color residue mod K = q_base.size, so the sum runs over
-    kernels and residue assignments; the colorings sharing both number
-    prod_r perm(n_r, #classes with residue r), with n_r colors of residue r.
+    kernels and the residue assignments shared by a nonzero number of
+    colorings, prod_r perm(n_r, #classes with residue r) with n_r colors of
+    residue r; there are never more terms than colorings.
     """
     if n < 1 or q_base.size < 1:
         raise ValueError("n and the matrix size must be positive")
     if v.m > MAX_ENUM_PAIRS:
         raise CapacityError(f"coloring sums limited to m <= {MAX_ENUM_PAIRS}")
     k, kernels = q_base.size, _kernels(v.m)
-    if sum(k**blocks for _, blocks in kernels) > MAX_COLORING_SUMS:
-        raise CapacityError(f"coloring sum exceeds {MAX_COLORING_SUMS} terms")
     sizes = [(n - 1 - r) // k + 1 for r in range(k)]  # colors c <= n, c = r + 1 mod k
+    ways = _residue_counts(v.m, sizes)
+    if sum(ways[blocks] for _, blocks in kernels) > MAX_COLORING_SUMS:
+        raise CapacityError(f"coloring sum exceeds {MAX_COLORING_SUMS} terms")
+    # residues[b]: those tuples of length b, in lexicographic order
+    residues: list[list[tuple[int, ...]]] = [[()]]
+    for _ in range(v.m):
+        residues.append([res + (r,) for res in residues[-1] for r in range(k)
+                         if res.count(r) < sizes[r]])
     # a class's weight depends on the kernel alone, not on the residues
     weight = functools.cache(t)
-    # float terms are summed exactly and rounded once, so no count overflows;
-    # the mean is a float when a nonzero term is
-    total, inexact = Fraction(0), False
+    total: Scalar = Fraction(0)
     for ids, blocks in kernels:
+        if not residues[blocks]:
+            continue
         p = ColoredPairPartition(v, ids, blocks)
-        for res in itertools.product(range(k), repeat=blocks):
-            count = math.prod(math.perm(sizes[r], res.count(r)) for r in set(res))
-            if count == 0:
-                continue
+        for res in residues[blocks]:
             q = QMatrix(tuple(tuple(q_base.at(a, b) for b in res) for a in res))
             term = q_product_eval([weight] * blocks, q, p)
             if term:
-                inexact = inexact or isinstance(term, float)
-                total += count * Fraction(term)
-    mean = total / n**v.m
-    return float(mean) if inexact else mean
+                count = math.prod(math.perm(sizes[r], res.count(r)) for r in set(res))
+                total += Fraction(count, n**v.m) * term
+    return total
 
 
 def t_q_limit(q_base: QMatrix, v: PairPartition) -> Scalar:

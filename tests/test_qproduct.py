@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -25,6 +26,7 @@ from gbmoments.partitions import (
 )
 from gbmoments.qproduct import (
     QMatrix,
+    _residue_counts,
     clt_error_curve,
     gram_psd_check,
     q_product_eval,
@@ -135,17 +137,37 @@ def _refuse(_):
 
 
 def test_coloring_sum_capacity():
-    # the guard counts (kernel, residue) terms, sum over set partitions of
-    # the pairs of K^blocks, and never depends on n
+    # the guard counts the (kernel, residue) terms whose coloring count is
+    # nonzero; with n >= 8K every residue tuple counts, sum over set
+    # partitions of the pairs of K^blocks (681,870 for 8 pairs and K = 3)
     nine = PairPartition.of([(j, j + 9) for j in range(1, 10)])
     eight = PairPartition.of([(j, j + 8) for j in range(1, 9)])
-    for q, v in ((QMatrix.constant(1, HALF), nine), (QMatrix.constant(3, HALF), eight)):
+    for q, v, n in (
+        (QMatrix.constant(1, HALF), nine, 2),
+        (QMatrix.constant(3, HALF), eight, 24),
+        (QMatrix.constant(3, HALF), eight, 10**6),
+    ):
         with pytest.raises(CapacityError):
-            t_q_star_n(_refuse, q, 2, v)
-    # 4 pairs at n = 64 was over the old n^m budget and is 94 terms now;
-    # under the weight 1 and a constant matrix every coloring gives q^6
+            t_q_star_n(_refuse, q, n, v)
+    # at n = 2 only 256 colorings exist, so 8 pairs with K = 3 is cheap;
+    # under the weight 1 and a constant matrix every coloring gives q^28
+    assert t_q_star_n(lambda _: 1, QMatrix.constant(3, HALF), 2, eight) == HALF**28
+    # 4 pairs at n = 64 was over the old n^m budget and is 94 terms now
     v = PairPartition.of([(1, 5), (2, 6), (3, 7), (4, 8)])
     assert t_q_star_n(lambda _: 1, QMatrix.constant(2, HALF), 64, v) == HALF**6
+
+
+@pytest.mark.parametrize("k,n", [(1, 1), (2, 3), (3, 2), (3, 7), (4, 5), (5, 3)])
+def test_residue_counts_match_enumeration(k, n):
+    sizes = [(n - 1 - r) // k + 1 for r in range(k)]
+    want = [
+        sum(
+            all(res.count(r) <= sizes[r] for r in range(k))
+            for res in itertools.product(range(k), repeat=b)
+        )
+        for b in range(6)
+    ]
+    assert _residue_counts(5, sizes) == want
 
 
 def _random_matrix(rng: random.Random, k: int, exact: bool) -> QMatrix:
