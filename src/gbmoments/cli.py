@@ -207,6 +207,15 @@ def _compare_row(p, n: int) -> dict:
 
 
 def cmd_compare(args) -> tuple[dict, dict, list[dict]]:
+    if args.max_pairs < 1:
+        raise ValueError("--max-pairs must be at least 1")
+    fock.check_dense_params(args.N)
+    # the one-color nest of m pairs drives the dense oracle to level m, and
+    # every word of at most DENSE_MAX_LEVEL pairs stays within it
+    if args.max_pairs > fock.DENSE_MAX_LEVEL:
+        raise CapacityError(
+            f"--max-pairs {args.max_pairs} drives the dense oracle above level {fock.DENSE_MAX_LEVEL}"
+        )
     rows = [
         _compare_row(p, args.N)
         for m in range(1, args.max_pairs + 1)

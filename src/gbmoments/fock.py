@@ -4,12 +4,13 @@ The dense oracle realizes the symmetrized Fock-like space explicitly at the
 rectangular parameter alpha_i = 1/N (N in {2,3}): basis keys hold the two
 equal-length value tuples of the underlying bi-invariant space together with
 the per-color tensor words, amplitudes are exact rationals, and the
-symmetrization projector is applied by literal group averaging after every
-operator.  The lambda oracle propagates single "elementary" states through
-the canonical word of a colored pair partition, summing over the finitely
-many value assignments to dominant creators.  Negative N is covered by the
-purely combinatorial weight sum together with the exclusion, commutation,
-and finite-padding identities.
+symmetrization projector is applied after every operator, computed by orbit
+sums: each orbit of keys under the per-color symmetric groups gets its
+amplitude sum over its size.  The lambda oracle propagates single
+"elementary" states through the canonical word of a colored pair partition,
+summing over the finitely many value assignments to dominant creators.
+Negative N is covered by the purely combinatorial weight sum together with
+the exclusion, commutation, and finite-padding identities.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ State = dict[StateKey, Fraction]
 VACUUM_KEY: StateKey = ((), (), (), ())
 
 
-def _check_dense_params(n: int):
+def check_dense_params(n: int):
     if n < 2:
         raise ValueError("the Fock-space oracles require N >= 2 (signed case unsupported)")
     if n > DENSE_MAX_N:
@@ -46,24 +47,41 @@ def vacuum_state() -> State:
     return {VACUUM_KEY: Fraction(1)}
 
 
-def _apply_perm(seq: tuple, perm: tuple[int, ...]) -> tuple:
-    return tuple(seq[perm[i]] for i in range(len(perm))) + seq[len(perm):]
+def _arrangements(columns: tuple[tuple[int, int], ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """The distinct orderings of a multiset of (value, index) columns, each
+    as its value prefix and its word."""
+    if not columns:
+        return [((), ())]
+    return [tuple(zip(*order)) for order in set(itertools.permutations(columns))]
 
 
 def sym_project(state: State) -> State:
-    """Group-average over the per-color symmetrizations of tuple prefixes
-    and tensor words."""
-    out: State = defaultdict(Fraction)
-    for (x, y, wm, wp), amp in state.items():
+    """The symmetrization projector P = (1/|G|) sum over g in G of g, with
+    G = S_{n-} x S_{n+}: S_{n-} permutes the columns zip(x[:n-], w-), S_{n+}
+    the columns zip(y[:n+], w+), and the tails x[n-:], y[n+:] stay fixed.
+    P(v) is constant on each orbit of keys, equal to the orbit's amplitude
+    sum over its size, so it is computed one orbit at a time; orbits that
+    sum to zero are dropped.  Raises ValueError for a key whose value tuple
+    is shorter than its word."""
+    totals = defaultdict(Fraction)
+    for key, amp in state.items():
+        x, y, wm, wp = key
         nm, np_ = len(wm), len(wp)
-        weight = amp / (factorial(nm) * factorial(np_))
-        for pm in itertools.permutations(range(nm)):
-            x2 = _apply_perm(x, pm)
-            wm2 = _apply_perm(wm, pm)
-            for pp in itertools.permutations(range(np_)):
-                key = (x2, _apply_perm(y, pp), wm2, _apply_perm(wp, pp))
-                out[key] += weight
-    return {k: v for k, v in out.items() if v}
+        if len(x) < nm or len(y) < np_:
+            raise ValueError(f"value tuples of {key} are shorter than its words")
+        orbit = (tuple(sorted(zip(x, wm))), x[nm:], tuple(sorted(zip(y, wp))), y[np_:])
+        totals[orbit] += amp
+    out: State = {}
+    for (minus_columns, x_tail, plus_columns, y_tail), total in totals.items():
+        if not total:
+            continue
+        minus, plus = _arrangements(minus_columns), _arrangements(plus_columns)
+        value = total / (len(minus) * len(plus))
+        for x_head, wm in minus:
+            x = x_head + x_tail
+            for y_head, wp in plus:
+                out[(x, y_head + y_tail, wm, wp)] = value
+    return out
 
 
 def apply_letter(state: State, letter: W.Letter, n: int) -> State:
@@ -140,7 +158,7 @@ def state_inner(s1: State, s2: State, n: int) -> Fraction:
 
 def vacuum_expectation_dense(w: W.Word, n: int) -> Fraction:
     """<vacuum, A vacuum> by literal operator application."""
-    _check_dense_params(n)
+    check_dense_params(n)
     final = apply_word(vacuum_state(), w, n)
     return final.get(VACUUM_KEY, Fraction(0))
 
@@ -148,7 +166,7 @@ def vacuum_expectation_dense(w: W.Word, n: int) -> Fraction:
 def vacuum_expectation_lambda(p: ColoredPairPartition, n: int) -> Fraction:
     """<vacuum, A vacuum> for the canonical word of p, via elementary-state
     propagation summed over value assignments to the dominant creators."""
-    _check_dense_params(n)
+    check_dense_params(n)
     word = W.canonical_word(p)
     cls = classify(p)
     rights = p.base.right_points()

@@ -9,13 +9,18 @@ type that `gbmoments.partitions.uncolored_cycles` must agree with,
 `gram_matrix` is the all-products Gram assembly that
 `gbmoments.broken.gram_matrix` must agree with, and `t_q_star_n` is the
 n^m coloring enumeration that `gbmoments.qproduct.t_q_star_n` must agree
-with.  `point_color` and `maximal_monotone_paths` are direct readings of a
-partition and a cycle that only the tests use.
+with.  `sym_project` is the literal |G|-fold group average that
+`gbmoments.fock.sym_project` computes by orbit sums.  `point_color` and
+`maximal_monotone_paths` are direct readings of a partition and a cycle
+that only the tests use.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from fractions import Fraction
+from math import factorial
 
 from gbmoments.broken import (
     MAX_PRODUCT_POINTS,
@@ -24,6 +29,7 @@ from gbmoments.broken import (
     multiply,
 )
 from gbmoments.cyclegraph import ColorProfile, CycleGraphAnalysis
+from gbmoments.fock import State
 from gbmoments.partitions import (
     CapacityError,
     ColorArityError,
@@ -270,3 +276,23 @@ def t_q_star_n(t, q_base, n: int, v: PairPartition):
 
     rec(0, Fraction(1))
     return total / Fraction(n**m)
+
+
+def _apply_perm(seq: tuple, perm: tuple[int, ...]) -> tuple:
+    return tuple(seq[perm[i]] for i in range(len(perm))) + seq[len(perm):]
+
+
+def sym_project(state: State) -> State:
+    """Group-average over the per-color symmetrizations of tuple prefixes
+    and tensor words."""
+    out: State = defaultdict(Fraction)
+    for (x, y, wm, wp), amp in state.items():
+        nm, np_ = len(wm), len(wp)
+        weight = amp / (factorial(nm) * factorial(np_))
+        for pm in itertools.permutations(range(nm)):
+            x2 = _apply_perm(x, pm)
+            wm2 = _apply_perm(wm, pm)
+            for pp in itertools.permutations(range(np_)):
+                key = (x2, _apply_perm(y, pp), wm2, _apply_perm(wp, pp))
+                out[key] += weight
+    return {k: v for k, v in out.items() if v}

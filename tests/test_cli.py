@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gbmoments
-from gbmoments import broken, partitions, qproduct
+from gbmoments import broken, cli, partitions, qproduct
 from gbmoments import words as W
 from gbmoments.cli import dispatch, fmt_scalar
 from fractions import Fraction
@@ -119,6 +119,29 @@ def test_compare_exits_zero(capsys):
     assert code == 0
     assert report["pass"]
     assert report["results"]["instances"] == 2 + 12 + 120
+
+
+@pytest.mark.parametrize(
+    "max_pairs, n, code, message",
+    [
+        ("0", "2", 2, "at least 1"),
+        ("-1", "2", 2, "at least 1"),
+        ("0", "99", 2, "at least 1"),
+        ("2", "1", 2, "require N >= 2"),
+        ("2", "-2", 2, "require N >= 2"),
+        ("2", "4", 3, "limited to N <= 3"),
+        # the one-color nest of 5 pairs reaches level 5
+        ("5", "2", 3, "above level 4"),
+        ("1000000000", "3", 3, "above level 4"),
+    ],
+)
+def test_compare_checks_inputs_before_computing(capsys, monkeypatch, max_pairs, n, code, message):
+    monkeypatch.setattr(cli, "enumerate_colored", lambda *a: pytest.fail("enumerated"))
+    start = time.perf_counter()
+    assert dispatch(["compare", "--max-pairs", max_pairs, "--N", n]) == code
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_clt(capsys, tmp_path):

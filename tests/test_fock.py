@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kernel_reference as reference
+from gbmoments import fock
 from gbmoments import words as W
 from gbmoments.fock import (
     DENSE_MAX_LEVEL,
@@ -266,6 +268,69 @@ def test_symmetrization_idempotent():
         raw = {level_key: Fraction(1)}
         once = sym_project(raw)
         assert sym_project(once) == once
+
+
+def _permute_columns(key, perm_minus, perm_plus):
+    x, y, wm, wp = key
+    x = tuple(x[j] for j in perm_minus) + x[len(wm):]
+    wm = tuple(wm[j] for j in perm_minus)
+    y = tuple(y[j] for j in perm_plus) + y[len(wp):]
+    wp = tuple(wp[j] for j in perm_plus)
+    return x, y, wm, wp
+
+
+@st.composite
+def raw_states(draw):
+    """1-6 keys with per-color levels 0-4, tails of 0-2 values, values in
+    1..3 and indices in 1..2 (so columns repeat), rational amplitudes; some
+    keys come with a column-permuted copy of opposite amplitude, so whole
+    orbits can cancel to zero."""
+    values, indices = st.integers(1, 3), st.integers(1, 2)
+    amplitudes = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    state = {}
+    for _ in range(draw(st.integers(1, 6))):
+        nm, np_ = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        tuples = [
+            tuple(draw(st.lists(values, min_size=n + tail, max_size=n + tail)))
+            for n, tail in ((nm, draw(st.integers(0, 2))), (np_, draw(st.integers(0, 2))))
+        ]
+        words = [tuple(draw(st.lists(indices, min_size=n, max_size=n))) for n in (nm, np_)]
+        key = (tuples[0], tuples[1], words[0], words[1])
+        amp = draw(amplitudes)
+        state[key] = state.get(key, Fraction(0)) + amp
+        if draw(st.booleans()):
+            image = _permute_columns(
+                key, draw(st.permutations(range(nm))), draw(st.permutations(range(np_)))
+            )
+            state[image] = state.get(image, Fraction(0)) - amp
+    return state
+
+
+@settings(deadline=None)
+@given(raw_states())
+def test_sym_project_matches_literal_average(state):
+    assert sym_project(state) == reference.sym_project(state)
+
+
+def test_sym_project_matches_literal_average_on_oracle_states(monkeypatch):
+    seen = []
+    project = fock.sym_project
+    monkeypatch.setattr(fock, "sym_project", lambda s: seen.append(s) or project(s))
+    rng = random.Random(808)
+    parts = [p for m in (1, 2, 3) for p in enumerate_colored(m, 2)]
+    for n in (2, 3):
+        for p in parts + rng.sample(enumerate_colored(4, 2), 20):
+            vacuum_expectation_dense(W.canonical_word(p), n)
+    assert len(seen) > 1800
+    for state in seen:
+        assert project(state) == reference.sym_project(state)
+
+
+def test_sym_project_rejects_short_value_tuples():
+    with pytest.raises(ValueError, match="shorter"):
+        sym_project({((1,), (1, 2), (5, 6), ()): Fraction(1)})
+    with pytest.raises(ValueError, match="shorter"):
+        sym_project({((1, 2), (1,), (), (5, 6)): Fraction(1)})
 
 
 def random_low_level_state(rng, n):
