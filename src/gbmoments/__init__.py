@@ -66,6 +66,7 @@ from .fock import (
 )
 from .qproduct import (
     QMatrix,
+    clt_error_bound,
     clt_error_curve,
     gram_psd_check,
     q_product_eval,

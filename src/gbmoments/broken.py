@@ -3,15 +3,17 @@
 A broken pair partition is a diagram on base points 1..n where every point
 either belongs to a colored pair or carries a single open leg (left or
 right) of some color; the legs of each color/side are numbered bijectively
-1..count.  Each color/side stores its leg points as a tuple in leg-number
-order: legs[j] carries number j + 1.  Multiplication concatenates diagrams
-and joins right legs of the first factor with left legs of the second
-factor of the same color: the lowest-numbered legs join first (number k
-with number k), so a freshly opened right leg carries number 1 and is the
-first one consumed; leg numbers count outward from the seam.  Surviving
-legs of the outer factor are numbered above the inner factor's legs.
-Equality is structural on this canonical form, which encodes equivalence
-up to order-preserving relabeling of base points.
+1..count.  Pairs are laid out as in a colored pair partition, (l, r) sorted
+by left point with a parallel tuple of colors; each color/side stores its
+leg points in leg-number order: legs[j] carries number j + 1.
+Multiplication concatenates diagrams and joins right legs of the first
+factor with left legs of the second factor of the same color: the
+lowest-numbered legs join first (number k with number k), so a freshly
+opened right leg carries number 1 and is the first one consumed; leg numbers
+count outward from the seam.  Surviving legs of the outer factor are
+numbered above the inner factor's legs.  Equality is structural on this
+canonical form, which encodes equivalence up to order-preserving relabeling
+of base points.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Callable, Iterator, Sequence
 from .partitions import (
     CapacityError,
     ColoredPairPartition,
+    PairPartition,
     _is_int,
     _json_pairs,
     double_factorial,
@@ -41,24 +44,25 @@ class BrokenPairPartition:
 
     n: int
     num_colors: int
-    pairs: tuple[tuple[tuple[int, int], ...], ...]
+    pairs: tuple[tuple[int, int], ...]
+    colors: tuple[int, ...]
     left_legs: tuple[Legs, ...]
     right_legs: tuple[Legs, ...]
 
     def __post_init__(self):
-        for group in (self.pairs, self.left_legs, self.right_legs):
-            if len(group) != self.num_colors:
-                raise ValueError("need one entry per color")
-        used = []
-        for a in range(self.num_colors):
-            if list(self.pairs[a]) != sorted(self.pairs[a]):
-                raise ValueError("each color's pairs must be sorted")
-            for l, r in self.pairs[a]:
-                if not 1 <= l < r <= self.n:
-                    raise ValueError(f"bad pair ({l},{r})")
-                used += [l, r]
-            used += self.left_legs[a]
-            used += self.right_legs[a]
+        if not len(self.left_legs) == len(self.right_legs) == self.num_colors:
+            raise ValueError("need one leg entry per color")
+        if len(self.colors) != len(self.pairs):
+            raise ValueError("need exactly one color per pair")
+        if self.colors and not 0 <= min(self.colors) <= max(self.colors) < self.num_colors:
+            raise ValueError("color ids must lie in [0, num_colors)")
+        if list(self.pairs) != sorted(self.pairs):
+            raise ValueError("pairs must be sorted by left point")
+        used = [p for legs in self.left_legs + self.right_legs for p in legs]
+        for l, r in self.pairs:
+            if not 1 <= l < r <= self.n:
+                raise ValueError(f"bad pair ({l},{r})")
+            used += [l, r]
         if len(used) != self.n or sorted(used) != list(range(1, self.n + 1)):
             raise ValueError("roles must partition the base set 1..n")
 
@@ -70,12 +74,7 @@ class BrokenPairPartition:
         """View a leg-free diagram as a colored pair partition."""
         if self.has_legs:
             raise ValueError("diagram has open legs")
-        pairs = []
-        colors = []
-        for a in range(self.num_colors):
-            pairs += list(self.pairs[a])
-            colors += [a] * len(self.pairs[a])
-        return ColoredPairPartition.of(pairs, colors, self.num_colors)
+        return ColoredPairPartition(PairPartition(self.pairs), self.colors, self.num_colors)
 
     def to_json(self) -> dict:
         return {
@@ -83,7 +82,7 @@ class BrokenPairPartition:
             "colors": self.num_colors,
             "per_color": [
                 {
-                    "pairs": [list(p) for p in self.pairs[a]],
+                    "pairs": [list(p) for p, c in zip(self.pairs, self.colors) if c == a],
                     "left_legs": _leg_map(self.left_legs[a]),
                     "right_legs": _leg_map(self.right_legs[a]),
                 }
@@ -121,41 +120,43 @@ def broken_from_json(obj) -> BrokenPairPartition:
     per_color = obj.get("per_color")
     if not (isinstance(per_color, list) and len(per_color) == obj["colors"]):
         raise ValueError("'per_color' must be a list with one entry per color")
-    pairs, lefts, rights = [], [], []
-    for entry in per_color:
-        pairs.append(tuple(sorted((min(p), max(p)) for p in _json_pairs(entry))))
+    tagged, lefts, rights = [], [], []
+    for a, entry in enumerate(per_color):
+        tagged += [((min(p), max(p)), a) for p in _json_pairs(entry)]
         lefts.append(_legs_from_json(entry.get("left_legs", {})))
         rights.append(_legs_from_json(entry.get("right_legs", {})))
-    return BrokenPairPartition(obj["n"], obj["colors"], tuple(pairs), tuple(lefts), tuple(rights))
+    pairs, colors = _sorted_pairs(tagged)
+    return BrokenPairPartition(obj["n"], obj["colors"], pairs, colors, tuple(lefts), tuple(rights))
+
+
+def _sorted_pairs(tagged: list) -> tuple[tuple, tuple]:
+    """(pairs, colors) of the (pair, color) items, sorted by left point."""
+    return tuple(zip(*sorted(tagged))) or ((), ())
 
 
 def empty(num_colors: int = 2) -> BrokenPairPartition:
     none: tuple = ((),) * num_colors
-    return BrokenPairPartition(0, num_colors, none, none, none)
+    return BrokenPairPartition(0, num_colors, (), (), none, none)
 
 
 def left_hook(color: int, num_colors: int = 2) -> BrokenPairPartition:
     """One point with a single open left leg of the given color."""
     lefts = tuple((1,) if a == color else () for a in range(num_colors))
     none: tuple = ((),) * num_colors
-    return BrokenPairPartition(1, num_colors, none, lefts, none)
+    return BrokenPairPartition(1, num_colors, (), (), lefts, none)
 
 
 def right_hook(color: int, num_colors: int = 2) -> BrokenPairPartition:
     """One point with a single open right leg of the given color."""
     rights = tuple((1,) if a == color else () for a in range(num_colors))
     none: tuple = ((),) * num_colors
-    return BrokenPairPartition(1, num_colors, none, none, rights)
+    return BrokenPairPartition(1, num_colors, (), (), none, rights)
 
 
 def embed(p: ColoredPairPartition) -> BrokenPairPartition:
     """A colored pair partition as a leg-free broken diagram."""
-    pairs = tuple(
-        tuple(pair for pair, c in zip(p.base.pairs, p.colors) if c == a)
-        for a in range(p.num_colors)
-    )
     none: tuple = ((),) * p.num_colors
-    return BrokenPairPartition(p.size, p.num_colors, pairs, none, none)
+    return BrokenPairPartition(p.size, p.num_colors, p.base.pairs, p.colors, none, none)
 
 
 def multiply(d1: BrokenPairPartition, d2: BrokenPairPartition) -> BrokenPairPartition:
@@ -169,17 +170,19 @@ def multiply(d1: BrokenPairPartition, d2: BrokenPairPartition) -> BrokenPairPart
     if d1.num_colors != d2.num_colors:
         raise ValueError("operands must share the color set")
     shift = d1.n
-    pairs, lefts, rights = [], [], []
+    tagged = [*zip(d1.pairs, d1.colors)]
+    lefts, rights = [], []
     for a in range(d1.num_colors):
         r1, l2 = d1.right_legs[a], d2.left_legs[a]
         m = min(len(r1), len(l2))
-        inner = [(l + shift, r + shift) for l, r in d2.pairs[a]]
-        joined = [(p, q + shift) for p, q in zip(r1, l2)]
-        pairs.append(tuple(sorted([*d1.pairs[a], *inner, *joined])))
-        lefts.append(d1.left_legs[a] + tuple(p + shift for p in l2[m:]))
-        rights.append(tuple(p + shift for p in d2.right_legs[a]) + r1[m:])
+        tagged += [((p, q + shift), a) for p, q in zip(r1, l2)]
+        lefts.append(d1.left_legs[a] + tuple([p + shift for p in l2[m:]]))
+        rights.append(tuple([p + shift for p in d2.right_legs[a]]) + r1[m:])
+    # d2's pairs lie past every other point, so they follow the sorted ones
+    pairs, colors = _sorted_pairs(tagged)
+    pairs += tuple([(l + shift, r + shift) for l, r in d2.pairs])
     return BrokenPairPartition(
-        d1.n + d2.n, d1.num_colors, tuple(pairs), tuple(lefts), tuple(rights)
+        d1.n + d2.n, d1.num_colors, pairs, colors + d2.colors, tuple(lefts), tuple(rights)
     )
 
 
@@ -187,13 +190,10 @@ def involution(d: BrokenPairPartition) -> BrokenPairPartition:
     """Mirror reflection: base order reversed, left and right legs swapped
     with their numbers kept."""
     flip = lambda p: d.n + 1 - p
-    pairs = tuple(
-        tuple(sorted((flip(r), flip(l)) for l, r in d.pairs[a]))
-        for a in range(d.num_colors)
-    )
+    tagged = [((flip(r), flip(l)), c) for (l, r), c in zip(d.pairs, d.colors)]
     lefts = tuple(tuple(map(flip, legs)) for legs in d.right_legs)
     rights = tuple(tuple(map(flip, legs)) for legs in d.left_legs)
-    return BrokenPairPartition(d.n, d.num_colors, pairs, lefts, rights)
+    return BrokenPairPartition(d.n, d.num_colors, *_sorted_pairs(tagged), lefts, rights)
 
 
 def evaluate_t_hat(
@@ -278,7 +278,7 @@ def permute_right_legs(
             raise ValueError("permutation must match the open leg count")
         rights.append(_permuted(legs, perm))
     return BrokenPairPartition(
-        d.n, d.num_colors, d.pairs, d.left_legs, tuple(rights)
+        d.n, d.num_colors, d.pairs, d.colors, d.left_legs, tuple(rights)
     )
 
 
@@ -352,20 +352,15 @@ def enumerate_broken(
     for n in range(max_points + 1):
         for match, singles in _partial_matchings(list(range(1, n + 1))):
             for pair_colors in itertools.product(range(num_colors), repeat=len(match)):
-                pairs = tuple(
-                    tuple(sorted(pair for pair, c in zip(match, pair_colors) if c == a))
-                    for a in range(num_colors)
-                )
                 for assignment in itertools.product(range(roles), repeat=len(singles)):
                     groups = [
                         [p for p, role in zip(singles, assignment) if role == j]
                         for j in range(2 * num_colors)
                     ]
                     for legs in itertools.product(*map(_numberings, groups)):
+                        lefts, rights = legs[:num_colors], legs[num_colors:]
                         out.append(
-                            BrokenPairPartition(
-                                n, num_colors, pairs, legs[:num_colors], legs[num_colors:]
-                            )
+                            BrokenPairPartition(n, num_colors, match, pair_colors, lefts, rights)
                         )
     return out
 
@@ -388,18 +383,19 @@ def broken_count(max_points: int, num_colors: int, include_right_legs: bool = Fa
     return total
 
 
-def _partial_matchings(points: list[int]) -> Iterator[tuple[list, list[int]]]:
-    """Every partial matching of the points, with its single points: the
-    first point stays single first, then pairs with each later point."""
+def _partial_matchings(points: list[int]) -> Iterator[tuple[tuple, list[int]]]:
+    """Every partial matching of the points, pairs sorted by left point, with
+    its single points: the first point stays single first, then pairs
+    with each later point."""
     if not points:
-        yield [], []
+        yield (), []
         return
     first, rest = points[0], points[1:]
     for match, singles in _partial_matchings(rest):
         yield match, [first] + singles
     for j, other in enumerate(rest):
         for match, singles in _partial_matchings(rest[:j] + rest[j + 1 :]):
-            yield [(first, other)] + match, singles
+            yield ((first, other),) + match, singles
 
 
 def _numberings(points: Sequence[int]) -> list[Legs]:

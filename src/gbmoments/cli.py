@@ -179,6 +179,8 @@ def cmd_oracle(args) -> tuple[dict, dict, list[dict]]:
     w = W.word_from_json(obj)
     if W.compatible_count(w) > MAX_ENUM_PARTITIONS:
         raise CapacityError(f"the word has more than {MAX_ENUM_PARTITIONS} compatible partitions")
+    if args.mode == "both":
+        fock.check_dense_word(w, args.N)
     combinatorial = fock.rho_n_combinatorial(w, args.N)
     results = {"combinatorial": fmt_scalar(combinatorial)}
     checks = []
@@ -249,15 +251,12 @@ def cmd_clt(args) -> tuple[dict, dict, list[dict]]:
         "limit": fmt_scalar(limit),
         "errors": [{"n": n, "error": fmt_scalar(e)} for n, e in curve],
     }
+    # the bound holds only where K = |Q| divides n; with no such n, no check
+    bounded = [(n, e) for n, e in curve if n % q.size == 0]
     checks = []
-    if len(curve) >= 2:
-        checks.append(
-            _check(
-                "error_last_le_first",
-                True,
-                abs(curve[-1][1]) <= abs(curve[0][1]),
-            )
-        )
+    if bounded:
+        within = all(e <= qproduct.clt_error_bound(v.m, n) for n, e in bounded)
+        checks.append(_check("error_within_collision_bound", True, within))
     inputs = {"Q": args.Q, "V": args.V, "t": args.t, "n": ns, **parameters}
     return inputs, results, checks
 

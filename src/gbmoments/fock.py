@@ -43,6 +43,27 @@ def check_dense_params(n: int):
         raise CapacityError(f"the Fock-space oracles are limited to N <= {DENSE_MAX_N}")
 
 
+def check_dense_word(w: W.Word, n: int):
+    """Refuse, before any operator is applied, what the dense oracle would
+    refuse while applying w: the parameters, then the level apply_letter
+    checks at each creator.  Read right to left, a creator of color b meets
+    level max(n_b + 1, n_other), n_c counting the color-c creators minus
+    annihilators so far; every key of a nonzero state has these word lengths,
+    and a word with a compatible partition never vanishes at N in {2, 3}
+    (its vacuum amplitude is a sum of positive t_N values).  A word without
+    one may vanish first, so it is left to the oracle."""
+    check_dense_params(n)
+    counts, peak = [0, 0], 0
+    for let in reversed(w):
+        if let.k == W.CREATE:
+            peak = max(peak, counts[let.b] + 1, counts[1 - let.b])
+            counts[let.b] += 1
+        else:
+            counts[let.b] -= 1
+    if peak > DENSE_MAX_LEVEL and W.compatible_count(w) > 0:
+        raise CapacityError(f"word drives a level above {DENSE_MAX_LEVEL}")
+
+
 def vacuum_state() -> State:
     return {VACUUM_KEY: Fraction(1)}
 

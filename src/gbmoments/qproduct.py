@@ -187,6 +187,17 @@ def clt_error_curve(
     return [(n, abs(t_q_star_n(t, q_base, n, v) - limit)) for n in n_values]
 
 
+def clt_error_bound(m: int, n: int) -> Fraction:
+    """2 (1 - perm(n, m) / n^m), which bounds |t_q_star_n - t_q_limit| at m
+    pairs whenever K = q_base.size divides n and |t| <= 1 (free, t_N, Thoma).
+    Then the residues of a uniform coloring are iid uniform on the K base
+    colors, the law the limit averages over.  An injective coloring, of
+    probability perm(n, m) / n^m, has one-pair classes of weight 1, so its
+    term is the limit's term; any other term differs from the limit's by at
+    most 2, as |t| <= 1 and |q_ij| <= 1."""
+    return 2 * (1 - Fraction(math.perm(n, m), n**m))
+
+
 def gram_psd_check(
     family: Sequence[BrokenPairPartition], t: TFunction
 ) -> tuple[Fraction, bool]:

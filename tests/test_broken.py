@@ -46,7 +46,8 @@ def figure_d() -> BrokenPairPartition:
     return BrokenPairPartition(
         n=4,
         num_colors=2,
-        pairs=((), ()),
+        pairs=(),
+        colors=(),
         left_legs=((), (2,)),
         right_legs=((3, 1), (4,)),
     )
@@ -56,7 +57,8 @@ def figure_dbar() -> BrokenPairPartition:
     return BrokenPairPartition(
         n=6,
         num_colors=2,
-        pairs=(((1, 4),), ((3, 6),)),
+        pairs=((1, 4), (3, 6)),
+        colors=(0, 1),
         left_legs=((2,), ()),
         right_legs=((), (5,)),
     )
@@ -67,14 +69,14 @@ def test_hook_products():
         ColoredPairPartition.of([(1, 2)], [0])
     )
     d = multiply(left_hook(0), right_hook(0))
-    assert d.pairs == ((), ())
+    assert d.pairs == ()
     assert d.left_legs[0] == (1,)
     assert d.right_legs[0] == (2,)
 
 
 def test_cross_color_hooks_do_not_join():
     d = multiply(right_hook(0), left_hook(1))
-    assert d.pairs == ((), ())
+    assert d.pairs == ()
     assert d.right_legs[0] == (1,)
     assert d.left_legs[1] == (2,)
 
@@ -84,8 +86,8 @@ def test_figure_multiplication():
     # consumes leg number 1 (the stack rule), closing (3, 6).
     prod = multiply(figure_d(), figure_dbar())
     assert prod.n == 10
-    assert prod.pairs[0] == ((3, 6), (5, 8))
-    assert prod.pairs[1] == ((7, 10),)
+    assert prod.pairs == ((3, 6), (5, 8), (7, 10))
+    assert prod.colors == (0, 0, 1)
     assert prod.left_legs == ((), (2,))
     assert prod.right_legs == ((1,), (9, 4))
 
@@ -96,7 +98,8 @@ def test_figure_involution():
     assert got == BrokenPairPartition(
         n=6,
         num_colors=2,
-        pairs=(((3, 6),), ((1, 4),)),
+        pairs=((1, 4), (3, 6)),
+        colors=(1, 0),
         left_legs=((), (2,)),
         right_legs=((5,), ()),
     )
@@ -222,7 +225,7 @@ def test_gram_matrix_size_guard_precedes_every_product():
     # 16 pairs and one left leg: d* . d would have 66 > MAX_PRODUCT_POINTS
     # points, and the empty diagram's own product comes first in row order
     pairs = tuple((2 * j - 1, 2 * j) for j in range(1, 17))
-    big = BrokenPairPartition(33, 1, (pairs,), ((33,),), ((),))
+    big = BrokenPairPartition(33, 1, pairs, (0,) * 16, ((33,),), ((),))
     assert 2 * big.n > broken.MAX_PRODUCT_POINTS >= big.n
 
     def refuse(_):
@@ -281,8 +284,8 @@ def test_enumerate_broken_counts():
 
 
 def test_json_round_trip():
-    d = figure_dbar()
-    assert broken_from_json(d.to_json()) == d
+    for d in [figure_dbar(), *enumerate_broken(3, 2, True), *enumerate_broken(2, 3, True)]:
+        assert broken_from_json(d.to_json()) == d
 
 
 def test_legs_are_points_in_leg_number_order():
@@ -292,7 +295,53 @@ def test_legs_are_points_in_leg_number_order():
 
 def test_unsorted_pairs_rejected():
     with pytest.raises(ValueError):
-        BrokenPairPartition(4, 1, (((3, 4), (1, 2)),), ((),), ((),))
+        BrokenPairPartition(4, 1, ((3, 4), (1, 2)), (0, 0), ((),), ((),))
+
+
+@pytest.mark.parametrize(
+    "pairs, colors",
+    [
+        (((1, 2), (3, 4)), (0, 2)),
+        (((1, 2), (3, 4)), (0,)),
+        (((3, 4), (1, 2)), (0, 1)),
+    ],
+    ids=["color_out_of_range", "one_color_short", "unsorted_across_colors"],
+)
+def test_constructor_rejects_bad_layout(pairs, colors):
+    with pytest.raises(ValueError):
+        BrokenPairPartition(4, 2, pairs, colors, ((), ()), ((), ()))
+
+
+@pytest.mark.parametrize("m, k", [(m, 2) for m in range(5)] + [(m, 3) for m in range(4)])
+def test_embed_shares_the_colored_layout(m, k):
+    for p in enumerate_colored(m, k):
+        d = embed(p)
+        assert (d.pairs, d.colors) == (p.base.pairs, p.colors)
+        assert d.as_colored() == p
+
+
+@pytest.mark.parametrize(
+    "args, sha256",
+    [
+        ((3, 2, True), "ed2f8a746c86893555a89e0185dd015d1b08be2ec065adf70c0a8251b23e77bf"),
+        ((2, 3, True), "a5a2b2c3159ac1c9a4d3133cbdab0a2ffab7303cc7acfb6d89756f5182b3de6d"),
+    ],
+    ids=["3_2_right_legs", "2_3_right_legs"],
+)
+def test_products_pinned(args, sha256):
+    # every involution, every product and the colored view of every
+    # leg-free product, in family order
+    h = hashlib.sha256()
+    digest = lambda x: h.update(json.dumps(x.to_json(), sort_keys=True).encode())
+    family = enumerate_broken(*args)
+    for a in family:
+        digest(involution(a))
+        for b in family:
+            prod = multiply(a, b)
+            digest(prod)
+            if not prod.has_legs:
+                digest(prod.as_colored())
+    assert h.hexdigest() == sha256
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gbmoments
-from gbmoments import broken, cli, partitions, qproduct
+from gbmoments import broken, cli, fock, partitions, qproduct
 from gbmoments import words as W
 from gbmoments.cli import dispatch, fmt_scalar
 from fractions import Fraction
@@ -161,6 +161,42 @@ def test_clt(capsys, tmp_path):
     ]
 
 
+    assert report["checks"] == [
+        {"name": "error_within_collision_bound", "expected": True, "actual": True, "pass": True}
+    ]
+
+
+def _found_clt_argv(tmp_path, ns):
+    # 4 pairs and a 3x3 Q whose error is not monotone at small n
+    q, v = tmp_path / "q.json", tmp_path / "v.json"
+    q.write_text(json.dumps([["1/2", "-1/3", "1/5"], ["-1/3", 1, 0], ["1/5", 0, "-1/4"]]))
+    v.write_text(json.dumps({"pairs": [[1, 5], [2, 7], [3, 6], [4, 8]]}))
+    return ["clt", "--Q", str(q), "--V", str(v), "--t", "tn", "--N", "3", "--n", ns]
+
+
+def test_clt_non_monotone_error_passes(capsys, tmp_path):
+    code, report = run(capsys, _found_clt_argv(tmp_path, "1,2,5,7"))
+    errors = [Fraction(e["error"]) for e in report["results"]["errors"]]
+    assert errors[1] > errors[2] < errors[3]
+    # no requested n is a multiple of the base size 3, so nothing is bounded
+    assert code == 0 and report["checks"] == []
+    code, report = run(capsys, _found_clt_argv(tmp_path, "3,6"))
+    assert code == 0 and [c["name"] for c in report["checks"]] == ["error_within_collision_bound"]
+
+
+def test_clt_error_past_the_bound_fails(capsys, tmp_path, monkeypatch):
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps([["1/2", "1/2"], ["1/2", "1/2"]]))
+    v = partitions.pair_partition_from_json(json.loads((FIXTURES / "v_crossing.json").read_text()))
+    limit = qproduct.t_q_limit(qproduct.QMatrix.of([["1/2", "1/2"], ["1/2", "1/2"]]), v)
+    monkeypatch.setattr(qproduct, "t_q_limit", lambda q, v: limit)
+    monkeypatch.setattr(qproduct, "t_q_star_n", lambda t, q, n, v: limit + 1)
+    argv = ["clt", "--Q", str(q), "--V", str(FIXTURES / "v_crossing.json"), "--t", "free"]
+    code, report = run(capsys, argv + ["--n", "4"])
+    # error 1 against 2 (1 - 4 * 3 / 4^2) = 1/2 at 2 pairs
+    assert code == 1 and report["checks"][0]["actual"] is False
+
+
 def test_clt_at_large_n(capsys, tmp_path):
     # the coloring sum runs over kernels and residues, so its cost does not grow with n
     q = tmp_path / "q.json"
@@ -299,6 +335,32 @@ def test_clt_empty_matrix_exits_2(capsys, tmp_path):
 def test_clt_malformed_matrix_exits_2(capsys, tmp_path, content):
     assert _clt_with_matrix(tmp_path, content) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "n, code", [("4", 3), ("1", 2), ("2", 3)], ids=["N_above_dense", "N_below_dense", "level_8"]
+)
+def test_oracle_both_refuses_before_the_sum(capsys, tmp_path, monkeypatch, n, code):
+    # a^8 a*^8 has 8! = 40,320 compatible partitions and drives level 8
+    monkeypatch.setattr(fock, "rho_n_combinatorial", lambda w, n: pytest.fail("summed"))
+    word = [{"b": 0, "i": 1, "k": k} for k in ["a"] * 8 + ["a*"] * 8]
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps(word))
+    start = time.perf_counter()
+    assert dispatch(["oracle", "--word", str(path), "--N", n]) == code
+    assert time.perf_counter() - start < 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_oracle_vanishing_word_over_the_level_is_left_to_the_oracle(capsys, tmp_path):
+    # the color-1 annihilator kills the vacuum before five color-0 creators
+    # would reach level 5; no partition is compatible, so both sides are 0
+    word = [{"b": 0, "i": 1, "k": "a*"}] * 5 + [{"b": 1, "i": 1, "k": "a"}]
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps(word))
+    code, report = run(capsys, ["oracle", "--word", str(path), "--N", "2"])
+    assert code == 0
+    assert report["results"] == {"combinatorial": "0", "dense": "0"}
 
 
 @pytest.mark.parametrize("content", [[1], {}], ids=["bare_int_letter", "object"])

@@ -191,6 +191,46 @@ def test_dense_oracle_guards():
         vacuum_expectation_dense(deep, 2)
 
 
+def _refused(check, *args):
+    try:
+        check(*args)
+    except CapacityError:
+        return True
+    return False
+
+
+def test_check_dense_word_matches_the_oracle_level_guard():
+    # words built from random colored pairings, annihilator left of its
+    # creator, so each has a compatible partition; about 1% drive the
+    # level past DENSE_MAX_LEVEL
+    rng = random.Random(17)
+    over = 0
+    for _ in range(700):
+        m = rng.randint(1, 6)
+        points = rng.sample(range(2 * m), 2 * m)
+        w = [None] * (2 * m)
+        for l, r in (sorted(points[j : j + 2]) for j in range(0, 2 * m, 2)):
+            b, i = rng.randint(0, 1), rng.randint(1, 2)
+            w[l], w[r] = W.annihilate(b, i), W.create(b, i)
+        n = rng.choice([2, 3])
+        expected = _refused(fock.check_dense_word, w, n)
+        assert _refused(vacuum_expectation_dense, w, n) == expected
+        over += expected
+    assert over > 0, over
+
+
+def test_check_dense_word_leaves_vanishing_words_to_the_oracle():
+    # the color-1 annihilator kills the vacuum first: no partition is
+    # compatible, so the oracle's 0 stands although five creators follow
+    w = W.word([W.create(0, 1)] * 5 + [W.annihilate(1, 1)])
+    fock.check_dense_word(w, 2)
+    assert vacuum_expectation_dense(w, 2) == 0
+    with pytest.raises(ValueError):
+        fock.check_dense_word(w, 1)
+    with pytest.raises(CapacityError):
+        fock.check_dense_word(w, 4)
+
+
 def test_dense_matches_combinatorial_on_general_words():
     rng = random.Random(99)
     letters = [

@@ -27,6 +27,7 @@ from gbmoments.partitions import (
 from gbmoments.qproduct import (
     QMatrix,
     _residue_counts,
+    clt_error_bound,
     clt_error_curve,
     gram_psd_check,
     q_product_eval,
@@ -124,6 +125,25 @@ def test_clt_noncrossing_zero_error():
     q = QMatrix.constant(2, HALF)
     v = PairPartition.of([(1, 2), (3, 4)])
     assert clt_error_curve(t_free, q, v, [2, 8]) == [(2, 0), (8, 0)]
+
+
+def test_clt_error_within_collision_bound():
+    # random rational Q, free and t_N weights, every n <= 4K that K divides
+    rng = random.Random(432)
+    weights = [t_free] + [tn_uncolored_handle(n) for n in (1, -1, 2, -2, 3)]
+    ratio = Fraction(0)
+    for _ in range(60):
+        k, m = rng.randint(1, 3), rng.randint(1, 4)
+        rows = [[Fraction(rng.randint(-6, 6), 6) for _ in range(k)] for _ in range(k)]
+        q = QMatrix.of([[rows[min(a, b)][max(a, b)] for b in range(k)] for a in range(k)])
+        v = rng.choice(enumerate_pair_partitions(m))
+        t = rng.choice(weights)
+        for n, error in clt_error_curve(t, q, v, [k * j for j in range(1, 5)]):
+            bound = clt_error_bound(m, n)
+            assert error <= bound
+            if bound:
+                ratio = max(ratio, error / bound)
+    assert 0 < ratio < 1
 
 
 def test_clt_mixed_matrix_monotone():
