@@ -42,9 +42,11 @@ USAGE_EXIT = 2
 CAPACITY_EXIT = 3
 # pd-check families hold at most this many diagrams (5 points x 2 colors is 1,571)
 MAX_GRAM_FAMILY = 2048
-# bounds the factor n^m of clt's exact error denominators (the --Q entries'
-# denominators add more); Python prints no integer of more than 4,300 digits
-MAX_CLT_DIGITS = 4300
+# bounds the power N^e in an exact value's denominator: t_N's (1/N)^e in
+# eval, the N^P(w) under oracle's loop sum, the factor n^m of clt's error
+# denominators (the --Q entries' denominators add more); Python prints no
+# integer of more than 4,300 digits
+MAX_VALUE_DIGITS = 4300
 
 
 def fmt_scalar(x) -> str | float:
@@ -71,6 +73,14 @@ def parse_rational_list(text: str) -> tuple[Fraction, ...]:
     if not text:
         return ()
     return tuple(parse_rational(part) for part in text.split(","))
+
+
+def _check_power_digits(n: int, exponent: int):
+    """Refuse, before computing it, a value whose denominator is up to
+    n^exponent when that power could have more digits than Python prints;
+    n = 0 is left to the computation, which refuses it as a usage error."""
+    if n and exponent * len(str(abs(n))) > MAX_VALUE_DIGITS:
+        raise CapacityError(f"the exact denominator would have more than {MAX_VALUE_DIGITS} digits")
 
 
 def _load_json(path: str):
@@ -165,6 +175,9 @@ def cmd_eval(args) -> tuple[dict, dict, list[dict]]:
     parameters = _family_inputs(args, args.t)
     obj = _load_json(args.partition)
     p = colored_from_json(obj)
+    if args.t == "tn" and p.num_colors == 2:
+        analysis = build_graph(p)
+        _check_power_digits(args.N, analysis.total_increasing_paths - analysis.num_cycles)
     handle = _t_handle_from_args(args)
     value = handle(p)
     return (
@@ -177,10 +190,13 @@ def cmd_eval(args) -> tuple[dict, dict, list[dict]]:
 def cmd_oracle(args) -> tuple[dict, dict, list[dict]]:
     obj = _load_json(args.word)
     w = W.word_from_json(obj)
-    if W.compatible_count(w) > MAX_ENUM_PARTITIONS:
+    count = W.compatible_count(w)
+    if count > MAX_ENUM_PARTITIONS:
         raise CapacityError(f"the word has more than {MAX_ENUM_PARTITIONS} compatible partitions")
     if args.mode == "both":
         fock.check_dense_word(w, args.N)
+    if count:
+        _check_power_digits(args.N, fock.word_frame(w).paths)
     combinatorial = fock.rho_n_combinatorial(w, args.N)
     results = {"combinatorial": fmt_scalar(combinatorial)}
     checks = []
@@ -242,8 +258,8 @@ def cmd_clt(args) -> tuple[dict, dict, list[dict]]:
     v = pair_partition_from_json(_load_json(args.V))
     handle = _uncolored_t_from_args(args)
     ns = [int(x) for x in args.n.split(",")]
-    if any(v.m * len(str(n)) > MAX_CLT_DIGITS for n in ns):
-        raise CapacityError(f"n^m would have more than {MAX_CLT_DIGITS} digits")
+    for n in ns:
+        _check_power_digits(n, v.m)
     limit = qproduct.t_q_limit(q, v)
     # clt_error_curve would compute the limit a second time
     curve = [(n, abs(qproduct.t_q_star_n(handle, q, n, v) - limit)) for n in ns]

@@ -10,7 +10,12 @@ amplitude sum over its size.  The lambda oracle propagates single
 "elementary" states through the canonical word of a colored pair partition,
 summing over the finitely many value assignments to dominant creators.
 Negative N is covered by the purely combinatorial weight sum together with
-the exclusion, commutation, and finite-padding identities.
+the exclusion, commutation, and finite-padding identities.  That sum is
+computed by the loop-sum identity rho_N(w) = N^-P(w) sum over the
+compatible matchings M of N^cycles(M u Z(w)): the bar partition Z(w) and
+the path count P(w) are the same for every partition compatible with w, so
+they are computed once per word (`word_frame`) and only the cycles of each
+matching joined with Z(w) are counted.
 """
 
 from __future__ import annotations
@@ -21,8 +26,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import words as W
-from .cyclegraph import classify
-from .moments import fock_moment, tn_handle
+from .cyclegraph import BarFrame, bar_frame, classify, loop_counter
 from .partitions import CapacityError, ColoredPairPartition
 
 DENSE_MAX_LEVEL = 4
@@ -248,12 +252,36 @@ def _propagate(
     return scale
 
 
+def word_frame(w: W.Word) -> BarFrame:
+    """The bar frame of the word's points, shared by every partition
+    compatible with it; the word must have one."""
+    color = [0] + [let.b for let in w]
+    annihilator = [False] + [let.k == W.ANNIHILATE for let in w]
+    return bar_frame(color, annihilator)
+
+
 def rho_n_combinatorial(w: W.Word, n: int) -> Fraction:
-    """Moment functional as the weight sum over compatible partitions;
-    valid for any nonzero N, in particular negative ones."""
+    """Moment functional: the sum of t_N(p) = N^-(paths - cycles) over the
+    partitions p compatible with the word; valid for any nonzero N, in
+    particular negative ones.
+
+    The word fixes the bar frame, and with it Z(w) and the path count P(w),
+    so the sum is the loop sum N^-P(w) * sum over the compatible matchings
+    M of N^cycles(M u Z(w)); the cycle counts (`cyclegraph.loop_counter`)
+    are tallied and divided by N^P(w) once.  Equals
+    fock_moment(w, tn_handle(n))."""
     if n == 0:
         raise ValueError("N must be nonzero")
-    return fock_moment(w, tn_handle(n))
+    matchings = W.compatible_matchings(w)
+    if not matchings:
+        return Fraction(0)
+    frame = word_frame(w)
+    cycles = loop_counter(frame)
+    histogram = [0] * (len(w) // 2 + 1)
+    for pairs in matchings:
+        histogram[cycles(pairs)] += 1
+    numerator = sum(count * n**c for c, count in enumerate(histogram))
+    return Fraction(numerator, n**frame.paths)
 
 
 def one_color_words(max_len: int, num_indices: int, color: int = 1):

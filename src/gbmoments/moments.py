@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from . import words as W
-from .cyclegraph import build_graph
+from .cyclegraph import bar_frame, build_graph, loop_counter, point_roles
 from .partitions import (
     ColorArityError,
     ColoredPairPartition,
@@ -124,10 +124,10 @@ def t_colored(tp: ThomaParameter, p: ColoredPairPartition) -> Scalar:
 def _graph_exponent(
     pairs: tuple[tuple[int, int], ...], colors: tuple[int, ...]
 ) -> int:
-    analysis = build_graph(
-        ColoredPairPartition(PairPartition(pairs), colors, 2)
-    )
-    return analysis.total_increasing_paths - analysis.num_cycles
+    """paths - cycles of the cycle graph: the bar frame's path count minus
+    the cycles of its bar arcs joined with the pairs' arcs."""
+    frame = bar_frame(*point_roles(pairs, colors))
+    return frame.paths - loop_counter(frame)(pairs)
 
 
 def t_n(n: int, p: ColoredPairPartition) -> Fraction:

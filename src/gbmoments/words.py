@@ -67,9 +67,9 @@ def profile_weight(w: Word, b: int) -> int:
     return sum(v for (bb, _), v in word_profile(w).items() if bb == b)
 
 
-def compatible_partitions(w: Word) -> list[ColoredPairPartition]:
-    """All colored pair partitions compatible with the word, in the order of
-    `partitions._matchings`.
+def compatible_matchings(w: Word) -> list[tuple[tuple[int, int], ...]]:
+    """The pairs of every colored pair partition compatible with the word,
+    each sorted by left point, in the order of `partitions._matchings`.
 
     A pair (l, r) with l < r requires an annihilator at l and a creator at
     r with equal colors and equal basis indices; the pair inherits that
@@ -80,9 +80,15 @@ def compatible_partitions(w: Word) -> list[ColoredPairPartition]:
         return []
     # an annihilator opens a pair that its creator closes
     opens = [None] + [(let.b, let.i, CREATE) if let.k == ANNIHILATE else None for let in w]
+    return _matchings(opens, (None,) + w)
+
+
+def compatible_partitions(w: Word) -> list[ColoredPairPartition]:
+    """All colored pair partitions compatible with the word, in the order of
+    `compatible_matchings`."""
     return [
-        ColoredPairPartition(PairPartition(pairs), tuple(opens[l][0] for l, _ in pairs), 2)
-        for pairs in _matchings(opens, (None,) + w)
+        ColoredPairPartition(PairPartition(pairs), tuple(w[l - 1].b for l, _ in pairs), 2)
+        for pairs in compatible_matchings(w)
     ]
 
 

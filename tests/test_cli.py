@@ -233,15 +233,49 @@ def test_clt_computes_limit_once(capsys, tmp_path, monkeypatch):
 def test_oracle_over_partition_budget_exits_3(capsys, tmp_path, monkeypatch):
     # a^10 a*^10 has 10! = 3,628,800 compatible partitions; fail fast
     # rather than enumerate them if the guard stops firing
-    monkeypatch.setattr(W, "compatible_partitions", lambda w: pytest.fail("enumerated"))
-    word = [{"b": 0, "i": 1, "k": k} for k in ["a"] * 10 + ["a*"] * 10]
+    monkeypatch.setattr(W, "_matchings", lambda opens, closes: pytest.fail("enumerated"))
     path = tmp_path / "word.json"
+    # the tripwire sits on the enumerator the combinatorial sum calls
+    path.write_text(json.dumps([{"b": 0, "i": 1, "k": "a"}, {"b": 0, "i": 1, "k": "a*"}]))
+    with pytest.raises(pytest.fail.Exception, match="enumerated"):
+        dispatch(["oracle", "--word", str(path), "--N", "2", "--mode", "combinatorial"])
+    word = [{"b": 0, "i": 1, "k": k} for k in ["a"] * 10 + ["a*"] * 10]
     path.write_text(json.dumps(word))
     start = time.perf_counter()
     code = dispatch(["oracle", "--word", str(path), "--N", "2", "--mode", "combinatorial"])
     assert code == 3
     assert time.perf_counter() - start < 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+# [[1,3],[2,5],[4,6]] in one color: t_N = (1/N)^2
+CROSSING_THREE = {"pairs": [[1, 3], [2, 5], [4, 6]], "colors": [0, 0, 0]}
+# a1 a2 a3 a4 a1* a2* a3* a4*: P(w) = 4
+FOUR_INDICES = [{"b": 0, "i": i, "k": k} for k in ("a", "a*") for i in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize(
+    "subcommand, obj, value",
+    [("eval", CROSSING_THREE, "1/9"), ("oracle", FOUR_INDICES, "1/9")],
+    ids=["eval", "oracle"],
+)
+def test_power_over_printable_digits_exits_3(capsys, tmp_path, subcommand, obj, value):
+    # N^e with e * digits(N) past 4,300 digits could be computed but not
+    # printed; it is refused before computing
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    option = {"eval": ["--t", "tn", "--partition"], "oracle": ["--mode", "combinatorial", "--word"]}
+    argv = [subcommand, *option[subcommand], str(path), "--N"]
+    start = time.perf_counter()
+    assert dispatch(argv + ["7" * 3000]) == 3
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "would have more than 4300 digits" in err
+    code, report = run(capsys, argv + ["3"])
+    assert code == 0 and report["results"] == {"value" if subcommand == "eval" else "combinatorial": value}
+    # a 1,075-digit N to the 4th power stays within the limit
+    code, report = run(capsys, argv + ["1" + "0" * 1074])
+    assert code == 0
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,12 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +30,8 @@ from gbmoments.fock import (
     wlim_creator_pair_bound,
     wlim_identity_check,
 )
-from gbmoments.moments import t_colored, t_n, thoma_n
+from gbmoments.cyclegraph import build_graph
+from gbmoments.moments import fock_moment, t_colored, t_n, thoma_handle, thoma_n, tn_handle
 from gbmoments.partitions import (
     CapacityError,
     ColoredPairPartition,
@@ -410,6 +415,92 @@ def test_exclusion_small():
     assert report["all_zero"]
     with pytest.raises(ValueError):
         exclusion_check(2)
+
+
+@pytest.mark.parametrize("n, color, checked", [(-1, 0, 1834), (-1, 1, 1834), (-2, 0, 710), (-2, 1, 710)])
+def test_exclusion_length_six(n, color, checked):
+    # the benchmark's 5,088-word sweep
+    report = exclusion_check(n, max_len=6, num_indices=2, color=color)
+    assert report["all_zero"], report["failures"][:3]
+    assert report["checked"] == checked
+
+
+LETTERS_3 = [W.Letter(b, i, k) for b in (0, 1) for i in (1, 2, 3) for k in (W.ANNIHILATE, W.CREATE)]
+
+
+@st.composite
+def words_up_to_14(draw):
+    """A compatible word of up to 7 pairs in two colors and indices 1..3,
+    kept, shuffled, cut to odd length or with one letter replaced."""
+    m = draw(st.integers(0, 7))
+    points = draw(st.permutations(range(2 * m)))
+    letters = [None] * (2 * m)
+    for j in range(m):
+        l, r = sorted(points[2 * j : 2 * j + 2])
+        b, i = draw(st.integers(0, 1)), draw(st.integers(1, 3))
+        letters[l], letters[r] = W.annihilate(b, i), W.create(b, i)
+    edit = draw(st.sampled_from(("keep", "keep", "shuffle", "odd", "replace")))
+    if edit == "shuffle":
+        letters = list(draw(st.permutations(letters)))
+    elif letters and edit in ("odd", "replace"):
+        k = draw(st.integers(0, len(letters) - 1))
+        if edit == "odd":
+            del letters[k]
+        else:
+            letters[k] = draw(st.sampled_from(LETTERS_3))
+    return tuple(letters)
+
+
+@settings(deadline=None, max_examples=150)
+@given(words_up_to_14())
+def test_rho_n_combinatorial_matches_weight_sum(w):
+    # t_n shares the loop counter; the character formula walks each graph
+    for n in (-3, -2, -1, 1, 2, 3, 5):
+        value = rho_n_combinatorial(w, n)
+        assert value == fock_moment(w, tn_handle(n)), (w, n)
+        assert value == fock_moment(w, thoma_handle(thoma_n(n))), (w, n)
+
+
+def test_word_frame_is_every_compatible_partitions_frame():
+    # the bar partition and the path count depend on the word alone
+    partitions = 0
+    for w in balanced_words(1010, 400, 6):
+        frame = fock.word_frame(w)
+        for p in W.compatible_partitions(w):
+            analysis = build_graph(p)
+            assert frame.paths == analysis.total_increasing_paths, (w, p)
+            assert frame.bar == analysis.bar_pairs.pairs and frame.bar_colors == analysis.bar_colors
+            partitions += 1
+    assert partitions > 1000
+
+
+def test_frame_invariants_survive_optimize():
+    # python -O strips assert statements; the frame's checks must still
+    # raise.  Only Z can fail on an input (points no partition pairs off);
+    # the degree checks are reached by misorienting the bar arcs.
+    script = """
+from gbmoments import cyclegraph
+def message(*args):
+    try:
+        cyclegraph.bar_frame(*args)
+    except RuntimeError as exc:
+        return str(exc)
+print(message([0, 0], [False, False]))
+cyclegraph._oriented = lambda pair, c: (pair[1], pair[0]) if c else pair
+print(message([0, 0, 0], [False, True, False]))
+cyclegraph._oriented = lambda pair, c: (pair[0], pair[0])
+print(message([0, 0, 0], [False, True, False]))
+"""
+    src = str(Path(fock.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "z must be a fixed-point-free involution",
+        "every vertex must have out-degree 1",
+        "every vertex must have in-degree 1",
+    ]
 
 
 @pytest.mark.slow
