@@ -176,8 +176,7 @@ def cmd_eval(args) -> tuple[dict, dict, list[dict]]:
     obj = _load_json(args.partition)
     p = colored_from_json(obj)
     if args.t == "tn" and p.num_colors == 2:
-        analysis = build_graph(p)
-        _check_power_digits(args.N, analysis.total_increasing_paths - analysis.num_cycles)
+        _check_power_digits(args.N, moments.tn_exponent(p))
     handle = _t_handle_from_args(args)
     value = handle(p)
     return (

@@ -10,10 +10,13 @@ moment formulas.
 
 Everything but the partition's own arcs is fixed by the colors and the
 annihilator/creator roles of the points (left points are annihilators),
-so `bar_frame` computes it from those alone: once per word for all the
-partitions compatible with it, and once per partition in `build_graph`.
-`loop_counter` counts the cycles a partition's arcs close with a frame's
-bar arcs, which is all that t_N = N^-(paths - cycles) needs.
+so `bar_frame` computes it from those alone, once per word for all the
+partitions compatible with it.  `loop_counter` walks the cycles a
+partition's arcs close with a frame's bar arcs and returns each cycle's
+count of maximal increasing paths: the one cycle statistic behind both
+moment weights (`moments.t_n` and `moments.t_colored`) and the word-level
+sum.  `build_graph` walks the full vertex cycles only for the `graph`
+report.
 """
 
 from __future__ import annotations
@@ -152,14 +155,18 @@ def bar_frame(color: Sequence[int], annihilator: Sequence[bool]) -> BarFrame:
     return BarFrame(color, counts, r, dominant, z, bar, bar_colors, arcs_bar, succ, paths)
 
 
-def loop_counter(frame: BarFrame) -> Callable[[Iterable[tuple[int, int]]], int]:
-    """The cycle count of the graph made of the frame's bar arcs and the
-    arcs of a matching of its points, as a function of the matching's pairs
-    (l, r), each an annihilator l and a creator r of its color.
+def loop_counter(frame: BarFrame) -> Callable[[Iterable[tuple[int, int]]], list[int]]:
+    """The per-cycle counts of maximal increasing paths of the graph made of
+    the frame's bar arcs and the arcs of a matching of its points, as a
+    function of the matching's pairs (l, r), each an annihilator l and a
+    creator r of its color; one entry per cycle, so its length is the
+    cycle count.
 
-    A cycle alternates pair and bar arcs, so it is counted once on the m
+    A cycle alternates pair and bar arcs, so it is walked once on the m
     points pair arcs leave, under the map that follows a pair arc and then
-    a bar arc.
+    a bar arc.  A cycle's path count is its number of peaks, the creators r
+    with Z(r) < r (see `BarFrame`), and each creator rides on the step of
+    its own pair.
     """
     # slot numbers the points pair arcs leave; after[t] is the slot the bar
     # arc leaving t enters
@@ -168,19 +175,35 @@ def loop_counter(frame: BarFrame) -> Callable[[Iterable[tuple[int, int]]], int]:
     for j, u in enumerate(sources):
         slot[u] = j
     after = [slot[v] for v in frame.succ]
+    peak = [int(z < k) for k, z in enumerate(frame.z)]
     color = frame.color
     m = len(sources)
 
-    def cycles(pairs: Iterable[tuple[int, int]]) -> int:
+    def path_counts(pairs: Iterable[tuple[int, int]]) -> list[int]:
         step = [0] * m
+        peaks = [0] * m
         for l, r in pairs:
             if color[l]:
-                step[slot[l]] = after[r]
+                j = slot[l]
+                step[j] = after[r]
             else:
-                step[slot[r]] = after[l]
-        return len(_walk_cycles(step))
+                j = slot[r]
+                step[j] = after[l]
+            peaks[j] = peak[r]
+        # walk each cycle once, marking its slots done with step -1
+        counts = []
+        for start in range(m):
+            if step[start] < 0:
+                continue
+            k = 0
+            j = start
+            while step[j] >= 0:
+                k += peaks[j]
+                step[j], j = -1, step[j]
+            counts.append(k)
+        return counts
 
-    return cycles
+    return path_counts
 
 
 def point_roles(

@@ -267,19 +267,19 @@ def rho_n_combinatorial(w: W.Word, n: int) -> Fraction:
 
     The word fixes the bar frame, and with it Z(w) and the path count P(w),
     so the sum is the loop sum N^-P(w) * sum over the compatible matchings
-    M of N^cycles(M u Z(w)); the cycle counts (`cyclegraph.loop_counter`)
-    are tallied and divided by N^P(w) once.  Equals
-    fock_moment(w, tn_handle(n))."""
+    M of N^cycles(M u Z(w)); the cycle counts (the lengths of
+    `cyclegraph.loop_counter`'s per-cycle lists) are tallied and divided by
+    N^P(w) once.  Equals fock_moment(w, tn_handle(n))."""
     if n == 0:
         raise ValueError("N must be nonzero")
     matchings = W.compatible_matchings(w)
     if not matchings:
         return Fraction(0)
     frame = word_frame(w)
-    cycles = loop_counter(frame)
+    path_counts = loop_counter(frame)
     histogram = [0] * (len(w) // 2 + 1)
     for pairs in matchings:
-        histogram[cycles(pairs)] += 1
+        histogram[len(path_counts(pairs))] += 1
     numerator = sum(count * n**c for c, count in enumerate(histogram))
     return Fraction(numerator, n**frame.paths)
 

@@ -7,13 +7,15 @@ parameters are supplied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from . import words as W
-from .cyclegraph import bar_frame, build_graph, loop_counter, point_roles
+from .cyclegraph import _require_two_colors, bar_frame, loop_counter, point_roles
 from .partitions import (
     ColorArityError,
     ColoredPairPartition,
@@ -38,6 +40,11 @@ class ThomaParameter:
 
     alpha: tuple[Scalar, ...] = ()
     beta: tuple[Scalar, ...] = ()
+    # power sums by order, filled on first use; kept per instance because
+    # equal parameters need not give equal results (0.5 == Fraction(1, 2))
+    _power_sums: dict[int, Scalar] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for seq in (self.alpha, self.beta):
@@ -58,10 +65,15 @@ class ThomaParameter:
     def power_sum_factor(self, m: int) -> Scalar:
         """sum(alpha_i^m) + (-1)^(m+1) * sum(beta_i^m), the weight of an
         m-cycle."""
-        sign = 1 if m % 2 else -1
-        return sum(a**m for a in self.alpha) + sign * sum(b**m for b in self.beta)
+        value = self._power_sums.get(m)
+        if value is None:
+            sign = 1 if m % 2 else -1
+            value = sum(a**m for a in self.alpha) + sign * sum(b**m for b in self.beta)
+            self._power_sums[m] = value
+        return value
 
 
+@lru_cache(maxsize=64)
 def thoma_n(n: int) -> ThomaParameter:
     """The rectangular parameter: alpha_i = 1/N (i <= N) for N > 0, or
     beta_i = 1/|N| (i <= |N|) for N < 0."""
@@ -116,18 +128,40 @@ def t_uncolored(tp: ThomaParameter, v: PairPartition) -> Scalar:
 
 
 def t_colored(tp: ThomaParameter, p: ColoredPairPartition) -> Scalar:
-    """Moment weight of a two-colored pair partition via the cycle graph."""
-    return thoma_character(tp, build_graph(p).gamma)
+    """Moment weight of a two-colored pair partition: the product over the
+    cycles of its cycle graph of p_k(alpha, beta), k the cycle's number of
+    maximal increasing paths, i.e. the Thoma character at the histogram
+    gamma (k -> number of cycles)."""
+    _require_two_colors(p)
+    return thoma_character(tp, _graph_exponent(p.base.pairs, p.colors))
 
 
-@lru_cache(maxsize=65536)
+# one shared read-only mapping per distinct histogram, so cached partitions
+# with equal gamma hold one object
+@lru_cache(maxsize=1024)
+def _interned(histogram: tuple[tuple[int, int], ...]) -> Mapping[int, int]:
+    return MappingProxyType(dict(histogram))
+
+
+# bench/worker.py reads this function's cache_info; the cap bounds memory
+# when callers stream distinct partitions, each looked up a few times in a row
+@lru_cache(maxsize=4096)
 def _graph_exponent(
     pairs: tuple[tuple[int, int], ...], colors: tuple[int, ...]
-) -> int:
-    """paths - cycles of the cycle graph: the bar frame's path count minus
-    the cycles of its bar arcs joined with the pairs' arcs."""
+) -> Mapping[int, int]:
+    """The cycle graph's histogram gamma, read-only and sorted by path
+    count: the bar frame of the pairs' points, and the per-cycle path
+    counts of its bar arcs joined with the pairs' arcs.  The exponent of
+    t_N is sum((k - 1) * c): paths - cycles."""
     frame = bar_frame(*point_roles(pairs, colors))
-    return frame.paths - loop_counter(frame)(pairs)
+    return _interned(tuple(sorted(Counter(loop_counter(frame)(pairs)).items())))
+
+
+def tn_exponent(p: ColoredPairPartition) -> int:
+    """paths - cycles of a two-colored partition's cycle graph, the power
+    of 1/N in t_N."""
+    gamma = _graph_exponent(p.base.pairs, p.colors)
+    return sum((k - 1) * c for k, c in gamma.items())
 
 
 def t_n(n: int, p: ColoredPairPartition) -> Fraction:
@@ -136,7 +170,7 @@ def t_n(n: int, p: ColoredPairPartition) -> Fraction:
         raise ValueError("N must be nonzero")
     if p.num_colors != 2:
         raise ColorArityError("t_n is defined for exactly 2 colors")
-    return Fraction(1, n) ** _graph_exponent(p.base.pairs, p.colors)
+    return Fraction(1, n) ** tn_exponent(p)
 
 
 def t_free(v: PairPartition) -> Fraction:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernel_reference as reference
+from gbmoments import moments
 from gbmoments.cyclegraph import (
     bar_partition,
     build_graph,
@@ -238,3 +239,21 @@ def test_kernel_matches_reference_random(p):
     assert profile(p) == reference.profile(p)
     assert all(a.z[k] != k and a.z[a.z[k]] == k for k in range(1, p.size + 1))
     assert a.total_increasing_paths >= a.num_cycles
+
+
+def _cached_gamma(p):
+    return dict(moments._graph_exponent(p.base.pairs, p.colors))
+
+
+# the weights read the loop walk's histogram; build_graph's vertex walk and
+# the reference kernel compute it independently (m = 0..5: 32,055 partitions)
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_cached_gamma_matches_independent_walks_exhaustive(m):
+    for p in enumerate_colored(m, 2):
+        assert _cached_gamma(p) == build_graph(p).gamma == reference.build_graph(p).gamma
+
+
+@settings(deadline=None)
+@given(two_colored(min_m=6, max_m=8))
+def test_cached_gamma_matches_independent_walks_random(p):
+    assert _cached_gamma(p) == build_graph(p).gamma == reference.build_graph(p).gamma

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gbmoments import moments
 from gbmoments import words as W
 from gbmoments.moments import (
     ThomaParameter,
@@ -104,6 +105,19 @@ def test_t_n_needs_two_colors(num_colors):
         t_n(2, p)
 
 
+@pytest.mark.parametrize("num_colors", [1, 3])
+def test_t_colored_needs_two_colors(num_colors):
+    p = ColoredPairPartition.of([(1, 3), (2, 4)], [0, num_colors - 1], num_colors)
+    with pytest.raises(ColorArityError, match="cycle-graph analysis is defined for exactly 2 colors"):
+        t_colored(thoma_n(2), p)
+
+
+def test_graph_cache_is_bounded():
+    # bench/worker.py reads this private function's cache statistics
+    info = moments._graph_exponent.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 4096
+
+
 def test_t_n_matches_t_colored_everywhere():
     for m in range(1, 5):
         for p in enumerate_colored(m, 2):
@@ -177,6 +191,29 @@ def test_tensor_word_moments_factor_over_colors():
             restricted[1], single
         )
         assert fock_moment(w, handle) == product
+
+
+@pytest.mark.parametrize("float_first", [True, False])
+def test_equal_parameters_keep_their_scalar_type(float_first):
+    # 0.5 == Fraction(1, 2) with equal hashes, so a memo keyed on the
+    # parameter's value would hand one type's power sums to the other
+    floats = ThomaParameter(alpha=(0.5, 0.25))
+    rationals = ThomaParameter(alpha=(HALF, Fraction(1, 4)))
+    p = ColoredPairPartition.of([(1, 3), (2, 4)], [1, 1])
+    v = PairPartition.of([(1, 3), (2, 4)])
+    order = [(floats, float), (rationals, Fraction)]
+    for tp, scalar in order if float_first else order[::-1]:
+        assert type(t_colored(tp, p)) is scalar
+        assert type(t_uncolored(tp, v)) is scalar
+
+
+def test_thoma_n_is_shared():
+    tp = thoma_n(2)
+    assert tp is thoma_n(2)
+    tp.power_sum_factor(3)
+    assert repr(tp) == "ThomaParameter(alpha=(Fraction(1, 2), Fraction(1, 2)), beta=())"
+    assert tp == ThomaParameter(alpha=(HALF, HALF)) and tp != thoma_n(-2)
+    assert hash(tp) == hash(ThomaParameter(alpha=(HALF, HALF)))
 
 
 def test_float_parameters_supported():
