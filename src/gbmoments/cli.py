@@ -8,7 +8,8 @@ Every subcommand prints a single report object to stdout:
 The report is deterministic for fixed inputs except for the wall_time_s
 field, which golden-file comparisons must strip.  Exit status: 0 if every
 check passed (or there were none), 1 if a check failed, 2 for usage or
-malformed input, 3 when a capacity limit was hit.
+malformed input, 3 when a capacity limit was hit, 4 when the report could
+not be written (stdout closed by its reader, or full).
 
 Scalars are rendered as exact "p/q" strings (plain "p" for integers) in
 rational mode and as 17-significant-digit floats otherwise.  Color ids are
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -40,22 +42,34 @@ from .partitions import (
 
 USAGE_EXIT = 2
 CAPACITY_EXIT = 3
+OUTPUT_EXIT = 4
 # pd-check families hold at most this many diagrams (5 points x 2 colors is 1,571)
 MAX_GRAM_FAMILY = 2048
-# bounds the power N^e in an exact value's denominator: t_N's (1/N)^e in
-# eval, the N^P(w) under oracle's loop sum, the factor n^m of clt's error
-# denominators (the --Q entries' denominators add more); Python prints no
-# integer of more than 4,300 digits
+# bounds the power N^e in an exact value's denominator before it is
+# computed: t_N's (1/N)^e in eval, the N^P(w) under oracle's loop sum, the
+# factor n^m of clt's error denominators (the --Q entries' denominators add
+# more); and every exact value fmt_scalar prints, once computed (Thoma and
+# tensor weights have no such closed form); Python prints no integer of
+# more than 4,300 digits
 MAX_VALUE_DIGITS = 4300
+# the smallest integer with more than MAX_VALUE_DIGITS digits
+UNPRINTABLE = 10**MAX_VALUE_DIGITS
+
+
+def _printable(n: int) -> int:
+    """n itself; CapacityError when it has more digits than Python prints."""
+    if abs(n) >= UNPRINTABLE:
+        raise CapacityError(f"the exact value would have more than {MAX_VALUE_DIGITS} digits")
+    return n
 
 
 def fmt_scalar(x) -> str | float:
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+            return str(_printable(x.numerator))
+        return f"{_printable(x.numerator)}/{_printable(x.denominator)}"
     if isinstance(x, int):
-        return str(x)
+        return str(_printable(x))
     return float(f"{x:.17g}")
 
 
@@ -411,7 +425,16 @@ def dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except OSError as exc:
+        # point stdout at devnull, so the interpreter's last flush of what
+        # is still buffered cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: the report could not be written: {exc}", file=sys.stderr)
+        code = OUTPUT_EXIT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -28,6 +28,10 @@ Scalar = Fraction | float
 TFunction = Callable[[ColoredPairPartition], Scalar]
 UncoloredTFunction = Callable[[PairPartition], Scalar]
 
+# bounds each Thoma parameter's character memo, which a stream of ever
+# larger partitions would otherwise grow without end
+CHARACTER_MEMO_SIZE = 256
+
 
 @dataclass(frozen=True)
 class ThomaParameter:
@@ -40,9 +44,13 @@ class ThomaParameter:
 
     alpha: tuple[Scalar, ...] = ()
     beta: tuple[Scalar, ...] = ()
-    # power sums by order, filled on first use; kept per instance because
-    # equal parameters need not give equal results (0.5 == Fraction(1, 2))
+    # power sums by order and characters by cycle type, filled on first use;
+    # kept per instance because equal parameters need not give equal results
+    # (0.5 == Fraction(1, 2))
     _power_sums: dict[int, Scalar] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _characters: dict[tuple[tuple[int, int], ...], Scalar] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -86,13 +94,27 @@ def thoma_n(n: int) -> ThomaParameter:
 
 def thoma_character(tp: ThomaParameter, cycle_type: Mapping[int, int]) -> Scalar:
     """Character value for a permutation with the given cycle type; fixed
-    points (length-1 entries) are ignored."""
-    value: Scalar = Fraction(1)
+    points (length-1 entries) are ignored.
+
+    Every call validates the cycle type; the value is memoized on tp by
+    the sorted (length, count) pairs that contribute, in at most
+    CHARACTER_MEMO_SIZE entries, the oldest dropped first."""
+    contributing = []
     for m, count in sorted(cycle_type.items()):
         if m < 1 or count < 0:
             raise ValueError("cycle type must map lengths >= 1 to counts >= 0")
         if m >= 2 and count:
+            contributing.append((m, count))
+    key = tuple(contributing)
+    memo = tp._characters
+    value = memo.get(key)
+    if value is None:
+        value = Fraction(1)
+        for m, count in key:
             value *= tp.power_sum_factor(m) ** count
+        if len(memo) >= CHARACTER_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = value
     return value
 
 

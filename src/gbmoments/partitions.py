@@ -23,7 +23,7 @@ class ColorArityError(Exception):
     """Operation is only defined for two-colored pair partitions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairPartition:
     """A partition of {1, ..., 2m} into m pairs, canonically ordered."""
 
@@ -63,16 +63,20 @@ class PairPartition:
     def restrict(self, pair_ids: Iterable[int]) -> "PairPartition":
         """The subpartition on the pairs with the given indices, points
         relabeled order-preservingly to 1..2s."""
-        chosen = [self.pairs[j] for j in pair_ids]
-        points = sorted(p for pair in chosen for p in pair)
-        relabel = {p: i + 1 for i, p in enumerate(points)}
-        return PairPartition.of((relabel[l], relabel[r]) for l, r in chosen)
+        chosen = [self.pairs[j] for j in sorted(pair_ids)]
+        kept = [0] * (self.size + 1)
+        for l, r in chosen:
+            kept[l] = kept[r] = 1
+        # a kept point's new label is the number of kept points up to it;
+        # the relabel keeps the chosen pairs sorted by l
+        label = list(itertools.accumulate(kept))
+        return PairPartition(tuple((label[l], label[r]) for l, r in chosen))
 
     def to_json(self) -> dict:
         return {"m": self.m, "pairs": [list(p) for p in self.pairs]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColoredPairPartition:
     """A pair partition plus one color id per pair (aligned to canonical order)."""
 
@@ -104,9 +108,7 @@ class ColoredPairPartition:
     def color_class(self, color: int) -> PairPartition:
         """The subpartition of pairs with the given color, points relabeled
         order-preservingly to 1..2s."""
-        return self.base.restrict(
-            j for j, c in enumerate(self.colors) if c == color
-        )
+        return self.base.restrict([j for j, c in enumerate(self.colors) if c == color])
 
     def to_json(self) -> dict:
         d = self.base.to_json()
@@ -273,11 +275,23 @@ def uncolored_cycles(
 
     A cycle is a sequence of pairs ((l_1,r_1), ..., (l_s,r_s)) of v such
     that (l_i, r_{i+1 mod s}) lies in the noncrossing hat of v.
+
+    The hat is matched on the fly: left points open, in pair order, and a
+    right point closes the most recently opened pair j, so succ[j] is the
+    pair that owns that right point.
     """
-    hat_right_of = dict(noncrossing_hat(v).pairs)
-    # pair index whose right point is r
-    owner_of_right = {r: j for j, (_, r) in enumerate(v.pairs)}
-    succ = [owner_of_right[hat_right_of[l]] for l, _ in v.pairs]
+    closer = [-1] * (v.size + 1)
+    for j, (_, r) in enumerate(v.pairs):
+        closer[r] = j
+    succ = [0] * v.m
+    stack: list[int] = []
+    opened = 0
+    for j in closer[1:]:
+        if j < 0:
+            stack.append(opened)
+            opened += 1
+        else:
+            succ[stack.pop()] = j
     cycles = [tuple(v.pairs[j] for j in cyc) for cyc in _walk_cycles(succ)]
     rho: dict[int, int] = {}
     for cyc in cycles:

@@ -5,7 +5,11 @@ These are the direct, unoptimized transcriptions of the definitions that
 `gbmoments.cyclegraph.build_graph` replaced with one O(n) pass: every step
 recomputes what it needs from the partition and checks its invariants with
 plain asserts.  `cycle_type_via_permutation` is the permutation-based cycle
-type that `gbmoments.partitions.uncolored_cycles` must agree with,
+type that `gbmoments.partitions.uncolored_cycles` must agree with, and
+`uncolored_cycles` here is the hat-based walk it must reproduce cycle by
+cycle, which builds the noncrossing hat as a partition and looks pairs up
+in dicts; `color_class` is the relabel that re-sorts the chosen pairs
+through `PairPartition.of`.
 `gram_matrix` is the all-products Gram assembly that
 `gbmoments.broken.gram_matrix` must agree with, and `t_q_star_n` is the
 n^m coloring enumeration that `gbmoments.qproduct.t_q_star_n` must agree
@@ -223,6 +227,41 @@ def cycle_type_via_permutation(v: PairPartition) -> dict[int, int]:
             cur = sigma_inv[cur]
         rho[length] = rho.get(length, 0) + 1
     return rho
+
+
+def uncolored_cycles(
+    v: PairPartition,
+) -> tuple[list[tuple[tuple[int, int], ...]], dict[int, int]]:
+    """Cycles (l_1,r_1), ..., (l_s,r_s) of v with (l_i, r_{i+1 mod s}) in
+    the noncrossing hat, each from its first pair, ordered by that pair;
+    and rho, length -> count, in the order the cycles are found."""
+    hat_right_of = dict(noncrossing_hat(v).pairs)
+    owner_of_right = {r: j for j, (_, r) in enumerate(v.pairs)}
+    succ = [owner_of_right[hat_right_of[l]] for l, _ in v.pairs]
+    seen = [False] * v.m
+    cycles = []
+    for start in range(v.m):
+        cycle = []
+        cur = start
+        while not seen[cur]:
+            seen[cur] = True
+            cycle.append(v.pairs[cur])
+            cur = succ[cur]
+        if cycle:
+            cycles.append(tuple(cycle))
+    rho: dict[int, int] = {}
+    for cyc in cycles:
+        rho[len(cyc)] = rho.get(len(cyc), 0) + 1
+    return cycles, rho
+
+
+def color_class(p: ColoredPairPartition, color: int) -> PairPartition:
+    """The pairs of the given color, points relabeled order-preservingly to
+    1..2s and the pairs sorted again."""
+    chosen = [pair for pair, c in zip(p.base.pairs, p.colors) if c == color]
+    points = sorted(q for pair in chosen for q in pair)
+    relabel = {q: i + 1 for i, q in enumerate(points)}
+    return PairPartition.of((relabel[l], relabel[r]) for l, r in chosen)
 
 
 def gram_matrix(family, t) -> list[list]:

@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import subprocess
 import sys
 import time
@@ -276,6 +277,54 @@ def test_power_over_printable_digits_exits_3(capsys, tmp_path, subcommand, obj, 
     # a 1,075-digit N to the 4th power stays within the limit
     code, report = run(capsys, argv + ["1" + "0" * 1074])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        ["--t", "thoma", "--alpha", "1/3,1/3,1/3"],
+        ["--t", "tensor", "--alpha-minus", "1/3,1/3,1/3", "--alpha-plus", "1/2"],
+    ],
+    ids=["thoma", "tensor"],
+)
+def test_value_over_printable_digits_exits_3(capsys, tmp_path, family):
+    # {(i, i + n)} in one color has n/2 two-cycles, so both weights are
+    # (1/3)^(n/2): 2,388 characters at n = 10,000, 4,772 digits in the
+    # denominator at n = 20,000, which Python would refuse to print
+    path = tmp_path / "nest.json"
+    for n, code, err in (
+        (20000, 3, "capacity error: the exact value would have more than 4300 digits\n"),
+        (10000, 0, ""),
+    ):
+        path.write_text(json.dumps({"pairs": [[i, i + n] for i in range(1, n + 1)], "colors": [0] * n}))
+        assert dispatch(["eval", "--partition", str(path), *family]) == code
+        captured = capsys.readouterr()
+        assert captured.err == err
+    value = json.loads(captured.out)["results"]["value"]
+    assert value == f"1/{3**5000}" and len(value) == 2388
+
+
+def test_unprintable_value_names_the_capacity_limit():
+    with pytest.raises(partitions.CapacityError, match="more than 4300 digits"):
+        fmt_scalar(Fraction(1, 10**4300))
+    with pytest.raises(partitions.CapacityError):
+        fmt_scalar(Fraction(-(10**4300), 7))
+    assert fmt_scalar(Fraction(-(10**4300 - 1), 10**4300 - 3)) == f"{-(10**4300 - 1)}/{10**4300 - 3}"
+
+
+def test_closed_stdout_exits_4_without_traceback():
+    # the report is far larger than a pipe buffer, so the write fails once
+    # the reader has gone
+    env = {**os.environ, "PYTHONPATH": str(Path(gbmoments.__file__).parents[1])}
+    argv = [sys.executable, "-m", "gbmoments.cli", "enumerate", "--pairs", "4", "--colors", "2"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert head == b'{\n  "check'
+    assert code == cli.OUTPUT_EXIT == 4
+    assert err.splitlines() == ["error: the report could not be written: [Errno 32] Broken pipe"]
 
 
 @pytest.mark.parametrize(

@@ -205,6 +205,31 @@ def test_equal_parameters_keep_their_scalar_type(float_first):
     for tp, scalar in order if float_first else order[::-1]:
         assert type(t_colored(tp, p)) is scalar
         assert type(t_uncolored(tp, v)) is scalar
+        component = lambda u: t_uncolored(tp, u)
+        assert type(t_tensor(component, component, p)) is scalar
+        assert type(thoma_character(tp, {2: 1})) is scalar
+
+
+def test_invalid_cycle_types_raise_on_every_call():
+    tp = ThomaParameter(alpha=(HALF,))
+    assert thoma_character(tp, {2: 1}) == Fraction(1, 4)
+    # each drops out of the memo key {2: 1}, and each must still be refused
+    for cycle_type in ({2: 1, 1: -1}, {2: 1, 0: 3}, {2: 1, 3: -1}):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                thoma_character(tp, cycle_type)
+
+
+def test_character_memo_stays_within_its_cap():
+    tp = ThomaParameter(alpha=(HALF,), beta=(Fraction(1, 3),))
+    cap = moments.CHARACTER_MEMO_SIZE
+    for length in range(2, cap + 12):
+        expected = tp.power_sum_factor(length) ** 2
+        assert thoma_character(tp, {length: 2, 1: 3}) == expected
+        assert len(tp._characters) <= cap
+    assert len(tp._characters) == cap
+    # dropped entries are computed again
+    assert thoma_character(tp, {2: 2}) == tp.power_sum_factor(2) ** 2
 
 
 def test_thoma_n_is_shared():

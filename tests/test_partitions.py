@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -16,6 +17,7 @@ from gbmoments.partitions import (
     uncolored_cycles,
 )
 
+import kernel_reference
 from kernel_reference import cycle_type_via_permutation
 
 
@@ -29,8 +31,8 @@ def brute_force_crossings(v):
 
 
 @st.composite
-def pair_partitions(draw, max_m=5):
-    m = draw(st.integers(min_value=1, max_value=max_m))
+def pair_partitions(draw, max_m=5, min_m=1):
+    m = draw(st.integers(min_value=min_m, max_value=max_m))
     points = list(range(1, 2 * m + 1))
     perm = draw(st.permutations(points))
     return PairPartition.of(zip(perm[::2], perm[1::2]))
@@ -157,10 +159,50 @@ def test_cycles_agree_with_permutation_method():
             assert rho == cycle_type_via_permutation(v)
 
 
+def _assert_cycles_match_hat_reference(v):
+    cycles, rho = uncolored_cycles(v)
+    ref_cycles, ref_rho = kernel_reference.uncolored_cycles(v)
+    assert cycles == ref_cycles
+    assert list(rho.items()) == list(ref_rho.items())
+
+
+def test_cycles_match_hat_reference_exhaustively():
+    for m in range(7):
+        for v in enumerate_pair_partitions(m):
+            _assert_cycles_match_hat_reference(v)
+
+
+@given(pair_partitions(min_m=7, max_m=12))
+def test_cycles_match_hat_reference_beyond_enumeration(v):
+    _assert_cycles_match_hat_reference(v)
+
+
 def test_color_class_relabels():
     p = ColoredPairPartition.of([(1, 4), (2, 5), (3, 6)], [0, 1, 0])
     assert p.color_class(0).pairs == ((1, 3), (2, 4))
     assert p.color_class(1).pairs == ((1, 2),)
+    assert p.base.restrict([2, 0]) == p.color_class(0)
+
+
+def test_color_class_matches_resorting_reference():
+    for m in range(5):
+        for p in enumerate_colored(m, 2):
+            for color in (0, 1):
+                assert p.color_class(color) == kernel_reference.color_class(p, color)
+
+
+def test_partitions_are_slotted_and_frozen():
+    v = PairPartition.of([(1, 3), (2, 4)])
+    p = ColoredPairPartition(v, (0, 1))
+    for obj, field, fields in ((v, "pairs", (v.pairs,)), (p, "colors", (v, (0, 1), 2))):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, ())
+        assert hash(obj) == hash(fields)
+    assert v == PairPartition(((1, 3), (2, 4))) and v != PairPartition(((1, 2), (3, 4)))
+    assert p == ColoredPairPartition.of([(2, 4), (1, 3)], [1, 0])
+    assert p != ColoredPairPartition(v, (0, 1), 3)
+    assert hash(p) == hash(ColoredPairPartition.of([(2, 4), (1, 3)], [1, 0]))
 
 
 def test_json_round_trip():
