@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .partitions import (
     CapacityError,
     ColoredPairPartition,
+    FrozenValue,
     PairPartition,
     _is_int,
     _json_pairs,
@@ -38,10 +38,10 @@ MAX_PRODUCT_POINTS = 64
 Legs = tuple[int, ...]  # leg points in leg-number order
 
 
-@dataclass(frozen=True)
-class BrokenPairPartition:
+class BrokenPairPartition(FrozenValue):
     """Canonical-form broken pair partition on base points 1..n."""
 
+    __slots__ = ("n", "num_colors", "pairs", "colors", "left_legs", "right_legs")
     n: int
     num_colors: int
     pairs: tuple[tuple[int, int], ...]
@@ -49,22 +49,37 @@ class BrokenPairPartition:
     left_legs: tuple[Legs, ...]
     right_legs: tuple[Legs, ...]
 
-    def __post_init__(self):
-        if not len(self.left_legs) == len(self.right_legs) == self.num_colors:
+    def __init__(
+        self,
+        n: int,
+        num_colors: int,
+        pairs: tuple[tuple[int, int], ...],
+        colors: tuple[int, ...],
+        left_legs: tuple[Legs, ...],
+        right_legs: tuple[Legs, ...],
+    ):
+        if not len(left_legs) == len(right_legs) == num_colors:
             raise ValueError("need one leg entry per color")
-        if len(self.colors) != len(self.pairs):
+        if len(colors) != len(pairs):
             raise ValueError("need exactly one color per pair")
-        if self.colors and not 0 <= min(self.colors) <= max(self.colors) < self.num_colors:
+        if colors and not 0 <= min(colors) <= max(colors) < num_colors:
             raise ValueError("color ids must lie in [0, num_colors)")
-        if list(self.pairs) != sorted(self.pairs):
+        if list(pairs) != sorted(pairs):
             raise ValueError("pairs must be sorted by left point")
-        used = [p for legs in self.left_legs + self.right_legs for p in legs]
-        for l, r in self.pairs:
-            if not 1 <= l < r <= self.n:
+        used = [p for legs in left_legs + right_legs for p in legs]
+        for l, r in pairs:
+            if not 1 <= l < r <= n:
                 raise ValueError(f"bad pair ({l},{r})")
             used += [l, r]
-        if len(used) != self.n or sorted(used) != list(range(1, self.n + 1)):
+        if len(used) != n or sorted(used) != list(range(1, n + 1)):
             raise ValueError("roles must partition the base set 1..n")
+        # built for every Gram product: set the slots directly
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "num_colors", num_colors)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "left_legs", left_legs)
+        object.__setattr__(self, "right_legs", right_legs)
 
     @property
     def has_legs(self) -> bool:
@@ -242,31 +257,43 @@ def gram_matrix(
 # standard form
 
 
-@dataclass(frozen=True)
-class RightHookRun:
+class RightHookRun(FrozenValue):
+    __slots__ = ("colors",)
     colors: tuple[int, ...]
 
+    def __init__(self, colors: tuple[int, ...]):
+        self._assign(colors)
 
-@dataclass(frozen=True)
-class LeftHookRun:
+
+class LeftHookRun(FrozenValue):
+    __slots__ = ("colors",)
     colors: tuple[int, ...]
 
+    def __init__(self, colors: tuple[int, ...]):
+        self._assign(colors)
 
-@dataclass(frozen=True)
-class PermutationBlock:
+
+class PermutationBlock(FrozenValue):
     """Renumbering of the currently open right legs, one permutation per
     color in 0-based one-line notation: leg number j becomes perms[a][j-1]+1."""
 
+    __slots__ = ("perms",)
     perms: tuple[tuple[int, ...], ...]
+
+    def __init__(self, perms: tuple[tuple[int, ...], ...]):
+        self._assign(perms)
 
 
 Factor = RightHookRun | LeftHookRun | PermutationBlock
 
 
-@dataclass(frozen=True)
-class StandardForm:
+class StandardForm(FrozenValue):
+    __slots__ = ("num_colors", "factors")
     num_colors: int
     factors: tuple[Factor, ...]
+
+    def __init__(self, num_colors: int, factors: tuple[Factor, ...]):
+        self._assign(num_colors, factors)
 
 
 def permute_right_legs(

@@ -99,7 +99,11 @@ def _check_power_digits(n: int, exponent: int):
 
 def _load_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            # the decoder recurses once per nesting level
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _check(name: str, expected, actual) -> dict:

@@ -21,13 +21,13 @@ report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .partitions import (
     ColorArityError,
     ColoredPairPartition,
+    FrozenValue,
     PairPartition,
     _walk_cycles,
 )
@@ -41,16 +41,19 @@ def _require_two_colors(p: ColoredPairPartition):
         raise ColorArityError("cycle-graph analysis is defined for exactly 2 colors")
 
 
-@dataclass(frozen=True)
-class ColorProfile:
+class ColorProfile(FrozenValue):
     """Path-count profiles of a two-colored pair partition.
 
     counts[b][u] is the number of b-colored pairs (l, r) with l <= u <= r,
     for u in [0, 2m+1]; r_values[k-1] is the count for k's own color.
     """
 
+    __slots__ = ("counts", "r_values")
     counts: tuple[tuple[int, ...], tuple[int, ...]]
     r_values: tuple[int, ...]
+
+    def __init__(self, counts: tuple[tuple[int, ...], tuple[int, ...]], r_values: tuple[int, ...]):
+        self._assign(counts, r_values)
 
     def p(self, color: int, u: int) -> int:
         return self.counts[color][u]
@@ -259,10 +262,11 @@ def bar_partition(p: ColoredPairPartition) -> tuple[PairPartition, tuple[int, ..
     return analysis.bar_pairs, analysis.bar_colors
 
 
-@dataclass(frozen=True)
-class CycleGraphAnalysis:
+class CycleGraphAnalysis(FrozenValue):
     """Full analysis of the directed graph attached to a 2-colored partition."""
 
+    __slots__ = ("classification", "z", "bar_pairs", "bar_colors", "arcs_pairs", "arcs_bar",
+                 "cycles", "path_counts")
     classification: dict[int, str]
     z: dict[int, int]
     bar_pairs: PairPartition
@@ -271,6 +275,21 @@ class CycleGraphAnalysis:
     arcs_bar: tuple[tuple[int, int], ...]
     cycles: tuple[tuple[int, ...], ...]
     path_counts: tuple[int, ...]
+
+    def __init__(
+        self,
+        classification: dict[int, str],
+        z: dict[int, int],
+        bar_pairs: PairPartition,
+        bar_colors: tuple[int, ...],
+        arcs_pairs: tuple[tuple[int, int], ...],
+        arcs_bar: tuple[tuple[int, int], ...],
+        cycles: tuple[tuple[int, ...], ...],
+        path_counts: tuple[int, ...],
+    ):
+        self._assign(
+            classification, z, bar_pairs, bar_colors, arcs_pairs, arcs_bar, cycles, path_counts
+        )
 
     @property
     def gamma(self) -> dict[int, int]:

@@ -8,7 +8,6 @@ parameters are supplied.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -19,6 +18,7 @@ from .cyclegraph import _require_two_colors, bar_frame, loop_counter, point_role
 from .partitions import (
     ColorArityError,
     ColoredPairPartition,
+    FrozenValue,
     PairPartition,
     _walk_cycles,
     uncolored_cycles,
@@ -33,8 +33,7 @@ UncoloredTFunction = Callable[[PairPartition], Scalar]
 CHARACTER_MEMO_SIZE = 256
 
 
-@dataclass(frozen=True)
-class ThomaParameter:
+class ThomaParameter(FrozenValue):
     """Finite parameter (alpha, beta) with sum(alpha) + sum(beta) <= 1.
 
     Both sequences are weakly decreasing and strictly positive; the leftover
@@ -42,29 +41,27 @@ class ThomaParameter:
     since it contributes to no power sum of order >= 2.
     """
 
-    alpha: tuple[Scalar, ...] = ()
-    beta: tuple[Scalar, ...] = ()
+    __slots__ = ("alpha", "beta", "_power_sums", "_characters")
+    alpha: tuple[Scalar, ...]
+    beta: tuple[Scalar, ...]
     # power sums by order and characters by cycle type, filled on first use;
     # kept per instance because equal parameters need not give equal results
     # (0.5 == Fraction(1, 2))
-    _power_sums: dict[int, Scalar] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _characters: dict[tuple[tuple[int, int], ...], Scalar] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _power_sums: dict[int, Scalar]
+    _characters: dict[tuple[tuple[int, int], ...], Scalar]
 
-    def __post_init__(self):
-        for seq in (self.alpha, self.beta):
+    def __init__(self, alpha: tuple[Scalar, ...] = (), beta: tuple[Scalar, ...] = ()):
+        for seq in (alpha, beta):
             if any(x <= 0 for x in seq):
                 raise ValueError("parameter entries must be positive")
             if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
                 raise ValueError("parameter sequences must be weakly decreasing")
-        entries = self.alpha + self.beta
+        entries = alpha + beta
         # exact comparison in rational mode, rounding slack for floats
         slack = 0 if all(isinstance(x, Fraction) for x in entries) else 1e-12
         if sum(entries) > 1 + slack:
             raise ValueError("sum(alpha) + sum(beta) must be <= 1")
+        self._assign(alpha, beta, {}, {})
 
     @property
     def gamma(self) -> Scalar:

@@ -9,7 +9,6 @@ for -1 and color id 1 for +1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 MAX_ENUM_PAIRS = 8
@@ -23,22 +22,84 @@ class ColorArityError(Exception):
     """Operation is only defined for two-colored pair partitions."""
 
 
-@dataclass(frozen=True, slots=True)
-class PairPartition:
+class FrozenValue:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its attributes in `__slots__` and sets them in its
+    `__init__`, through `_assign` or `object.__setattr__`; after that,
+    assignment and deletion raise AttributeError.  The slots not named
+    with a leading underscore are the value's fields, in order: two values
+    are equal when they are of the same class and their fields are equal,
+    a value hashes as the tuple of its fields, its repr is
+    `Class(field=value, ...)`, and pickling rebuilds it from its fields.
+    Underscore slots hold memos and take part in none of these.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def _assign(self, *values):
+        """Set the slots, in order, to values; for use in __init__."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which takes the fields
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PairPartition(FrozenValue):
     """A partition of {1, ..., 2m} into m pairs, canonically ordered."""
 
+    __slots__ = ("pairs",)
     pairs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        m = len(self.pairs)
-        points = [p for pair in self.pairs for p in pair]
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        m = len(pairs)
+        points = [p for pair in pairs for p in pair]
         if sorted(points) != list(range(1, 2 * m + 1)):
             raise ValueError("pairs must cover 1..2m with each point used once")
-        for l, r in self.pairs:
+        for l, r in pairs:
             if not l < r:
                 raise ValueError(f"pair ({l},{r}) must have l < r")
-        if list(self.pairs) != sorted(self.pairs):
+        if list(pairs) != sorted(pairs):
             raise ValueError("pairs must be sorted by left point")
+        object.__setattr__(self, "pairs", pairs)
+
+    # hashed on every weight-cache lookup, so here and in
+    # ColoredPairPartition the fields are read directly, not by name
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pairs == other.pairs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pairs,))
 
     @classmethod
     def of(cls, pairs: Iterable[Sequence[int]]) -> "PairPartition":
@@ -76,19 +137,32 @@ class PairPartition:
         return {"m": self.m, "pairs": [list(p) for p in self.pairs]}
 
 
-@dataclass(frozen=True, slots=True)
-class ColoredPairPartition:
+class ColoredPairPartition(FrozenValue):
     """A pair partition plus one color id per pair (aligned to canonical order)."""
 
+    __slots__ = ("base", "colors", "num_colors")
     base: PairPartition
     colors: tuple[int, ...]
-    num_colors: int = 2
+    num_colors: int
 
-    def __post_init__(self):
-        if len(self.colors) != self.base.m:
+    def __init__(self, base: PairPartition, colors: tuple[int, ...], num_colors: int = 2):
+        if len(colors) != base.m:
             raise ValueError("need exactly one color per pair")
-        if any(not 0 <= c < self.num_colors for c in self.colors):
+        if any(not 0 <= c < num_colors for c in colors):
             raise ValueError("color ids must lie in [0, num_colors)")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "num_colors", num_colors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.colors, self.num_colors) == (
+                other.base, other.colors, other.num_colors
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.colors, self.num_colors))
 
     @classmethod
     def of(cls, pairs, colors, num_colors: int = 2) -> "ColoredPairPartition":

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,6 +21,7 @@ from .partitions import (
     MAX_ENUM_PAIRS,
     CapacityError,
     ColoredPairPartition,
+    FrozenValue,
     PairPartition,
     _is_int,
     _walk_cycles,
@@ -33,23 +33,24 @@ from .partitions import (
 MAX_COLORING_SUMS = 100_000
 
 
-@dataclass(frozen=True)
-class QMatrix:
+class QMatrix(FrozenValue):
     """Symmetric matrix of coupling constants in [-1, 1]."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[Scalar, ...], ...]
 
-    def __post_init__(self):
-        k = len(self.entries)
-        for row in self.entries:
+    def __init__(self, entries: tuple[tuple[Scalar, ...], ...]):
+        k = len(entries)
+        for row in entries:
             if len(row) != k:
                 raise ValueError("matrix must be square")
         for i in range(k):
             for j in range(k):
-                if self.entries[i][j] != self.entries[j][i]:
+                if entries[i][j] != entries[j][i]:
                     raise ValueError("matrix must be symmetric")
-                if not -1 <= self.entries[i][j] <= 1:
+                if not -1 <= entries[i][j] <= 1:
                     raise ValueError("entries must lie in [-1, 1]")
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def of(cls, rows: Sequence[Sequence]) -> "QMatrix":

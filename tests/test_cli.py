@@ -446,6 +446,24 @@ def test_oracle_vanishing_word_over_the_level_is_left_to_the_oracle(capsys, tmp_
     assert report["results"] == {"combinatorial": "0", "dense": "0"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "--partition"],
+        ["oracle", "--N", "2", "--word"],
+        ["clt", "--V", str(FIXTURES / "v_crossing.json"), "--t", "free", "--n", "2", "--Q"],
+    ],
+    ids=["partition", "word", "Q"],
+)
+def test_deeply_nested_json_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert dispatch([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("content", [[1], {}], ids=["bare_int_letter", "object"])
 def test_malformed_word_exits_2(capsys, tmp_path, content):
     path = tmp_path / "word.json"
@@ -528,6 +546,12 @@ def test_no_assert_statements_in_src():
 def test_cli_imports_without_numpy():
     # a None entry in sys.modules makes any `import numpy` raise ImportError
     src = str(Path(gbmoments.__file__).parents[1])
-    code = f'import sys; sys.modules["numpy"] = None; sys.path.insert(0, {src!r}); import gbmoments.cli'
+    # nor does it import dataclasses, which pulls in inspect, ast, dis and
+    # tokenize and costs every CLI process more than the package itself
+    code = (
+        f'import sys; sys.modules["numpy"] = None; sys.path.insert(0, {src!r}); import gbmoments.cli; '
+        'slow = sorted({"dataclasses", "inspect"} & set(sys.modules)); '
+        'sys.exit(f"imported at start-up: {slow}" if slow else 0)'
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -241,6 +241,15 @@ def test_thoma_n_is_shared():
     assert hash(tp) == hash(ThomaParameter(alpha=(HALF, HALF)))
 
 
+def test_partition_reprs():
+    p = ColoredPairPartition.of([(1, 3), (2, 4)], [1, 0])
+    assert repr(p.base) == "PairPartition(pairs=((1, 3), (2, 4)))"
+    assert repr(p) == (
+        "ColoredPairPartition(base=PairPartition(pairs=((1, 3), (2, 4))), "
+        "colors=(1, 0), num_colors=2)"
+    )
+
+
 def test_float_parameters_supported():
     tp = ThomaParameter(alpha=(0.5, 0.25))
     value = t_uncolored(tp, PairPartition.of([(1, 3), (2, 4)]))

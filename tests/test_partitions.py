@@ -1,6 +1,7 @@
-import dataclasses
 import hashlib
 import json
+import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,9 @@ from gbmoments.partitions import (
     noncrossing_hat,
     uncolored_cycles,
 )
+from gbmoments.broken import BrokenPairPartition, standard_form
+from gbmoments.moments import ThomaParameter, thoma_character
+from gbmoments.qproduct import QMatrix
 
 import kernel_reference
 from kernel_reference import cycle_type_via_permutation
@@ -191,18 +195,56 @@ def test_color_class_matches_resorting_reference():
                 assert p.color_class(color) == kernel_reference.color_class(p, color)
 
 
+def _assert_frozen_value(obj, field, fields):
+    """obj has no __dict__, refuses assignment and deletion, hashes as the
+    tuple of its fields and survives a pickle round trip."""
+    assert not hasattr(obj, "__dict__")
+    with pytest.raises(AttributeError):
+        setattr(obj, field, ())
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+    assert hash(obj) == hash(fields)
+    assert pickle.loads(pickle.dumps(obj)) == obj
+
+
 def test_partitions_are_slotted_and_frozen():
     v = PairPartition.of([(1, 3), (2, 4)])
     p = ColoredPairPartition(v, (0, 1))
     for obj, field, fields in ((v, "pairs", (v.pairs,)), (p, "colors", (v, (0, 1), 2))):
-        assert not hasattr(obj, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(obj, field, ())
-        assert hash(obj) == hash(fields)
+        _assert_frozen_value(obj, field, fields)
     assert v == PairPartition(((1, 3), (2, 4))) and v != PairPartition(((1, 2), (3, 4)))
     assert p == ColoredPairPartition.of([(2, 4), (1, 3)], [1, 0])
     assert p != ColoredPairPartition(v, (0, 1), 3)
     assert hash(p) == hash(ColoredPairPartition.of([(2, 4), (1, 3)], [1, 0]))
+    # equality holds only within one class, even for equal fields
+    assert v != BrokenPairPartition(4, 1, v.pairs, (0, 0), ((),), ((),))
+
+
+def test_value_classes_are_slotted_and_frozen():
+    d = BrokenPairPartition(3, 1, ((1, 3),), (0,), ((2,),), ((),))
+    _assert_frozen_value(d, "n", (3, 1, ((1, 3),), (0,), ((2,),), ((),)))
+    assert d == BrokenPairPartition(3, 1, ((1, 3),), (0,), ((2,),), ((),))
+    assert d != BrokenPairPartition(3, 1, ((1, 3),), (0,), ((),), ((2,),))
+
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    tp = ThomaParameter(alpha=(half,), beta=(quarter,))
+    _assert_frozen_value(tp, "alpha", ((half,), (quarter,)))
+    # memo contents take no part in equality or hash
+    fresh = ThomaParameter(alpha=(half,), beta=(quarter,))
+    tp.power_sum_factor(3)
+    thoma_character(tp, {2: 1})
+    assert tp._power_sums and tp._characters and not fresh._power_sums
+    assert tp == fresh and hash(tp) == hash(fresh)
+    assert tp != ThomaParameter(alpha=(half, quarter))
+
+    q = QMatrix(((half, quarter), (quarter, 1)))
+    _assert_frozen_value(q, "entries", (q.entries,))
+    assert q == QMatrix.of([["1/2", "1/4"], ["1/4", 1]]) and q != QMatrix.constant(2, half)
+
+    sf = standard_form(ColoredPairPartition.of([(1, 3), (2, 4)], [0, 1]))
+    _assert_frozen_value(sf, "factors", (2, sf.factors))
+    assert sf == standard_form(ColoredPairPartition.of([(2, 4), (1, 3)], [1, 0]))
+    assert sf != standard_form(ColoredPairPartition.of([(1, 2), (3, 4)], [0, 1]))
 
 
 def test_json_round_trip():
