@@ -28,8 +28,11 @@ from .partitions import (
     ColoredPairPartition,
     FrozenValue,
     PairPartition,
+    _check_colors,
+    _check_layout,
     _is_int,
     _json_pairs,
+    _sorted_pairs,
     double_factorial,
 )
 
@@ -60,26 +63,9 @@ class BrokenPairPartition(FrozenValue):
     ):
         if not len(left_legs) == len(right_legs) == num_colors:
             raise ValueError("need one leg entry per color")
-        if len(colors) != len(pairs):
-            raise ValueError("need exactly one color per pair")
-        if colors and not 0 <= min(colors) <= max(colors) < num_colors:
-            raise ValueError("color ids must lie in [0, num_colors)")
-        if list(pairs) != sorted(pairs):
-            raise ValueError("pairs must be sorted by left point")
-        used = [p for legs in left_legs + right_legs for p in legs]
-        for l, r in pairs:
-            if not 1 <= l < r <= n:
-                raise ValueError(f"bad pair ({l},{r})")
-            used += [l, r]
-        if len(used) != n or sorted(used) != list(range(1, n + 1)):
-            raise ValueError("roles must partition the base set 1..n")
-        # built for every Gram product: set the slots directly
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "num_colors", num_colors)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "left_legs", left_legs)
-        object.__setattr__(self, "right_legs", right_legs)
+        _check_colors(colors, len(pairs), num_colors)
+        _check_layout(pairs, n, [p for legs in left_legs + right_legs for p in legs])
+        self._assign(n, num_colors, pairs, colors, left_legs, right_legs)
 
     @property
     def has_legs(self) -> bool:
@@ -142,11 +128,6 @@ def broken_from_json(obj) -> BrokenPairPartition:
         rights.append(_legs_from_json(entry.get("right_legs", {})))
     pairs, colors = _sorted_pairs(tagged)
     return BrokenPairPartition(obj["n"], obj["colors"], pairs, colors, tuple(lefts), tuple(rights))
-
-
-def _sorted_pairs(tagged: list) -> tuple[tuple, tuple]:
-    """(pairs, colors) of the (pair, color) items, sorted by left point."""
-    return tuple(zip(*sorted(tagged))) or ((), ())
 
 
 def empty(num_colors: int = 2) -> BrokenPairPartition:

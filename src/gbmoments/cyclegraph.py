@@ -249,7 +249,8 @@ def z_map(p: ColoredPairPartition) -> dict[int, int]:
     Dominant left points and subordinate right points look right;
     dominant right points and subordinate left points look left.
     """
-    return build_graph(p).z
+    z = _frame(p).z
+    return {k: z[k] for k in range(1, p.size + 1)}
 
 
 def bar_partition(p: ColoredPairPartition) -> tuple[PairPartition, tuple[int, ...]]:
@@ -258,8 +259,8 @@ def bar_partition(p: ColoredPairPartition) -> tuple[PairPartition, tuple[int, ..
     A bar pair keeps the color of its subordinate endpoints and flips the
     color of dominant ones; the two endpoints always agree on the result.
     """
-    analysis = build_graph(p)
-    return analysis.bar_pairs, analysis.bar_colors
+    frame = _frame(p)
+    return PairPartition(frame.bar), frame.bar_colors
 
 
 class CycleGraphAnalysis(FrozenValue):

@@ -26,13 +26,13 @@ class FrozenValue:
     """Base of the package's immutable value classes.
 
     A subclass lists its attributes in `__slots__` and sets them in its
-    `__init__`, through `_assign` or `object.__setattr__`; after that,
-    assignment and deletion raise AttributeError.  The slots not named
-    with a leading underscore are the value's fields, in order: two values
-    are equal when they are of the same class and their fields are equal,
-    a value hashes as the tuple of its fields, its repr is
-    `Class(field=value, ...)`, and pickling rebuilds it from its fields.
-    Underscore slots hold memos and take part in none of these.
+    `__init__` through `_assign` only; after that, assignment and deletion
+    raise AttributeError.  The slots not named with a leading underscore
+    are the value's fields, in order: two values are equal when they are of
+    the same class and their fields are equal, a value hashes as the tuple
+    of its fields, its repr is `Class(field=value, ...)`, and pickling
+    rebuilds it from its fields.  Underscore slots hold memos and take part
+    in none of these.  No subclass overrides these methods.
     """
 
     __slots__ = ()
@@ -80,26 +80,8 @@ class PairPartition(FrozenValue):
     pairs: tuple[tuple[int, int], ...]
 
     def __init__(self, pairs: tuple[tuple[int, int], ...]):
-        m = len(pairs)
-        points = [p for pair in pairs for p in pair]
-        if sorted(points) != list(range(1, 2 * m + 1)):
-            raise ValueError("pairs must cover 1..2m with each point used once")
-        for l, r in pairs:
-            if not l < r:
-                raise ValueError(f"pair ({l},{r}) must have l < r")
-        if list(pairs) != sorted(pairs):
-            raise ValueError("pairs must be sorted by left point")
-        object.__setattr__(self, "pairs", pairs)
-
-    # hashed on every weight-cache lookup, so here and in
-    # ColoredPairPartition the fields are read directly, not by name
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.pairs == other.pairs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.pairs,))
+        _check_layout(pairs, 2 * len(pairs))
+        self._assign(pairs)
 
     @classmethod
     def of(cls, pairs: Iterable[Sequence[int]]) -> "PairPartition":
@@ -146,30 +128,16 @@ class ColoredPairPartition(FrozenValue):
     num_colors: int
 
     def __init__(self, base: PairPartition, colors: tuple[int, ...], num_colors: int = 2):
-        if len(colors) != base.m:
-            raise ValueError("need exactly one color per pair")
-        if any(not 0 <= c < num_colors for c in colors):
-            raise ValueError("color ids must lie in [0, num_colors)")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "num_colors", num_colors)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.base, self.colors, self.num_colors) == (
-                other.base, other.colors, other.num_colors
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.base, self.colors, self.num_colors))
+        _check_colors(colors, base.m, num_colors)
+        self._assign(base, colors, num_colors)
 
     @classmethod
     def of(cls, pairs, colors, num_colors: int = 2) -> "ColoredPairPartition":
-        """Build from unsorted pairs; colors given in the order of `pairs`."""
-        tagged = sorted(((min(p), max(p)), c) for p, c in zip(pairs, colors))
-        base = PairPartition(tuple(p for p, _ in tagged))
-        return cls(base, tuple(c for _, c in tagged), num_colors)
+        """Build from unsorted pairs; colors given in the order of `pairs`,
+        one per pair."""
+        tagged = (((min(p), max(p)), c) for p, c in zip(pairs, colors, strict=True))
+        canon, canon_colors = _sorted_pairs(tagged)
+        return cls(PairPartition(canon), canon_colors, num_colors)
 
     @property
     def m(self) -> int:
@@ -189,6 +157,41 @@ class ColoredPairPartition(FrozenValue):
         d["colors"] = list(self.colors)
         d["num_colors"] = self.num_colors
         return d
+
+
+def _check_layout(pairs: Sequence[tuple[int, int]], n: int, singles: Sequence[int] = ()):
+    """Raise ValueError unless the pairs (l, r), left points strictly
+    increasing and 1 <= l < r <= n, and the single points together use each
+    point of 1..n exactly once.  A point must be an int, not a bool."""
+    # the count is checked first, so a huge n allocates nothing
+    if type(n) is not int or 2 * len(pairs) + len(singles) != n:
+        raise ValueError(f"pairs and single points must use each point of 1..{n} once")
+    free = [True] * (n + 1)
+    last = 0
+    for l, r in pairs:
+        if not (type(l) is int and type(r) is int and last < l < r <= n and free[l] and free[r]):
+            raise ValueError(f"bad pair ({l!r},{r!r}): need unused integer points, sorted by l, l < r <= {n}")
+        free[l] = free[r] = False
+        last = l
+    for k in singles:
+        if not (type(k) is int and 1 <= k <= n and free[k]):
+            raise ValueError(f"single point {k!r} must be an unused integer point in 1..{n}")
+        free[k] = False
+
+
+def _check_colors(colors: Sequence[int], m: int, num_colors: int):
+    """Raise ValueError unless there is one color per pair, each an int
+    (not a bool) in [0, num_colors)."""
+    if len(colors) != m:
+        raise ValueError("need exactly one color per pair")
+    for c in colors:
+        if not (type(c) is int and 0 <= c < num_colors):
+            raise ValueError("color ids must be integers in [0, num_colors)")
+
+
+def _sorted_pairs(tagged: Iterable) -> tuple[tuple, tuple]:
+    """(pairs, colors) of the (pair, color) items, sorted by left point."""
+    return tuple(zip(*sorted(tagged))) or ((), ())
 
 
 def _is_int(x) -> bool:
@@ -294,14 +297,15 @@ def enumerate_colored(m: int, k: int) -> list[ColoredPairPartition]:
 def crossings(
     v: PairPartition,
 ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """All ordered pairs of pairs ((l1,r1),(l2,r2)) with l1 < l2 < r1 < r2."""
+    """All ordered pairs of pairs ((l1,r1),(l2,r2)) with l1 < l2 < r1 < r2,
+    in lexicographic order, as combinations of the sorted pairs come."""
     out = []
     for p1, p2 in itertools.combinations(v.pairs, 2):
         l1, r1 = p1
         l2, r2 = p2
         if l1 < l2 < r1 < r2:
             out.append((p1, p2))
-    return sorted(out)
+    return out
 
 
 def noncrossing_hat(v: PairPartition) -> PairPartition:

@@ -50,7 +50,7 @@ class QMatrix(FrozenValue):
                     raise ValueError("matrix must be symmetric")
                 if not -1 <= entries[i][j] <= 1:
                     raise ValueError("entries must lie in [-1, 1]")
-        object.__setattr__(self, "entries", entries)
+        self._assign(entries)
 
     @classmethod
     def of(cls, rows: Sequence[Sequence]) -> "QMatrix":

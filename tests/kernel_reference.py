@@ -10,6 +10,11 @@ type that `gbmoments.partitions.uncolored_cycles` must agree with, and
 cycle, which builds the noncrossing hat as a partition and looks pairs up
 in dicts; `color_class` is the relabel that re-sorts the chosen pairs
 through `PairPartition.of`.
+`pair_layout_ok`, `colors_ok` and `broken_layout_ok` are the sort-based
+validity checks of `PairPartition`, `ColoredPairPartition` and
+`BrokenPairPartition` that the one-pass `partitions._check_layout` and
+`partitions._check_colors` replaced; on int points they must accept and
+reject the same inputs.
 `gram_matrix` is the all-products Gram assembly that
 `gbmoments.broken.gram_matrix` must agree with, and `t_q_star_n` is the
 n^m coloring enumeration that `gbmoments.qproduct.t_q_star_n` must agree
@@ -262,6 +267,35 @@ def color_class(p: ColoredPairPartition, color: int) -> PairPartition:
     points = sorted(q for pair in chosen for q in pair)
     relabel = {q: i + 1 for i, q in enumerate(points)}
     return PairPartition.of((relabel[l], relabel[r]) for l, r in chosen)
+
+
+def pair_layout_ok(pairs) -> bool:
+    """Whether the pairs, sorted, each l < r, use each point of 1..2m once."""
+    points = sorted(q for pair in pairs for q in pair)
+    if points != list(range(1, 2 * len(pairs) + 1)):
+        return False
+    return all(l < r for l, r in pairs) and list(pairs) == sorted(pairs)
+
+
+def colors_ok(colors, m: int, num_colors: int) -> bool:
+    """Whether there is one color per pair, each in [0, num_colors)."""
+    return len(colors) == m and all(0 <= c < num_colors for c in colors)
+
+
+def broken_layout_ok(n, num_colors, pairs, colors, left_legs, right_legs) -> bool:
+    """Whether the fields make a broken diagram: one leg entry per color,
+    valid colors, sorted pairs with 1 <= l < r <= n, and pairs and legs
+    using each point of 1..n once."""
+    if not len(left_legs) == len(right_legs) == num_colors:
+        return False
+    if not colors_ok(colors, len(pairs), num_colors) or list(pairs) != sorted(pairs):
+        return False
+    used = [q for legs in left_legs + right_legs for q in legs]
+    for l, r in pairs:
+        if not 1 <= l < r <= n:
+            return False
+        used += [l, r]
+    return len(used) == n and sorted(used) == list(range(1, n + 1))
 
 
 def gram_matrix(family, t) -> list[list]:

@@ -299,17 +299,34 @@ def test_unsorted_pairs_rejected():
 
 
 @pytest.mark.parametrize(
-    "pairs, colors",
+    "n, pairs, colors, left_legs",
     [
-        (((1, 2), (3, 4)), (0, 2)),
-        (((1, 2), (3, 4)), (0,)),
-        (((3, 4), (1, 2)), (0, 1)),
+        (4, ((1, 2), (3, 4)), (0, 2), ((), ())),
+        (4, ((1, 2), (3, 4)), (0,), ((), ())),
+        (4, ((3, 4), (1, 2)), (0, 1), ((), ())),
+        # points must be ints, not bools
+        (3, ((1, 3),), (0,), ((2.0,), ())),
+        (3, ((1, 3),), (0,), ((True,), ())),
+        (3, ((1, 3.0),), (0,), ((2,), ())),
+        (3, ((True, 3),), (0,), ((2,), ())),
+        (True, (), (), ((1,), ())),
+        (3.0, ((1, 3),), (0,), ((2,), ())),
     ],
-    ids=["color_out_of_range", "one_color_short", "unsorted_across_colors"],
+    ids=[
+        "color_out_of_range",
+        "one_color_short",
+        "unsorted_across_colors",
+        "float_leg",
+        "bool_leg",
+        "float_pair_point",
+        "bool_pair_point",
+        "bool_n",
+        "float_n",
+    ],
 )
-def test_constructor_rejects_bad_layout(pairs, colors):
+def test_constructor_rejects_bad_layout(n, pairs, colors, left_legs):
     with pytest.raises(ValueError):
-        BrokenPairPartition(4, 2, pairs, colors, ((), ()), ((), ()))
+        BrokenPairPartition(n, 2, pairs, colors, left_legs, ((), ()))
 
 
 @pytest.mark.parametrize("m, k", [(m, 2) for m in range(5)] + [(m, 3) for m in range(4)])

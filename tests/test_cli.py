@@ -543,6 +543,34 @@ def test_no_assert_statements_in_src():
         assert not asserts, f"{path.name}: assert on lines {asserts}"
 
 
+def test_value_classes_share_one_path():
+    # FrozenValue alone defines equality and hashing, and its _assign alone
+    # sets slots past the refusing __setattr__
+    for path in Path(gbmoments.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            methods = {f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)}
+            if cls.name == "FrozenValue":
+                allowed = {id(node) for node in ast.walk(methods["_assign"])}
+                continue
+            # `__hash__ = None` and the like count too
+            names = set(methods) | {
+                t.id for a in cls.body if isinstance(a, ast.Assign) for t in a.targets
+                if isinstance(t, ast.Name)
+            }
+            forks = sorted({"__eq__", "__hash__"} & names)
+            assert not forks, f"{path.name}: {cls.name} defines {forks}"
+        setattrs = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object"
+            and id(node) not in allowed
+        ]
+        assert not setattrs, f"{path.name}: object.__setattr__ on lines {setattrs}"
+
+
 def test_cli_imports_without_numpy():
     # a None entry in sys.modules makes any `import numpy` raise ImportError
     src = str(Path(gbmoments.__file__).parents[1])

@@ -4,7 +4,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gbmoments.partitions import (
     CapacityError,
@@ -95,12 +95,98 @@ def test_enumerate_colored_counts():
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
-        PairPartition(((1, 2), (2, 3)))
-    with pytest.raises(ValueError):
-        PairPartition(((2, 1), (3, 4)))
-    with pytest.raises(ValueError):
-        ColoredPairPartition(PairPartition(((1, 2),)), (2,), num_colors=2)
+    bad = [
+        ((1, 2), (2, 3)),
+        ((2, 1), (3, 4)),
+        # points must be ints, not bools: (1, 2.0) used to pass and then
+        # break t_n with a TypeError, (True, 2) wrote `true` to JSON
+        ((1, 2.0),),
+        ((1.0, 2),),
+        ((True, 2),),
+        ((1, 3), (2, True)),
+        (("1", "2"),),
+    ]
+    for pairs in bad:
+        with pytest.raises(ValueError):
+            PairPartition(pairs)
+    for colors in [(2,), (-1,), (), (0, 1), (True,), (1.0,)]:
+        with pytest.raises(ValueError):
+            ColoredPairPartition(PairPartition(((1, 2),)), colors, num_colors=2)
+    # a color list of the wrong length is refused, not truncated
+    for colors in [[0], [0, 1, 0]]:
+        with pytest.raises(ValueError):
+            ColoredPairPartition.of([(1, 2), (3, 4)], colors)
+
+
+# mutations of a well-formed broken diagram; each may make it invalid
+MUTATIONS = ["shuffle", "overlap", "out_of_range", "flip", "leg_on_pair", "wrong_n", "bad_color"]
+
+
+@st.composite
+def broken_layouts(draw):
+    """Fields (n, num_colors, pairs, colors, left_legs, right_legs) of a
+    well-formed broken diagram on int points, then up to three mutations."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 10))
+    points = draw(st.permutations(range(1, n + 1)))
+    m = draw(st.integers(0, n // 2))
+    pairs = sorted((min(points[2 * i : 2 * i + 2]), max(points[2 * i : 2 * i + 2])) for i in range(m))
+    colors = draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))
+    singles = points[2 * m :]
+    roles = draw(st.lists(st.integers(0, 2 * k - 1), min_size=len(singles), max_size=len(singles)))
+    legs = [[q for q, role in zip(singles, roles) if role == j] for j in range(2 * k)]
+    for mutation in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        if mutation == "shuffle":
+            pairs = draw(st.permutations(pairs))
+        elif mutation == "wrong_n":
+            n += draw(st.sampled_from([-2, -1, 1, 2]))
+        elif mutation == "bad_color" and colors:
+            colors[draw(st.integers(0, m - 1))] = draw(st.sampled_from([-1, k, k + 1]))
+        elif mutation == "leg_on_pair" and pairs:
+            point = draw(st.sampled_from(pairs))[draw(st.integers(0, 1))]
+            legged = [j for j in range(2 * k) if legs[j]]
+            if legged and draw(st.booleans()):
+                # move a leg, so the point count still matches n
+                j = draw(st.sampled_from(legged))
+                legs[j][draw(st.integers(0, len(legs[j]) - 1))] = point
+            else:
+                legs[draw(st.integers(0, 2 * k - 1))].append(point)
+        elif pairs:
+            i = draw(st.integers(0, len(pairs) - 1))
+            l, r = pairs[i]
+            if mutation == "flip":
+                pairs[i] = draw(st.sampled_from([(r, l), (l, l), (r, r)]))
+            elif mutation == "overlap":
+                # reuse a point, then sort again so only the overlap is wrong
+                other = draw(st.sampled_from([q for pair in pairs for q in pair] + singles))
+                pair = draw(st.sampled_from([(other, r), (l, other)]))
+                pairs[i] = (min(pair), max(pair))
+                pairs.sort()
+            else:
+                bad = draw(st.sampled_from([0, -1, n + 1, n + 2]))
+                pairs[i] = draw(st.sampled_from([(bad, r), (l, bad)]))
+    lefts, rights = tuple(map(tuple, legs[:k])), tuple(map(tuple, legs[k:]))
+    return n, k, tuple(pairs), tuple(colors), lefts, rights
+
+
+def _accepts(cls, *args) -> bool:
+    try:
+        cls(*args)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(deadline=None, max_examples=300)
+@given(broken_layouts())
+def test_layout_checks_match_sort_based_reference(layout):
+    _, k, pairs, colors, _, _ = layout
+    assert _accepts(BrokenPairPartition, *layout) == kernel_reference.broken_layout_ok(*layout)
+    valid_pairs = kernel_reference.pair_layout_ok(pairs)
+    assert _accepts(PairPartition, pairs) == valid_pairs
+    if valid_pairs:
+        base = PairPartition(pairs)
+        assert _accepts(ColoredPairPartition, base, colors, k) == kernel_reference.colors_ok(colors, base.m, k)
 
 
 def test_crossings_examples():
