@@ -3,12 +3,14 @@
 The dense oracle realizes the symmetrized Fock-like space explicitly at the
 rectangular parameter alpha_i = 1/N (N in {2,3}): basis keys hold the two
 equal-length value tuples of the underlying bi-invariant space together with
-the per-color tensor words, amplitudes are exact rationals, and the
-symmetrization projector is applied after every operator, computed by orbit
-sums: each orbit of keys under the per-color symmetric groups gets its
-amplitude sum over its size.  The lambda oracle propagates single
-"elementary" states through the canonical word of a colored pair partition,
-summing over the finitely many value assignments to dominant creators.
+the per-color tensor words, a state keeps an integer amplitude per key and
+one exact rational scale, and the symmetrization projector is applied after
+every operator, computed by orbit sums: each orbit of keys under the
+per-color symmetric groups gets its amplitude sum over its size.  The lambda
+oracle propagates single "elementary" states through the canonical word of a
+colored pair partition, summing over the finitely many value assignments to
+dominant creators; the word fixes the scale, and an assignment only decides
+whether the state survives.
 Negative N is covered by the purely combinatorial weight sum together with
 the exclusion, commutation, and finite-padding identities.  That sum is
 computed by the loop-sum identity rho_N(w) = N^-P(w) sum over the
@@ -23,7 +25,8 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, gcd, lcm
 
 from . import words as W
 from .cyclegraph import BarFrame, bar_frame, classify, loop_counter
@@ -35,9 +38,33 @@ LAMBDA_MAX_LEVEL = 5
 
 # key: (x, y, word_minus, word_plus); len(x) == len(y) == max(word lengths)
 StateKey = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-State = dict[StateKey, Fraction]
 
 VACUUM_KEY: StateKey = ((), (), (), ())
+
+class State:
+    """A vector of the dense space: one exact scale times integer
+    amplitudes on basis keys, scale * sum of amp * key.  Operators do
+    integer work per key and fold their denominators into the scale, once
+    per step; len() is the number of keys."""
+
+    __slots__ = ("scale", "amps")
+
+    def __init__(self, scale: Fraction, amps: dict[StateKey, int]):
+        self.scale = scale
+        self.amps = amps
+
+    def __len__(self) -> int:
+        return len(self.amps)
+
+    @classmethod
+    def of(cls, exact: dict[StateKey, Fraction]) -> State:
+        """The state with these exact amplitudes, keys kept as given."""
+        common = lcm(*(Fraction(amp).denominator for amp in exact.values()))
+        return cls(Fraction(1, common), {key: int(amp * common) for key, amp in exact.items()})
+
+    def amplitudes(self) -> dict[StateKey, Fraction]:
+        """The exact amplitude of every key."""
+        return {key: amp * self.scale for key, amp in self.amps.items()}
 
 
 def check_dense_params(n: int):
@@ -69,15 +96,17 @@ def check_dense_word(w: W.Word, n: int):
 
 
 def vacuum_state() -> State:
-    return {VACUUM_KEY: Fraction(1)}
+    return State(Fraction(1), {VACUUM_KEY: 1})
 
 
-def _arrangements(columns: tuple[tuple[int, int], ...]) -> list[tuple[tuple[int, ...], ...]]:
+# the m <= 4 compare matrix meets 256 distinct column multisets
+@lru_cache(maxsize=1024)
+def _arrangements(columns: tuple[tuple[int, int], ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The distinct orderings of a multiset of (value, index) columns, each
     as its value prefix and its word."""
     if not columns:
-        return [((), ())]
-    return [tuple(zip(*order)) for order in set(itertools.permutations(columns))]
+        return (((), ()),)
+    return tuple(tuple(zip(*order)) for order in set(itertools.permutations(columns)))
 
 
 def sym_project(state: State) -> State:
@@ -86,37 +115,49 @@ def sym_project(state: State) -> State:
     the columns zip(y[:n+], w+), and the tails x[n-:], y[n+:] stay fixed.
     P(v) is constant on each orbit of keys, equal to the orbit's amplitude
     sum over its size, so it is computed one orbit at a time; orbits that
-    sum to zero are dropped.  Raises ValueError for a key whose value tuple
-    is shorter than its word."""
-    totals = defaultdict(Fraction)
-    for key, amp in state.items():
+    sum to zero are dropped.  On integer amplitudes: with L the lcm of the
+    orbit sizes, each key gets total * (L // size) and the scale is divided
+    by L; the amplitudes' gcd then moves into the scale.  Raises ValueError
+    for a key whose value tuple is shorter than its word."""
+    totals = defaultdict(int)
+    for key, amp in state.amps.items():
         x, y, wm, wp = key
         nm, np_ = len(wm), len(wp)
         if len(x) < nm or len(y) < np_:
             raise ValueError(f"value tuples of {key} are shorter than its words")
         orbit = (tuple(sorted(zip(x, wm))), x[nm:], tuple(sorted(zip(y, wp))), y[np_:])
         totals[orbit] += amp
-    out: State = {}
+    orbits = []
     for (minus_columns, x_tail, plus_columns, y_tail), total in totals.items():
-        if not total:
-            continue
-        minus, plus = _arrangements(minus_columns), _arrangements(plus_columns)
-        value = total / (len(minus) * len(plus))
+        if total:
+            minus, plus = _arrangements(minus_columns), _arrangements(plus_columns)
+            orbits.append((minus, x_tail, plus, y_tail, total, len(minus) * len(plus)))
+    if not orbits:
+        return State(state.scale, {})
+    common = lcm(*(size for *_, size in orbits))
+    shared = gcd(*(total * (common // size) for *_, total, size in orbits))
+    out: dict[StateKey, int] = {}
+    for minus, x_tail, plus, y_tail, total, size in orbits:
+        value = total * (common // size) // shared
         for x_head, wm in minus:
             x = x_head + x_tail
             for y_head, wp in plus:
                 out[(x, y_head + y_tail, wm, wp)] = value
-    return out
+    return State(state.scale * Fraction(shared, common), out)
 
 
 def apply_letter(state: State, letter: W.Letter, n: int) -> State:
-    """One creation or annihilation operator, exactly, then re-symmetrize."""
+    """One creation or annihilation operator, exactly, then re-symmetrize.
+    A creator multiplies each amplitude by n_b + 1; an annihilator divides
+    the scale by N and multiplies the amplitude of each key it leaves at
+    its level by N."""
     b, i = letter.b, letter.i
-    out: State = defaultdict(Fraction)
-    for (x, y, wm, wp), amp in state.items():
-        words = (wm, wp)
-        nb, nother = len(words[b]), len(words[1 - b])
-        if letter.k == W.CREATE:
+    scale = state.scale
+    out: dict[StateKey, int] = defaultdict(int)
+    if letter.k == W.CREATE:
+        for (x, y, wm, wp), amp in state.amps.items():
+            words = (wm, wp)
+            nb, nother = len(words[b]), len(words[1 - b])
             if max(nb + 1, nother) > DENSE_MAX_LEVEL:
                 raise CapacityError(f"word drives a level above {DENSE_MAX_LEVEL}")
             coef = amp * (nb + 1)
@@ -127,21 +168,23 @@ def apply_letter(state: State, letter: W.Letter, n: int) -> State:
                     out[(x + (z,), y + (z,), pair[0], pair[1])] += coef
             else:
                 out[(x, y, pair[0], pair[1])] += coef
-        else:
-            # adjoint of creation: on an already-symmetrized state only the
-            # last word factor is removed; the k-sum of the textbook formula
-            # is recovered by the surrounding symmetrization average
+    else:
+        # adjoint of creation: on an already-symmetrized state only the
+        # last word factor is removed; the k-sum of the textbook formula
+        # is recovered by the surrounding symmetrization average
+        scale = scale / n
+        for (x, y, wm, wp), amp in state.amps.items():
+            words = (wm, wp)
+            nb, nother = len(words[b]), len(words[1 - b])
             if nb == 0 or words[b][-1] != i:
                 continue
             new_word = words[b][:-1]
             pair = (new_word, words[1 - b]) if b == 0 else (words[1 - b], new_word)
             if nb <= nother:
-                out[(x, y, pair[0], pair[1])] += amp
-            else:
-                if x[-1] != y[-1]:
-                    continue
-                out[(x[:-1], y[:-1], pair[0], pair[1])] += amp * Fraction(1, n)
-    return sym_project(out)
+                out[(x, y, pair[0], pair[1])] += amp * n
+            elif x[-1] == y[-1]:
+                out[(x[:-1], y[:-1], pair[0], pair[1])] += amp
+    return sym_project(State(scale, out))
 
 
 def apply_word(state: State, w: W.Word, n: int) -> State:
@@ -158,21 +201,22 @@ def check_state(state: State) -> None:
     equal-length permutations of each other, sized to the larger word, and
     the state is fixed by the symmetrization projector; raises ValueError
     otherwise."""
-    for key in state:
+    for key in state.amps:
         x, y, wm, wp = key
         if not len(x) == len(y) == max(len(wm), len(wp)):
             raise ValueError(f"value tuples of {key} do not match its level")
         if sorted(x) != sorted(y):
             raise ValueError(f"value tuples of {key} are not permutations of each other")
-    if sym_project(state) != state:
+    if sym_project(state).amplitudes() != state.amplitudes():
         raise ValueError("state is not fixed by the symmetrization projector")
 
 
 def state_inner(s1: State, s2: State, n: int) -> Fraction:
     """Weighted inner product: each basis key carries N^-level / (n_-)!(n_+)!."""
     total = Fraction(0)
-    for key, amp in s1.items():
-        other = s2.get(key)
+    others = s2.amplitudes()
+    for key, amp in s1.amplitudes().items():
+        other = others.get(key)
         if other is None:
             continue
         x, _, wm, wp = key
@@ -185,35 +229,48 @@ def vacuum_expectation_dense(w: W.Word, n: int) -> Fraction:
     """<vacuum, A vacuum> by literal operator application."""
     check_dense_params(n)
     final = apply_word(vacuum_state(), w, n)
-    return final.get(VACUUM_KEY, Fraction(0))
+    return final.scale * final.amps.get(VACUUM_KEY, 0)
 
 
 def vacuum_expectation_lambda(p: ColoredPairPartition, n: int) -> Fraction:
     """<vacuum, A vacuum> for the canonical word of p, via elementary-state
-    propagation summed over value assignments to the dominant creators."""
+    propagation summed over value assignments to the dominant creators.
+    The levels, and with them the scale, are fixed by the word; an
+    assignment only decides whether the state survives, so the sum is the
+    survivor count times that one scale."""
     check_dense_params(n)
     word = W.canonical_word(p)
     cls = classify(p)
     rights = p.base.right_points()
     dominant_creators = [k for k in range(1, p.size + 1) if k in rights and cls[k] == "D"]
 
-    total = Fraction(0)
+    survivors, scale = 0, None
     for values in itertools.product(range(1, n + 1), repeat=len(dominant_creators)):
         lam = dict(zip(dominant_creators, values))
-        total += _propagate(word, lam, n, p)
-    return total
+        found = _propagate(word, lam, n, p)
+        if found is None:
+            continue
+        if scale is None:
+            scale = found
+        elif found != scale:
+            raise RuntimeError("every surviving assignment must carry the scale of the word")
+        survivors += 1
+    if scale is None:
+        return Fraction(0)
+    return Fraction(survivors * scale[0], scale[1])
 
 
 def _propagate(
     word: W.Word, lam: dict[int, int], n: int, p: ColoredPairPartition
-) -> Fraction:
+) -> tuple[int, int] | None:
     """Elementary-state propagation right-to-left through the word.
 
     The state is a scale factor, one value tuple per color (both of length
     max(level_0, level_1)), and one index word per color; word positions
     1..level_b bind to the same positions of color b's tuple, positions
-    above level_b are its unbound tail."""
-    scale = Fraction(1)
+    above level_b are its unbound tail.  Returns the scale as (numerator,
+    denominator), or None when the state dies."""
+    num = den = 1
     tuples: list[list[int]] = [[], []]  # color 0 tuple, color 1 tuple
     words: list[list[int]] = [[], []]
     for k in range(p.size, 0, -1):
@@ -223,7 +280,7 @@ def _propagate(
         if letter.k == W.CREATE:
             if max(nb + 1, nother) > LAMBDA_MAX_LEVEL:
                 raise CapacityError(f"word drives a level above {LAMBDA_MAX_LEVEL}")
-            scale *= nb + 1
+            num *= nb + 1
             if (k in lam) != (nb >= nother):
                 raise RuntimeError("exactly the dominant creators carry an assignment")
             if k in lam:
@@ -237,19 +294,19 @@ def _propagate(
                 # dominant: level drops, the weak side's top tail entry must
                 # match the value bound to this index
                 if tuples[1 - b][-1] != bound_value:
-                    return Fraction(0)
-                scale *= Fraction(1, n * nb)
+                    return None
+                den *= n * nb
                 del tuples[b][pos]
                 del tuples[1 - b][-1]
             else:
                 # subordinate: freed value becomes the bottom of b's tail
-                scale *= Fraction(1, nb)
+                den *= nb
                 del tuples[b][pos]
                 tuples[b].insert(nb - 1, bound_value)
             del words[b][pos]
     if words[0] or words[1] or tuples[0] or tuples[1]:
         raise RuntimeError("the word must return to the vacuum")
-    return scale
+    return num, den
 
 
 def word_frame(w: W.Word) -> BarFrame:

@@ -38,7 +38,7 @@ from gbmoments.broken import (
     multiply,
 )
 from gbmoments.cyclegraph import ColorProfile, CycleGraphAnalysis
-from gbmoments.fock import State
+from gbmoments.fock import StateKey
 from gbmoments.partitions import (
     CapacityError,
     ColorArityError,
@@ -355,10 +355,10 @@ def _apply_perm(seq: tuple, perm: tuple[int, ...]) -> tuple:
     return tuple(seq[perm[i]] for i in range(len(perm))) + seq[len(perm):]
 
 
-def sym_project(state: State) -> State:
+def sym_project(state: dict[StateKey, Fraction]) -> dict[StateKey, Fraction]:
     """Group-average over the per-color symmetrizations of tuple prefixes
-    and tensor words."""
-    out: State = defaultdict(Fraction)
+    and tensor words, on exact amplitudes."""
+    out: dict[StateKey, Fraction] = defaultdict(Fraction)
     for (x, y, wm, wp), amp in state.items():
         nm, np_ = len(wm), len(wp)
         weight = amp / (factorial(nm) * factorial(np_))

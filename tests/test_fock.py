@@ -17,6 +17,7 @@ from gbmoments import fock
 from gbmoments import words as W
 from gbmoments.fock import (
     DENSE_MAX_LEVEL,
+    State,
     apply_letter,
     apply_word,
     commutation_check,
@@ -274,13 +275,32 @@ def test_lambda_oracle_full_m4():
 
 def test_dense_oracle_full_m4():
     for p in enumerate_colored(4, 2):
-        assert vacuum_expectation_dense(W.canonical_word(p), 2) == t_n(2, p)
+        for n in (2, 3):
+            assert vacuum_expectation_dense(W.canonical_word(p), n) == t_n(n, p)
 
 
 def test_lambda_oracle_sampled_m5():
     rng = random.Random(55)
     for p in rng.sample(enumerate_colored(5, 2), 300):
-        assert vacuum_expectation_lambda(p, 2) == t_n(2, p)
+        for n in (2, 3):
+            assert vacuum_expectation_lambda(p, n) == t_n(n, p)
+
+
+def test_lambda_oracle_refuses_mixed_scales(monkeypatch):
+    # the levels fix the scale, so two survivors with different scales
+    # mean the propagation is broken; the check raises, so python -O keeps it
+    p = ColoredPairPartition.of([(1, 3), (2, 4)], [1, 1])
+    scales = iter([(1, 2), (1, 3)])
+    monkeypatch.setattr(fock, "_propagate", lambda *args: next(scales))
+    with pytest.raises(RuntimeError, match="scale"):
+        vacuum_expectation_lambda(p, 2)
+
+
+def exact_amplitudes(state):
+    """The exact amplitudes of a state, after checking that it keeps one
+    int per key."""
+    assert all(type(amp) is int for amp in state.amps.values()), state.amps
+    return state.amplitudes()
 
 
 def test_intermediate_states_stay_valid():
@@ -291,18 +311,26 @@ def test_intermediate_states_stay_valid():
     for letter in reversed(W.canonical_word(p)):
         state = apply_letter(state, letter, 2)
         check_state(state)
+        assert len(state) == len(exact_amplitudes(state)) > 0
 
 
 def test_check_state_rejects_invalid_states():
     from gbmoments.fock import check_state
 
     # a lone key with a two-letter word is not fixed by the symmetrization
-    unsymmetrized = {((1, 2), (1, 2), (5, 6), ()): Fraction(1)}
+    unsymmetrized = State.of({((1, 2), (1, 2), (5, 6), ()): Fraction(1)})
     with pytest.raises(ValueError, match="symmetrization"):
         check_state(unsymmetrized)
     check_state(sym_project(unsymmetrized))
+    # an explicit zero amplitude is dropped by the projector
+    zero = sym_project(State.of({((1,), (1,), (5,), ()): Fraction(2, 3)}))
+    zero.amps[((2,), (2,), (5,), ())] = 0
+    with pytest.raises(ValueError, match="symmetrization"):
+        check_state(zero)
     with pytest.raises(ValueError, match="level"):
-        check_state({((1,), (1,), (5, 6), ()): Fraction(1)})
+        check_state(State.of({((1,), (1,), (5, 6), ()): Fraction(1)}))
+    with pytest.raises(ValueError, match="permutations"):
+        check_state(State.of({((1, 2), (1, 1), (5, 6), ()): Fraction(1)}))
 
 
 def test_symmetrization_idempotent():
@@ -311,8 +339,12 @@ def test_symmetrization_idempotent():
         ((1, 2), (2, 1), (3, 4), ()),
     ]:
         raw = {level_key: Fraction(1)}
-        once = sym_project(raw)
-        assert sym_project(once) == once
+        once = sym_project(State.of(raw))
+        exact = exact_amplitudes(once)
+        assert exact == reference.sym_project(raw)
+        assert len(once) == len(exact) > 1
+        twice = sym_project(once)
+        assert exact_amplitudes(twice) == exact and len(twice) == len(once)
 
 
 def _permute_columns(key, perm_minus, perm_plus):
@@ -354,7 +386,10 @@ def raw_states(draw):
 @settings(deadline=None)
 @given(raw_states())
 def test_sym_project_matches_literal_average(state):
-    assert sym_project(state) == reference.sym_project(state)
+    expected = reference.sym_project(state)
+    projected = sym_project(State.of(state))
+    assert exact_amplitudes(projected) == expected
+    assert len(projected) == len(expected)
 
 
 def test_sym_project_matches_literal_average_on_oracle_states(monkeypatch):
@@ -368,14 +403,22 @@ def test_sym_project_matches_literal_average_on_oracle_states(monkeypatch):
             vacuum_expectation_dense(W.canonical_word(p), n)
     assert len(seen) > 1800
     for state in seen:
-        assert project(state) == reference.sym_project(state)
+        expected = reference.sym_project(exact_amplitudes(state))
+        projected = project(state)
+        assert exact_amplitudes(projected) == expected
+        assert len(projected) == len(expected)
 
 
 def test_sym_project_rejects_short_value_tuples():
     with pytest.raises(ValueError, match="shorter"):
-        sym_project({((1,), (1, 2), (5, 6), ()): Fraction(1)})
+        sym_project(State.of({((1,), (1, 2), (5, 6), ()): Fraction(1)}))
     with pytest.raises(ValueError, match="shorter"):
-        sym_project({((1, 2), (1,), (), (5, 6)): Fraction(1)})
+        sym_project(State.of({((1, 2), (1,), (), (5, 6)): Fraction(1)}))
+
+
+def test_arrangements_memo_is_bounded():
+    info = fock._arrangements.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 4096
 
 
 def random_low_level_state(rng, n):
@@ -395,6 +438,8 @@ def test_creation_annihilation_adjoint():
         b, i = rng.randrange(2), rng.randrange(1, 4)
         au = apply_letter(u, W.create(b, i), n)
         av = apply_letter(v, W.annihilate(b, i), n)
+        for state in (u, v, au, av):
+            assert len(state) == len(exact_amplitudes(state))
         assert state_inner(au, v, n) == state_inner(u, av, n)
 
 
