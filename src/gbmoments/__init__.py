@@ -36,6 +36,7 @@ from .broken import (
     embed,
     empty,
     evaluate_t_hat,
+    gram_blocks,
     gram_matrix,
     involution,
     left_hook,

@@ -166,30 +166,45 @@ def multiply(d1: BrokenPairPartition, d2: BrokenPairPartition) -> BrokenPairPart
     if d1.num_colors != d2.num_colors:
         raise ValueError("operands must share the color set")
     shift = d1.n
-    tagged = [*zip(d1.pairs, d1.colors)]
+    pairs, colors = _join(shift, [*zip(d1.pairs, d1.colors)], d1.right_legs, d2)
     lefts, rights = [], []
     for a in range(d1.num_colors):
         r1, l2 = d1.right_legs[a], d2.left_legs[a]
         m = min(len(r1), len(l2))
-        tagged += [((p, q + shift), a) for p, q in zip(r1, l2)]
         lefts.append(d1.left_legs[a] + tuple([p + shift for p in l2[m:]]))
         rights.append(tuple([p + shift for p in d2.right_legs[a]]) + r1[m:])
+    return BrokenPairPartition(d1.n + d2.n, d1.num_colors, pairs, colors, tuple(lefts), tuple(rights))
+
+
+def _join(shift: int, tagged: list, right_legs: tuple[Legs, ...], d2: BrokenPairPartition):
+    """Pairs and pair colors of the product of a first factor on `shift`
+    points, with (pair, color) items `tagged` in any order and the given
+    right legs, and d2: right leg k of color a joins d2's left leg k of
+    color a, and d2's pairs follow, shifted past every other point."""
+    seam = [
+        ((p, q + shift), a)
+        for a, (r1, l2) in enumerate(zip(right_legs, d2.left_legs))
+        for p, q in zip(r1, l2)
+    ]
     # d2's pairs lie past every other point, so they follow the sorted ones
-    pairs, colors = _sorted_pairs(tagged)
-    pairs += tuple([(l + shift, r + shift) for l, r in d2.pairs])
-    return BrokenPairPartition(
-        d1.n + d2.n, d1.num_colors, pairs, colors + d2.colors, tuple(lefts), tuple(rights)
-    )
+    pairs, colors = _sorted_pairs(tagged + seam)
+    return pairs + tuple([(l + shift, r + shift) for l, r in d2.pairs]), colors + d2.colors
 
 
 def involution(d: BrokenPairPartition) -> BrokenPairPartition:
     """Mirror reflection: base order reversed, left and right legs swapped
     with their numbers kept."""
-    flip = lambda p: d.n + 1 - p
-    tagged = [((flip(r), flip(l)), c) for (l, r), c in zip(d.pairs, d.colors)]
-    lefts = tuple(tuple(map(flip, legs)) for legs in d.right_legs)
-    rights = tuple(tuple(map(flip, legs)) for legs in d.left_legs)
+    tagged, lefts, rights = _mirror(d)
     return BrokenPairPartition(d.n, d.num_colors, *_sorted_pairs(tagged), lefts, rights)
+
+
+def _mirror(d: BrokenPairPartition) -> tuple[list, tuple[Legs, ...], tuple[Legs, ...]]:
+    """d*'s (pair, color) items, unsorted, and its left and right legs."""
+    flip = d.n + 1
+    tagged = [((flip - r, flip - l), c) for (l, r), c in zip(d.pairs, d.colors)]
+    lefts = tuple(tuple([flip - p for p in legs]) for legs in d.right_legs)
+    rights = tuple(tuple([flip - p for p in legs]) for legs in d.left_legs)
+    return tagged, lefts, rights
 
 
 def evaluate_t_hat(
@@ -201,36 +216,57 @@ def evaluate_t_hat(
     return t(d.as_colored())
 
 
-def gram_matrix(
+def gram_blocks(
     family: Sequence[BrokenPairPartition],
     t: Callable[[ColoredPairPartition], object],
-) -> list[list]:
-    """The matrix t_hat(d_i* . d_j) over the given family.
+) -> tuple[list[tuple[list[int], list[list]]], bool]:
+    """The nonzero blocks of the Gram matrix t_hat(d_i* . d_j) over the
+    family, and whether some diagram has right legs.
 
     d_i* . d_j is leg-free exactly when d_i* has no left legs, d_j has no
     right legs and d_i*'s right-leg count equals d_j's left-leg count in
     every color.  d_i* carries d_i's legs with the sides swapped, so one key
     per diagram serves both: None with right legs, else the per-color
-    left-leg counts.  Only products of equal keys are formed; every other
-    entry is an exact 0 and t is called on the same diagrams in the same
-    order as when every product is formed."""
+    left-leg counts.  Each key's block is (its family indices in order, one
+    row per index holding the products with those columns); every other
+    entry, a right-legged diagram's whole row and column included, is an
+    exact 0.  A leg-free product goes straight to a colored pair partition,
+    and t is called on the same diagrams in the same row-major order as
+    when every product is formed."""
     if not family:
         raise ValueError("family must be nonempty")
     if 2 * max(d.n for d in family) > MAX_PRODUCT_POINTS:
         raise CapacityError("gram product exceeds the size budget")
     keys = [None if any(d.right_legs) else tuple(map(len, d.left_legs)) for d in family]
-    columns: dict[tuple[int, ...] | None, list[int]] = {}
+    blocks: dict[tuple[int, ...], tuple[list[int], list[list]]] = {}
     for j, key in enumerate(keys):
-        columns.setdefault(key, []).append(j)
-    zero = Fraction(0)
-    out = []
-    for d, key in zip(family, keys):
-        row = [zero] * len(family)
         if key is not None:
-            star = involution(d)
-            for j in columns[key]:
-                row[j] = evaluate_t_hat(multiply(star, family[j]), t)
-        out.append(row)
+            blocks.setdefault(key, ([], []))[0].append(j)
+    for d, key in zip(family, keys):
+        if key is not None:
+            columns, rows = blocks[key]
+            tagged, _, right_legs = _mirror(d)
+            row = []
+            for j in columns:
+                pairs, colors = _join(d.n, tagged, right_legs, family[j])
+                row.append(t(ColoredPairPartition(PairPartition(pairs), colors, d.num_colors)))
+            rows.append(row)
+    return list(blocks.values()), None in keys
+
+
+def gram_matrix(
+    family: Sequence[BrokenPairPartition],
+    t: Callable[[ColoredPairPartition], object],
+) -> list[list]:
+    """The matrix t_hat(d_i* . d_j) over the given family: the dense view
+    of `gram_blocks`, with t called in the same order."""
+    blocks, _ = gram_blocks(family, t)
+    zero = Fraction(0)
+    out = [[zero] * len(family) for _ in family]
+    for columns, rows in blocks:
+        for i, row in zip(columns, rows):
+            for j, x in zip(columns, row):
+                out[i][j] = x
     return out
 
 

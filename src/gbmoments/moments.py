@@ -189,7 +189,8 @@ def t_n(n: int, p: ColoredPairPartition) -> Fraction:
         raise ValueError("N must be nonzero")
     if p.num_colors != 2:
         raise ColorArityError("t_n is defined for exactly 2 colors")
-    return Fraction(1, n) ** tn_exponent(p)
+    # the exponent is never negative, so n ** e is an exact int
+    return Fraction(1, n ** tn_exponent(p))
 
 
 def t_free(v: PairPartition) -> Fraction:

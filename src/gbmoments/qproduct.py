@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .broken import BrokenPairPartition, gram_matrix
+from .broken import BrokenPairPartition, gram_blocks
 from .moments import Scalar, TFunction, UncoloredTFunction
 from .partitions import (
     MAX_ENUM_PAIRS,
@@ -202,14 +202,36 @@ def clt_error_bound(m: int, n: int) -> Fraction:
 def gram_psd_check(
     family: Sequence[BrokenPairPartition], t: TFunction
 ) -> tuple[Fraction, bool]:
-    """Exact positive-semidefiniteness of the Gram matrix t_hat(d_i* d_j):
-    rational LDL^T pivoting on the largest remaining diagonal entry d.  The
-    update for d > 0 touches only the columns where its row is nonzero, so
-    the block structure is used for free; once d <= 0, the matrix is PSD iff
-    d == 0 and nothing nonzero remains.  Returns (smallest pivot, verdict)."""
-    a = [[_exact(x) for x in row] for row in gram_matrix(family, t)]
-    if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
-        raise ValueError("gram matrix must be symmetric")
+    """Exact positive-semidefiniteness of the Gram matrix t_hat(d_i* d_j),
+    factored one `gram_blocks` block at a time: rational LDL^T pivoting on
+    the block's largest remaining diagonal entry d.  Once d <= 0, the block
+    is PSD iff d == 0 and nothing nonzero remains in it.  Returns (smallest
+    pivot, verdict), the same pair as one LDL^T on the dense matrix: its
+    pivots within a block are the block's own, it takes every positive one
+    and ends at the largest non-positive pivot any block ends at, a
+    right-legged diagram's zero row ending at 0."""
+    blocks, right_legged = gram_blocks(family, t)
+    matrices = [[[_exact(x) for x in row] for row in rows] for _, rows in blocks]
+    for a in matrices:
+        if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
+            raise ValueError("gram matrix must be symmetric")
+    positive, ends, ok = [], [Fraction(0)] if right_legged else [], True
+    for a in matrices:
+        pivots, block_ok = _ldl_pivots(a)
+        ok = ok and block_ok
+        if pivots[-1] <= 0:
+            ends.append(pivots.pop())
+        positive += pivots
+    if ends:
+        positive.append(max(ends))
+    return min(positive), ok
+
+
+def _ldl_pivots(a: list[list[Fraction]]) -> tuple[list[Fraction], bool]:
+    """The pivots of a symmetric matrix's LDL^T, factored in place, up to
+    and including the first one <= 0, and whether the matrix is PSD.  The
+    update for a pivot d > 0 touches only the columns where its row is
+    nonzero."""
     rest = list(range(len(a)))
     pivots = []
     while rest:
@@ -217,8 +239,7 @@ def gram_psd_check(
         d = a[p][p]
         pivots.append(d)
         if d <= 0:
-            ok = d == 0 and not any(a[i][j] for i in rest for j in rest)
-            return min(pivots), ok
+            return pivots, d == 0 and not any(a[i][j] for i in rest for j in rest)
         rest.remove(p)
         row = a[p]
         nonzero = [j for j in rest if row[j]]
@@ -227,7 +248,7 @@ def gram_psd_check(
             target = a[i]
             for j in nonzero:
                 target[j] -= factor * row[j]
-    return min(pivots), True
+    return pivots, True
 
 
 def _exact(x) -> Fraction:

@@ -74,8 +74,11 @@ def compatible_matchings(w: Word) -> list[tuple[tuple[int, int], ...]]:
     A pair (l, r) with l < r requires an annihilator at l and a creator at
     r with equal colors and equal basis indices; the pair inherits that
     color.  Empty for odd length or unbalanced words, and for words that
-    start with a creator or end with an annihilator.
+    start with a creator or end with an annihilator.  Letters given in any
+    other sequence than a tuple, such as a list, are read through `word`.
     """
+    if not isinstance(w, tuple):
+        w = word(w)
     if len(w) % 2 or w and (w[0].k == CREATE or w[-1].k == ANNIHILATE):
         return []
     # an annihilator opens a pair that its creator closes

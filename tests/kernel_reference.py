@@ -16,9 +16,12 @@ validity checks of `PairPartition`, `ColoredPairPartition` and
 `partitions._check_colors` replaced; on int points they must accept and
 reject the same inputs.
 `gram_matrix` is the all-products Gram assembly that
-`gbmoments.broken.gram_matrix` must agree with, and `t_q_star_n` is the
-n^m coloring enumeration that `gbmoments.qproduct.t_q_star_n` must agree
-with.  `sym_project` is the literal |G|-fold group average that
+`gbmoments.broken.gram_matrix` must agree with; `ldl_pivots` factors
+that dense matrix with one diagonal-max LDL^T, as
+`gbmoments.qproduct.gram_psd_check` did before it factored block by block,
+and its smallest pivot and verdict must be what that function returns; and
+`t_q_star_n` is the n^m coloring enumeration that
+`gbmoments.qproduct.t_q_star_n` must agree with.  `sym_project` is the literal |G|-fold group average that
 `gbmoments.fock.sym_project` computes by orbit sums.  `point_color` and
 `maximal_monotone_paths` are direct readings of a partition and a cycle
 that only the tests use.
@@ -312,6 +315,39 @@ def gram_matrix(family, t) -> list[list]:
             row.append(evaluate_t_hat(multiply(di, dj), t))
         out.append(row)
     return out
+
+
+def ldl_pivots(matrix) -> tuple[list[Fraction], bool]:
+    """Exact LDL^T of the whole symmetric matrix, pivoting on the largest
+    remaining diagonal entry d: the pivots up to and including the first
+    d <= 0, and the verdict, which is then d == 0 with nothing nonzero
+    left."""
+    a = [[_exact(x) for x in row] for row in matrix]
+    if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
+        raise ValueError("gram matrix must be symmetric")
+    rest = list(range(len(a)))
+    pivots = []
+    while rest:
+        p = max(rest, key=lambda i: a[i][i])
+        d = a[p][p]
+        pivots.append(d)
+        if d <= 0:
+            return pivots, d == 0 and not any(a[i][j] for i in rest for j in rest)
+        rest.remove(p)
+        row = a[p]
+        nonzero = [j for j in rest if row[j]]
+        for i in nonzero:
+            factor = row[i] / d
+            target = a[i]
+            for j in nonzero:
+                target[j] -= factor * row[j]
+    return pivots, True
+
+
+def _exact(x) -> Fraction:
+    if not isinstance(x, (int, Fraction)):
+        raise ValueError(f"Gram weights must be int or Fraction, not {type(x).__name__}")
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def t_q_star_n(t, q_base, n: int, v: PairPartition):

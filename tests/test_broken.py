@@ -36,7 +36,7 @@ from gbmoments.moments import (
     tn_handle,
     tn_uncolored_handle,
 )
-from gbmoments.partitions import CapacityError, ColoredPairPartition, enumerate_colored
+from gbmoments.partitions import CapacityError, ColoredPairPartition, crossings, enumerate_colored
 from gbmoments.qproduct import QMatrix, gram_psd_check, q_product_handle
 
 
@@ -208,13 +208,74 @@ def test_gram_matrix_matches_all_products_reference(args):
     assert calls["blocked"] == calls["reference"]
 
 
+# mirror-invariant, so their Gram matrices are symmetric, and not PSD; the
+# last one vanishes on the diagonal of every block with an even leg count
+NOT_PSD = (lambda p: 2 ** len(crossings(p.base)), lambda p: (-1) ** p.m, lambda p: p.m % 2)
+
+
+def _check_matches_dense(family, weights) -> list[tuple[Fraction, bool]]:
+    """gram_psd_check against the dense LDL^T of the all-products Gram
+    matrix, weight by weight: the same (min_pivot, verdict) and the same t
+    calls.  Returns the dense run's (last pivot, verdict) per weight."""
+    # the reference calls t on the leg-free products in row-major order,
+    # whatever the weight, so one pass forms them all
+    products = reference.gram_matrix(family, lambda p: p)
+    leg_free = [x for row in products for x in row if isinstance(x, ColoredPairPartition)]
+    ends = []
+    for weight in weights:
+        dense = [[weight(x) if isinstance(x, ColoredPairPartition) else x for x in row] for row in products]
+        pivots, ok = reference.ldl_pivots(dense)
+        calls = []
+        got = gram_psd_check(family, lambda p: calls.append(p) or weight(p))
+        assert got == (min(pivots), ok)
+        assert type(got[0]) is Fraction and type(got[1]) is bool
+        assert calls == leg_free
+        ends.append((pivots[-1], ok))
+    return ends
+
+
+def _family_params():
+    # the all-products reference forms 1.6M products at (4, 2) with right
+    # legs and 18M at (4, 3) with right legs; seeded subfamilies cover both
+    for n in range(5):
+        for k in (1, 2, 3):
+            for right in (False, True):
+                size = broken_count(n, k, right)
+                if size < 1000:
+                    marks = [pytest.mark.slow] if size > 300 else []
+                    yield pytest.param(n, k, right, marks=marks, id=f"{n}_{k}{'_right_legs' * right}")
+
+
+@pytest.mark.parametrize("n, k, right", _family_params())
+def test_gram_psd_check_matches_dense_reference(n, k, right):
+    _check_matches_dense(enumerate_broken(n, k, right), _weights(k) + NOT_PSD)
+
+
+def test_gram_psd_check_matches_dense_reference_on_subfamilies():
+    ends = []
+    for args in [(4, 2), (4, 2, True), (4, 3), (4, 3, True)]:
+        pool, rng = enumerate_broken(*args), random.Random(16)
+        for _ in range(12):
+            family = rng.sample(pool, 16)
+            right = any(any(d.right_legs) for d in family)
+            ends += [(right, end) for end in _check_matches_dense(family, _weights(args[1]) + NOT_PSD)]
+    # dense runs end at a positive pivot, at a negative one, at 0 with a
+    # nonzero entry left, and at 0 with a PSD verdict among the zero rows of
+    # right-legged diagrams
+    assert any(d > 0 for _, (d, _) in ends)
+    assert any(d < 0 for _, (d, _) in ends)
+    assert (False, (0, False)) in ends
+    assert (True, (0, True)) in ends
+
+
 @pytest.mark.parametrize("args, products", [((4, 2), 5375), ((3, 2, True), 263)])
 def test_gram_matrix_multiplies_only_matching_blocks(monkeypatch, args, products):
-    # the diagrams without right legs, in blocks of equal left-leg counts
+    # the diagrams without right legs, in blocks of equal left-leg counts;
+    # every product, the Gram path's included, goes through broken._join
     family = enumerate_broken(*args)
     calls = []
-    product = broken.multiply
-    monkeypatch.setattr(broken, "multiply", lambda d1, d2: calls.append(1) or product(d1, d2))
+    join = broken._join
+    monkeypatch.setattr(broken, "_join", lambda *a: calls.append(1) or join(*a))
     gram_matrix(family, tn_handle(2))
     blocks = Counter(tuple(map(len, d.left_legs)) for d in family if not any(d.right_legs))
     assert sum(size**2 for size in blocks.values()) == products

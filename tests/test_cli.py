@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -366,6 +367,26 @@ def test_pd_check_q_product(capsys):
         ["pd-check", "--max-points", "3", "--colors", "2", "--N", "2", "--q12", "-1"],
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "name, options",
+    [
+        ("tn", ["--colors", "2", "--t", "tn", "--N", "2"]),
+        ("thoma", ["--colors", "2", "--t", "thoma", "--alpha", "1/2,1/5", "--beta", "1/4"]),
+        ("q12", ["--colors", "2", "--N", "2", "--q12", "-1"]),
+        ("colors1", ["--colors", "1", "--t", "tn", "--N", "2"]),
+    ],
+)
+def test_pd_check_reports_are_pinned(capsys, name, options):
+    # reports of the dense LDL^T check, before it was factored block by
+    # block; byte-identical up to wall_time_s
+    assert dispatch(["pd-check", "--max-points", "4", *options]) == 0
+    out = capsys.readouterr().out
+    pinned = (FIXTURES / f"pd_check_m4_{name}.json").read_text()
+    wall_time = re.compile(r'"wall_time_s": [0-9.e+-]+')
+    assert wall_time.sub("", out) == wall_time.sub("", pinned)
+    assert wall_time.search(out)
 
 
 def test_stirling(capsys):

@@ -453,6 +453,17 @@ def test_rho_n_combinatorial_examples():
     assert rho_n_combinatorial(W.adjoint(word_a) + word_a, -1) == 0
 
 
+def test_words_given_as_lists():
+    a, c = W.annihilate(0, 1), W.create(0, 1)
+    for w in [(a, c), (a, a, c, c), (a, W.annihilate(1, 2), W.create(1, 2), c), (c, a)]:
+        listed = list(w)
+        assert W.compatible_partitions(listed) == W.compatible_partitions(w)
+        assert fock_moment(listed, tn_handle(3)) == fock_moment(w, tn_handle(3))
+        for n in (2, -3):
+            assert rho_n_combinatorial(listed, n) == rho_n_combinatorial(w, n)
+    assert rho_n_combinatorial([a, c], 2) == W.compatible_count([a, c]) == 1
+
+
 def test_exclusion_small():
     report = exclusion_check(-1, max_len=4, num_indices=2)
     assert report["all_zero"] and report["checked"] > 0

@@ -125,6 +125,17 @@ def test_t_n_matches_t_colored_everywhere():
                 assert t_n(n, p) == t_colored(thoma_n(n), p)
 
 
+def test_t_n_is_the_power_of_one_over_n():
+    # the exponent is paths - cycles >= 0, so 1 / n**e is (1/n)**e, sign included
+    for m in range(5):
+        for p in enumerate_colored(m, 2):
+            e = moments.tn_exponent(p)
+            assert e >= 0
+            for n in (-3, -2, 2, 3):
+                got = t_n(n, p)
+                assert got == Fraction(1, n) ** e and type(got) is Fraction
+
+
 def test_constant_coloring_reduces_to_uncolored():
     tp = thoma_n(2)
     for m in range(1, 5):
