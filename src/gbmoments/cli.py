@@ -122,12 +122,9 @@ def _t_handle_from_args(args) -> moments.TFunction:
         tp = moments.ThomaParameter(args.alpha, args.beta)
         return moments.thoma_handle(tp)
     if args.t == "tensor":
-        minus = moments.ThomaParameter(args.alpha_minus, args.beta_minus)
-        plus = moments.ThomaParameter(args.alpha_plus, args.beta_plus)
-        return moments.tensor_handle(
-            lambda v: moments.t_uncolored(minus, v),
-            lambda v: moments.t_uncolored(plus, v),
-        )
+        minus = moments.uncolored_handle(moments.ThomaParameter(args.alpha_minus, args.beta_minus))
+        plus = moments.uncolored_handle(moments.ThomaParameter(args.alpha_plus, args.beta_plus))
+        return moments.tensor_handle(minus, plus)
     raise ValueError(f"unknown weight family {args.t!r}")
 
 
@@ -162,8 +159,7 @@ def _uncolored_t_from_args(args) -> moments.UncoloredTFunction:
     if args.t == "tn":
         return moments.tn_uncolored_handle(args.N)
     if args.t == "thoma":
-        tp = moments.ThomaParameter(args.alpha, args.beta)
-        return lambda v: moments.t_uncolored(tp, v)
+        return moments.uncolored_handle(moments.ThomaParameter(args.alpha, args.beta))
     raise ValueError(f"unknown weight family {args.t!r}")
 
 

@@ -13,10 +13,10 @@ annihilator/creator roles of the points (left points are annihilators),
 so `bar_frame` computes it from those alone, once per word for all the
 partitions compatible with it.  `loop_counter` walks the cycles a
 partition's arcs close with a frame's bar arcs and returns each cycle's
-count of maximal increasing paths: the one cycle statistic behind both
-moment weights (`moments.t_n` and `moments.t_colored`) and the word-level
-sum.  `build_graph` walks the full vertex cycles only for the `graph`
-report.
+count of maximal increasing paths: the one cycle statistic behind every
+moment weight (`moments.t_n`, `moments.t_colored`, and `moments.t_uncolored`
+through the constant coloring) and the word-level sum.  `build_graph` walks
+the full vertex cycles only for the `graph` report.
 """
 
 from __future__ import annotations

@@ -311,8 +311,11 @@ def _propagate(
 
 def word_frame(w: W.Word) -> BarFrame:
     """The bar frame of the word's points, shared by every partition
-    compatible with it; the word must have one."""
+    compatible with it; the word must have one.  The frame indexes by color,
+    so a color outside {0, 1} raises ValueError, as `words.word()` does."""
     color = [0] + [let.b for let in w]
+    if not set(color) <= {0, 1}:
+        raise ValueError("color id must be 0 or 1")
     annihilator = [False] + [let.k == W.ANNIHILATE for let in w]
     return bar_frame(color, annihilator)
 

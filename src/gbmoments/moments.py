@@ -21,7 +21,7 @@ from .partitions import (
     FrozenValue,
     PairPartition,
     _walk_cycles,
-    uncolored_cycles,
+    crossings,
 )
 
 Scalar = Fraction | float
@@ -141,9 +141,12 @@ def spherical_function(
 
 
 def t_uncolored(tp: ThomaParameter, v: PairPartition) -> Scalar:
-    """Moment weight of an uncolored pair partition via its cycle type."""
-    _, rho = uncolored_cycles(v)
-    return thoma_character(tp, rho)
+    """Moment weight of an uncolored pair partition: the Thoma character at
+    its Bożejko–Guţă cycle type rho, read as the cycle graph's histogram
+    gamma under the constant coloring.  There every point is dominant, Z is
+    the noncrossing hat and every creator r has Z(r) < r, so each cycle has
+    one peak per pair, and gamma is rho."""
+    return thoma_character(tp, _graph_exponent(v.pairs, (1,) * v.m))
 
 
 def t_colored(tp: ThomaParameter, p: ColoredPairPartition) -> Scalar:
@@ -195,8 +198,6 @@ def t_n(n: int, p: ColoredPairPartition) -> Fraction:
 
 def t_free(v: PairPartition) -> Fraction:
     """1 on noncrossing partitions, 0 otherwise."""
-    from .partitions import crossings
-
     return Fraction(1) if not crossings(v) else Fraction(0)
 
 
@@ -219,13 +220,16 @@ def thoma_handle(tp: ThomaParameter) -> TFunction:
     return lambda p: t_colored(tp, p)
 
 
+def uncolored_handle(tp: ThomaParameter) -> UncoloredTFunction:
+    return lambda v: t_uncolored(tp, v)
+
+
 def tn_handle(n: int) -> TFunction:
     return lambda p: t_n(n, p)
 
 
 def tn_uncolored_handle(n: int) -> UncoloredTFunction:
-    tp = thoma_n(n)
-    return lambda v: t_uncolored(tp, v)
+    return uncolored_handle(thoma_n(n))
 
 
 def tensor_handle(

@@ -13,6 +13,7 @@ from gbmoments.cyclegraph import (
 from gbmoments.partitions import (
     ColorArityError,
     ColoredPairPartition,
+    PairPartition,
     enumerate_colored,
     enumerate_pair_partitions,
     uncolored_cycles,
@@ -185,12 +186,29 @@ def test_profile_endpoint_inequalities():
 
 
 def test_constant_coloring_matches_uncolored_cycles():
-    for m in range(1, 5):
+    # t_uncolored reads the constant coloring's histogram as the cycle type
+    # rho; both constant colorings give it (m = 1..6: 11,464 partitions)
+    for m in range(1, 7):
         for v in enumerate_pair_partitions(m):
-            p = ColoredPairPartition(v, (1,) * m, 2)
-            a = build_graph(p)
             _, rho = uncolored_cycles(v)
-            assert a.gamma == rho
+            for c in (0, 1):
+                p = ColoredPairPartition(v, (c,) * m, 2)
+                assert build_graph(p).gamma == _cached_gamma(p) == rho
+
+
+@st.composite
+def pair_partitions(draw, min_m=7, max_m=12):
+    m = draw(st.integers(min_value=min_m, max_value=max_m))
+    perm = draw(st.permutations(range(1, 2 * m + 1)))
+    return PairPartition.of(zip(perm[::2], perm[1::2]))
+
+
+@settings(deadline=None)
+@given(pair_partitions())
+def test_constant_coloring_matches_uncolored_cycles_random(v):
+    _, rho = uncolored_cycles(v)
+    for c in (0, 1):
+        assert dict(moments._graph_exponent(v.pairs, (c,) * v.m)) == rho
 
 
 def test_monotone_path_counts_balance():

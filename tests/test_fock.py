@@ -464,6 +464,18 @@ def test_words_given_as_lists():
     assert rho_n_combinatorial([a, c], 2) == W.compatible_count([a, c]) == 1
 
 
+@pytest.mark.parametrize("color", [2, -1])
+def test_words_with_colors_outside_zero_and_one_are_refused(color):
+    # letters built without words.word(): a tuple word skips that check, so
+    # the bar frame, which indexes by color, refuses them as a list is refused
+    w = (W.Letter(color, 1, W.ANNIHILATE), W.Letter(color, 1, W.CREATE))
+    for given_word in (w, list(w)):
+        with pytest.raises(ValueError, match="color id must be 0 or 1"):
+            rho_n_combinatorial(given_word, 2)
+    with pytest.raises(ValueError, match="color id must be 0 or 1"):
+        fock.word_frame(w)
+
+
 def test_exclusion_small():
     report = exclusion_check(-1, max_len=4, num_indices=2)
     assert report["all_zero"] and report["checked"] > 0

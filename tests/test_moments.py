@@ -1,8 +1,11 @@
+import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from gbmoments import moments
+import kernel_reference as reference
+from gbmoments import cli, moments
 from gbmoments import words as W
 from gbmoments.moments import (
     ThomaParameter,
@@ -19,14 +22,17 @@ from gbmoments.moments import (
     thoma_n,
     tn_handle,
     tn_uncolored_handle,
+    uncolored_handle,
 )
 from gbmoments.partitions import (
     ColorArityError,
     ColoredPairPartition,
     PairPartition,
+    crossings,
     enumerate_colored,
     enumerate_pair_partitions,
 )
+from gbmoments.qproduct import QMatrix, q_product_eval
 
 HALF = Fraction(1, 2)
 
@@ -136,12 +142,61 @@ def test_t_n_is_the_power_of_one_over_n():
                 assert got == Fraction(1, n) ** e and type(got) is Fraction
 
 
+# the rectangular line on both sides, one rational parameter off it, and
+# one float parameter, whose weights must stay floats
+UNCOLORED_PARAMETERS = (
+    thoma_n(2),
+    thoma_n(-3),
+    ThomaParameter(alpha=(HALF, Fraction(1, 3)), beta=(Fraction(1, 8),)),
+    ThomaParameter(alpha=(0.5, 0.25), beta=(0.125,)),
+)
+
+
+def _reference_weight(tp, v):
+    # the Bożejko–Guţă cycle type from the hat-based reference walk
+    _, rho = reference.uncolored_cycles(v)
+    return thoma_character(tp, rho)
+
+
 def test_constant_coloring_reduces_to_uncolored():
-    tp = thoma_n(2)
-    for m in range(1, 5):
-        for v in enumerate_pair_partitions(m):
-            p = ColoredPairPartition(v, (1,) * m, 2)
-            assert t_colored(tp, p) == t_uncolored(tp, v)
+    # t_uncolored reads the constant coloring's cycle graph; it must give the
+    # character at the independently walked cycle type, value and type
+    for tp in UNCOLORED_PARAMETERS:
+        for m in range(6):
+            for v in enumerate_pair_partitions(m):
+                got, want = t_uncolored(tp, v), _reference_weight(tp, v)
+                assert got == want and type(got) is type(want)
+                assert uncolored_handle(tp)(v) == got
+
+
+def test_no_uncolored_weight_walks_uncolored_cycles(monkeypatch, capsys):
+    # uncolored_cycles stays the public decomposition and the tests'
+    # reference, but no weight path may call it
+    def tripwire(v):
+        raise AssertionError("an uncolored weight called uncolored_cycles")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gbmoments") and hasattr(module, "uncolored_cycles"):
+            monkeypatch.setattr(module, "uncolored_cycles", tripwire)
+    for tp in UNCOLORED_PARAMETERS:
+        for v in enumerate_pair_partitions(4):
+            assert t_uncolored(tp, v) == _reference_weight(tp, v)
+    comp = tn_uncolored_handle(2)
+    q12 = Fraction(-1, 2)
+    q = QMatrix.of([[Fraction(1), q12], [q12, Fraction(1)]])
+    for p in enumerate_colored(4, 2):
+        minus, plus = (
+            _reference_weight(thoma_n(2), reference.color_class(p, b)) for b in (0, 1)
+        )
+        assert t_tensor(comp, comp, p) == minus * plus
+        color_of = dict(zip(p.base.pairs, p.colors))
+        mixed = sum(color_of[a] != color_of[b] for a, b in crossings(p.base))
+        assert q_product_eval([comp, comp], q, p) == q12**mixed * minus * plus
+    capsys.readouterr()
+    assert cli.dispatch(["pd-check", "--max-points", "3", "--colors", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"] == {"family_size": 14, "min_pivot": "0"}
+    assert report["checks"] == [{"actual": True, "expected": True, "name": "psd", "pass": True}]
 
 
 def test_t_magnitude_bound():
