@@ -31,6 +31,7 @@ from . import words as W
 from .cyclegraph import build_graph
 from .partitions import (
     MAX_ENUM_PARTITIONS,
+    MAX_VALUE_DIGITS,
     CapacityError,
     ColorArityError,
     colored_from_json,
@@ -38,6 +39,7 @@ from .partitions import (
     enumerate_colored,
     enumerate_pair_partitions,
     pair_partition_from_json,
+    read_scalar,
 )
 
 USAGE_EXIT = 2
@@ -45,13 +47,11 @@ CAPACITY_EXIT = 3
 OUTPUT_EXIT = 4
 # pd-check families hold at most this many diagrams (5 points x 2 colors is 1,571)
 MAX_GRAM_FAMILY = 2048
-# bounds the power N^e in an exact value's denominator before it is
-# computed: t_N's (1/N)^e in eval, the N^P(w) under oracle's loop sum, the
-# factor n^m of clt's error denominators (the --Q entries' denominators add
-# more); and every exact value fmt_scalar prints, once computed (Thoma and
-# tensor weights have no such closed form); Python prints no integer of
-# more than 4,300 digits
-MAX_VALUE_DIGITS = 4300
+# MAX_VALUE_DIGITS bounds the power N^e in an exact value's denominator
+# before it is computed: t_N's (1/N)^e in eval, the N^P(w) under oracle's
+# loop sum, the factor n^m of clt's error denominators (the --Q entries'
+# denominators add more); and every exact value fmt_scalar prints, once
+# computed (Thoma and tensor weights have no such closed form)
 # the smallest integer with more than MAX_VALUE_DIGITS digits
 UNPRINTABLE = 10**MAX_VALUE_DIGITS
 
@@ -73,20 +73,11 @@ def fmt_scalar(x) -> str | float:
     return float(f"{x:.17g}")
 
 
-def parse_rational(text: str) -> Fraction:
-    """An exact rational; ValueError (argparse's usage error) when malformed
-    or when the denominator is zero."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
 def parse_rational_list(text: str) -> tuple[Fraction, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(parse_rational(part) for part in text.split(","))
+    return tuple(read_scalar(part) for part in text.split(","))
 
 
 def _check_power_digits(n: int, exponent: int):
@@ -377,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--colors", type=int, default=1)
     weight = p.add_mutually_exclusive_group()
     weight.add_argument("--t", choices=["tn", "thoma"], help="default: tn")
-    weight.add_argument("--q12", type=parse_rational,
+    weight.add_argument("--q12", type=read_scalar,
                         help="use the coupling-matrix product of two t_N copies instead")
     _add_thoma_flags(p)
     p.set_defaults(func=cmd_pd_check)
@@ -398,12 +389,12 @@ def _add_thoma_flags(p: argparse.ArgumentParser):
 def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
+        # a too long rational option raises CapacityError out of parse_args
         args = parser.parse_args(argv)
+        start = time.perf_counter()
+        inputs, results, checks = args.func(args)
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
-    start = time.perf_counter()
-    try:
-        inputs, results, checks = args.func(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return CAPACITY_EXIT

@@ -9,9 +9,13 @@ for -1 and color id 1 for +1.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 MAX_ENUM_PAIRS = 8
+# Python prints no integer of more than this many digits; a rational read
+# from text may have no more digits, nor an exponent of larger magnitude
+MAX_VALUE_DIGITS = 4300
 
 
 class CapacityError(Exception):
@@ -192,6 +196,31 @@ def _check_colors(colors: Sequence[int], m: int, num_colors: int):
 def _sorted_pairs(tagged: Iterable) -> tuple[tuple, tuple]:
     """(pairs, colors) of the (pair, color) items, sorted by left point."""
     return tuple(zip(*sorted(tagged))) or ((), ())
+
+
+def too_long(text: str) -> bool:
+    """Whether a rational's text has more than MAX_VALUE_DIGITS digits, or
+    an exponent of larger magnitude, judged before Fraction builds
+    10^|exponent| from it."""
+    if sum(map(str.isdecimal, text)) > MAX_VALUE_DIGITS:
+        return True
+    try:
+        return abs(int(text.lower().partition("e")[2] or 0)) > MAX_VALUE_DIGITS
+    except ValueError:  # a malformed exponent, which Fraction refuses
+        return False
+
+
+def read_scalar(x) -> Fraction | float:
+    """A float as it is, anything else as an exact Fraction: ValueError when
+    malformed or the denominator is zero, CapacityError when too_long."""
+    if isinstance(x, float):
+        return x
+    if isinstance(x, str) and too_long(x):
+        raise CapacityError(f"a rational of more than {MAX_VALUE_DIGITS} digits or exponent")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 def _is_int(x) -> bool:

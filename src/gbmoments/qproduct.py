@@ -9,7 +9,6 @@ so convergence rates can be asserted as rational identities.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -26,6 +25,7 @@ from .partitions import (
     _is_int,
     _walk_cycles,
     crossings,
+    read_scalar,
 )
 
 # t_q_star_n sums at most this many (kernel, residue) terms, each standing
@@ -61,12 +61,12 @@ class QMatrix(FrozenValue):
         for x in (x for row in rows for x in row):
             if not (isinstance(x, (str, float, Fraction)) or _is_int(x)):
                 raise ValueError(f"bad coupling entry {x!r}")
-        return cls(tuple(tuple(_as_scalar(x) for x in row) for row in rows))
+        return cls(tuple(tuple(read_scalar(x) for x in row) for row in rows))
 
     @classmethod
     def constant(cls, size: int, q: Scalar) -> "QMatrix":
         """The matrix with every entry equal to q."""
-        q = _as_scalar(q)
+        q = read_scalar(q)
         return cls(((q,) * size,) * size)
 
     @property
@@ -76,15 +76,6 @@ class QMatrix(FrozenValue):
     def at(self, i: int, j: int) -> Scalar:
         """Entry for 0-based color ids."""
         return self.entries[i][j]
-
-
-def _as_scalar(x) -> Scalar:
-    if isinstance(x, float):
-        return x
-    try:
-        return Fraction(x)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 def _crossing_index_pairs(v: PairPartition) -> list[tuple[int, int]]:
@@ -139,7 +130,9 @@ def t_q_star_n(
     and each class's color residue mod K = q_base.size, so the sum runs over
     kernels and the residue assignments shared by a nonzero number of
     colorings, prod_r perm(n_r, #classes with residue r) with n_r colors of
-    residue r; there are never more terms than colorings.
+    residue r; there are never more terms than colorings.  A kernel fixes
+    once its crossings' class pairs (a, b) and class weights; a term is the
+    product of q_base[res[a], res[b]] and them, in q_product_eval's order.
     """
     if n < 1 or q_base.size < 1:
         raise ValueError("n and the matrix size must be positive")
@@ -155,16 +148,15 @@ def t_q_star_n(
     for _ in range(v.m):
         residues.append([res + (r,) for res in residues[-1] for r in range(k)
                          if res.count(r) < sizes[r]])
-    # a class's weight depends on the kernel alone, not on the residues
-    weight = functools.cache(t)
+    cross, rows = _crossing_index_pairs(v), q_base.entries
     total: Scalar = Fraction(0)
     for ids, blocks in kernels:
         if not residues[blocks]:
             continue
-        p = ColoredPairPartition(v, ids, blocks)
+        links = [(ids[j1], ids[j2]) for j1, j2 in cross]
+        weights = [t(v.restrict(j for j in range(v.m) if ids[j] == b)) for b in range(blocks)]
         for res in residues[blocks]:
-            q = QMatrix(tuple(tuple(q_base.at(a, b) for b in res) for a in res))
-            term = q_product_eval([weight] * blocks, q, p)
+            term = math.prod([rows[res[a]][res[b]] for a, b in links] + weights, start=Fraction(1))
             if term:
                 count = math.prod(math.perm(sizes[r], res.count(r)) for r in set(res))
                 total += Fraction(count, n**v.m) * term

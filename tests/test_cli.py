@@ -389,6 +389,27 @@ def test_pd_check_reports_are_pinned(capsys, name, options):
     assert wall_time.search(out)
 
 
+@pytest.mark.parametrize(
+    "name, q, options",
+    [
+        ("tn", "q_rational_2x2.json", ["--t", "tn", "--N", "3"]),
+        ("free", "q_float_3x3.json", ["--t", "free"]),
+    ],
+)
+def test_clt_reports_are_pinned(capsys, monkeypatch, name, q, options):
+    # reports of the coloring sum that built a matrix, a colored partition
+    # and a q_product_eval call per term, on 6 pairs with 10 crossings;
+    # byte-identical up to wall_time_s, floats included
+    monkeypatch.chdir(FIXTURES)
+    argv = ["clt", "--Q", q, "--V", "v_six_pairs.json", *options, "--n", "1,2,3,6,1000000"]
+    assert dispatch(argv) == 0
+    out = capsys.readouterr().out
+    pinned = (FIXTURES / f"clt_v6_{name}.json").read_text()
+    wall_time = re.compile(r'"wall_time_s": [0-9.e+-]+')
+    assert wall_time.sub("", out) == wall_time.sub("", pinned)
+    assert wall_time.search(out)
+
+
 def test_stirling(capsys):
     code, report = run(capsys, ["stirling", "--N", "-1"])
     assert code == 0
@@ -415,6 +436,66 @@ def test_malformed_partition_exits_2(capsys, tmp_path, content):
 def test_zero_denominator_exits_2(capsys):
     argv = ["eval", "--t", "thoma", "--alpha", "1/0", "--partition", TWELVE]
     assert dispatch(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, long",
+    [
+        ("1e4300", False), ("1e4301", True), ("-1E-4300", False), ("1e-4301", True),
+        ("1" * 4300, False), ("1" * 4301, True),
+        ("0." + "0" * 4298 + "1", False), ("0." + "0" * 4299 + "1", True),
+        ("1/" + "3" * 4299, False), ("1/" + "3" * 4300, True),
+    ],
+    ids=["exponent_4300", "exponent_4301", "exponent_minus_4300", "exponent_minus_4301",
+         "integer_4300", "integer_4301", "decimal_4300", "decimal_4301",
+         "ratio_4300", "ratio_4301"],
+)
+def test_too_long_at_the_digit_limit(text, long):
+    # digits are counted wherever they stand, the exponent's among them
+    assert partitions.too_long(text) is long
+    if not long:
+        assert isinstance(partitions.read_scalar(text), Fraction)
+
+
+@pytest.mark.parametrize("text", ["12e", "e", "1e5e5", "1e--3", "1/2e3"])
+def test_too_long_leaves_malformed_exponents_to_fraction(text):
+    assert not partitions.too_long(text)
+    with pytest.raises(ValueError):
+        partitions.read_scalar(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pd-check", "--max-points", "2", "--colors", "2", "--N", "2", "--q12", "1e-10000000"],
+        ["eval", "--t", "thoma", "--alpha", "1/2,1e-10000000", "--partition", TWELVE],
+        ["clt", "--Q", "q.json", "--V", str(FIXTURES / "v_crossing.json"), "--t", "free",
+         "--n", "2"],
+    ],
+    ids=["pd_check_q12", "eval_alpha", "clt_Q"],
+)
+def test_huge_exponent_exits_3_before_fraction_expands_it(capsys, tmp_path, monkeypatch, argv):
+    # Fraction would build 10^10000000, about 9.5 s, before any later guard
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q.json").write_text(json.dumps([["1", "1e-10000000"], ["1e-10000000", "1"]]))
+    start = time.perf_counter()
+    assert dispatch(argv) == 3
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "4300 digits" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "entry", ["0." + "0" * 4300 + "1", "1e-4301"], ids=["long_digit_string", "tiny_entry"]
+)
+def test_too_long_matrix_entry_exits_3_on_a_noncrossing_v(capsys, tmp_path, entry):
+    # the entry is refused as read, though no crossing would ever use it
+    (tmp_path / "q.json").write_text(json.dumps([[entry]]))
+    (tmp_path / "v.json").write_text(json.dumps({"pairs": [[1, 2], [3, 4]]}))
+    argv = ["clt", "--Q", str(tmp_path / "q.json"), "--V", str(tmp_path / "v.json"),
+            "--t", "free", "--n", "2"]
+    assert dispatch(argv) == 3
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kernel_reference as reference
+from gbmoments import qproduct
 from gbmoments.broken import embed, empty, enumerate_broken
 from gbmoments.moments import (
     t_free,
@@ -222,6 +224,45 @@ def test_t_q_star_n_matches_coloring_enumeration():
                 want = reference.t_q_star_n(weights[0], inexact, n, v)
                 assert type(got) is type(want), (v, k, n)
                 assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15), (v, k, n)
+
+
+def test_t_q_star_n_prices_each_kernel_once(monkeypatch):
+    """A term's crossing links and class weights depend on its kernel
+    alone, so no term builds a matrix or a colored partition or calls
+    q_product_eval."""
+    q = QMatrix.of([[1, -HALF], [-HALF, Fraction(1, 3)]])
+
+    def tripwire(*args):
+        raise AssertionError("t_q_star_n built a per-term value")
+
+    for name in ("QMatrix", "ColoredPairPartition", "q_product_eval"):
+        monkeypatch.setattr(qproduct, name, tripwire)
+    for v in (PairPartition.of([(1, 5), (2, 7), (3, 6), (4, 8)]),
+              PairPartition.of([(1, 3), (2, 6), (4, 7), (5, 8)])):
+        for t in (t_free, tn_uncolored_handle(2), lambda _: 1):
+            for n in (2, 3):
+                assert t_q_star_n(t, q, n, v) == reference.t_q_star_n(t, q, n, v), (v, n)
+
+
+@st.composite
+def coloring_sums(draw):
+    """A random V of 5 or 6 pairs, a rational K x K matrix with K <= 2,
+    n <= 3 and one of the weights."""
+    m = draw(st.integers(min_value=5, max_value=6))
+    perm = draw(st.permutations(range(1, 2 * m + 1)))
+    k = draw(st.integers(min_value=1, max_value=2))
+    entries = {(i, j): Fraction(draw(st.integers(-6, 6)), 6) for i in range(k) for j in range(i, k)}
+    q = QMatrix(tuple(tuple(entries[min(i, j), max(i, j)] for j in range(k)) for i in range(k)))
+    n = draw(st.integers(min_value=1, max_value=3))
+    t = draw(st.sampled_from([t_free, tn_uncolored_handle(2), tn_uncolored_handle(-3), lambda _: 1]))
+    return PairPartition.of(zip(perm[::2], perm[1::2])), q, n, t
+
+
+@settings(deadline=None, max_examples=100)
+@given(coloring_sums())
+def test_t_q_star_n_matches_enumeration_past_four_pairs(case):
+    v, q, n, t = case
+    assert t_q_star_n(t, q, n, v) == reference.t_q_star_n(t, q, n, v)
 
 
 def test_gram_psd_orthonormal_hooks():
