@@ -1,16 +1,23 @@
 """Brute-force vacuum-expectation oracles and word identities.
 
 The dense oracle realizes the symmetrized Fock-like space explicitly at the
-rectangular parameter alpha_i = 1/N (N in {2,3}): basis keys hold the two
-equal-length value tuples of the underlying bi-invariant space together with
-the per-color tensor words, a state keeps an integer amplitude per key and
-one exact rational scale, and the symmetrization projector is applied after
-every operator, computed by orbit sums: each orbit of keys under the
-per-color symmetric groups gets its amplitude sum over its size.  The lambda
-oracle propagates single "elementary" states through the canonical word of a
-colored pair partition, summing over the finitely many value assignments to
-dominant creators; the word fixes the scale, and an assignment only decides
-whether the state survives.
+rectangular parameter alpha_i = 1/N (N in {2,3}).  A basis key holds the
+two equal-length value tuples of the underlying bi-invariant space together
+with the per-color tensor words; read per color, a key is a row of
+(value, index) columns followed by an unbound tail of values.  A
+symmetrized vector is constant on each orbit of keys under the per-color
+symmetric groups, which permute the columns and fix the tails, so a
+`State` keeps one integer amplitude per orbit and one exact scale.  Every
+operator maps orbits to orbits: a creator sends an orbit to one orbit (one
+per value z at a dominant creator), an annihilator sends it to one orbit
+per distinct last column, weighed by the number of its keys that end in
+that column; each target orbit then gets its amplitude sum over its size,
+which is the symmetrization projector.  No key is ever listed.  The lambda
+oracle propagates single "elementary" states through the canonical word of
+a colored pair partition in one depth-first walk, right to left, that
+branches over the value of each dominant creator and drops a branch at the
+first dominant annihilator whose values disagree; the word fixes the scale,
+and an assignment only decides whether the state survives.
 Negative N is covered by the purely combinatorial weight sum together with
 the exclusion, commutation, and finite-padding identities.  That sum is
 computed by the loop-sum identity rho_N(w) = N^-P(w) sum over the
@@ -23,6 +30,7 @@ matching joined with Z(w) are counted.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
@@ -38,33 +46,44 @@ LAMBDA_MAX_LEVEL = 5
 
 # key: (x, y, word_minus, word_plus); len(x) == len(y) == max(word lengths)
 StateKey = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+# orbit of keys: (sorted minus columns, x tail, sorted plus columns, y tail),
+# a column being a (value, index) pair of zip(x, word_minus) or zip(y, word_plus)
+Column = tuple[int, int]
+Orbit = tuple[tuple[Column, ...], tuple[int, ...], tuple[Column, ...], tuple[int, ...]]
 
-VACUUM_KEY: StateKey = ((), (), (), ())
+VACUUM: Orbit = ((), (), (), ())
+
 
 class State:
-    """A vector of the dense space: one exact scale times integer
-    amplitudes on basis keys, scale * sum of amp * key.  Operators do
-    integer work per key and fold their denominators into the scale, once
-    per step; len() is the number of keys."""
+    """A symmetrized vector of the dense space, kept on orbits: every key
+    of an orbit carries the same exact amplitude, num / den * amps[orbit].
+    Operators do integer work per orbit and fold their denominators into
+    num / den, which becomes a Fraction only when read; len() is the
+    number of orbits."""
 
-    __slots__ = ("scale", "amps")
+    __slots__ = ("num", "den", "amps")
 
-    def __init__(self, scale: Fraction, amps: dict[StateKey, int]):
-        self.scale = scale
+    def __init__(self, num: int, den: int, amps: dict[Orbit, int]):
+        self.num = num
+        self.den = den
         self.amps = amps
 
     def __len__(self) -> int:
         return len(self.amps)
 
-    @classmethod
-    def of(cls, exact: dict[StateKey, Fraction]) -> State:
-        """The state with these exact amplitudes, keys kept as given."""
-        common = lcm(*(Fraction(amp).denominator for amp in exact.values()))
-        return cls(Fraction(1, common), {key: int(amp * common) for key, amp in exact.items()})
+    @property
+    def scale(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
-    def amplitudes(self) -> dict[StateKey, Fraction]:
-        """The exact amplitude of every key."""
-        return {key: amp * self.scale for key, amp in self.amps.items()}
+    @classmethod
+    def of(cls, exact: dict[Orbit, Fraction]) -> State:
+        """The state with these exact amplitudes, orbits kept as given."""
+        common = lcm(*(Fraction(amp).denominator for amp in exact.values()))
+        return cls(1, common, {orbit: int(amp * common) for orbit, amp in exact.items()})
+
+    def amplitudes(self) -> dict[Orbit, Fraction]:
+        """The exact amplitude of every orbit, shared by each of its keys."""
+        return {orbit: Fraction(self.num * amp, self.den) for orbit, amp in self.amps.items()}
 
 
 def check_dense_params(n: int):
@@ -76,14 +95,16 @@ def check_dense_params(n: int):
 
 def check_dense_word(w: W.Word, n: int):
     """Refuse, before any operator is applied, what the dense oracle would
-    refuse while applying w: the parameters, then the level apply_letter
-    checks at each creator.  Read right to left, a creator of color b meets
-    level max(n_b + 1, n_other), n_c counting the color-c creators minus
-    annihilators so far; every key of a nonzero state has these word lengths,
-    and a word with a compatible partition never vanishes at N in {2, 3}
-    (its vacuum amplitude is a sum of positive t_N values).  A word without
-    one may vanish first, so it is left to the oracle."""
+    refuse while applying w: the parameters, the letters (as `words.word()`
+    does), then the level apply_letter checks at each creator.  Read right
+    to left, a creator of color b meets level max(n_b + 1, n_other), n_c
+    counting the color-c creators minus annihilators so far; every orbit of
+    a nonzero state has these word lengths, and a word with a compatible
+    partition never vanishes at N in {2, 3} (its vacuum amplitude is a sum
+    of positive t_N values).  A word without one may vanish first, so it is
+    left to the oracle."""
     check_dense_params(n)
+    w = W.word(w)
     counts, peak = [0, 0], 0
     for let in reversed(w):
         if let.k == W.CREATE:
@@ -96,95 +117,128 @@ def check_dense_word(w: W.Word, n: int):
 
 
 def vacuum_state() -> State:
-    return State(Fraction(1), {VACUUM_KEY: 1})
+    return State(1, 1, {VACUUM: 1})
 
 
 # the m <= 4 compare matrix meets 256 distinct column multisets
 @lru_cache(maxsize=1024)
-def _arrangements(columns: tuple[tuple[int, int], ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The distinct orderings of a multiset of (value, index) columns, each
-    as its value prefix and its word."""
-    if not columns:
-        return (((), ()),)
-    return tuple(tuple(zip(*order)) for order in set(itertools.permutations(columns)))
+def _orderings(columns: tuple[Column, ...]) -> int:
+    """The number of distinct orderings of a sorted multiset of columns,
+    len! over the factorials of the multiplicities."""
+    count, run = factorial(len(columns)), 1
+    for j in range(1, len(columns)):
+        run = run + 1 if columns[j] == columns[j - 1] else 1
+        count //= run
+    return count
 
 
-def sym_project(state: State) -> State:
-    """The symmetrization projector P = (1/|G|) sum over g in G of g, with
-    G = S_{n-} x S_{n+}: S_{n-} permutes the columns zip(x[:n-], w-), S_{n+}
-    the columns zip(y[:n+], w+), and the tails x[n-:], y[n+:] stay fixed.
-    P(v) is constant on each orbit of keys, equal to the orbit's amplitude
-    sum over its size, so it is computed one orbit at a time; orbits that
-    sum to zero are dropped.  On integer amplitudes: with L the lcm of the
-    orbit sizes, each key gets total * (L // size) and the scale is divided
-    by L; the amplitudes' gcd then moves into the scale.  Raises ValueError
-    for a key whose value tuple is shorter than its word."""
-    totals = defaultdict(int)
-    for key, amp in state.amps.items():
+def _project(totals: dict[Orbit, int], num: int, den: int) -> State:
+    """The symmetrized state num / den * P(v) of the vector v whose keys
+    in each orbit sum to that orbit's total: each key of an orbit gets the
+    total over the orbit's size, and orbits that sum to zero are dropped.
+    On integers: with L the lcm of the sizes, an orbit gets total * (L //
+    size) and the scale is divided by L; the amplitudes' gcd then moves
+    into the scale."""
+    sizes = {
+        orbit: _orderings(orbit[0]) * _orderings(orbit[2])
+        for orbit, total in totals.items()
+        if total
+    }
+    if not sizes:
+        return State(num, den, {})
+    common = lcm(*sizes.values())
+    amps = {orbit: totals[orbit] * (common // size) for orbit, size in sizes.items()}
+    shared = gcd(*amps.values())
+    return State(num * shared, den * common, {orbit: amp // shared for orbit, amp in amps.items()})
+
+
+def sym_project(raw: dict[StateKey, int | Fraction]) -> State:
+    """The symmetrization projector P = (1/|G|) sum over g in G of g on a
+    vector given by one exact amplitude per basis key, with G = S_{n-} x
+    S_{n+}: S_{n-} permutes the columns zip(x[:n-], w-), S_{n+} the columns
+    zip(y[:n+], w+), and the tails x[n-:], y[n+:] stay fixed.  P(v) is
+    constant on each orbit of keys, equal to the orbit's amplitude sum over
+    its size, so it is the State that `_project` makes of the orbit sums,
+    as apply_letter's are.  Raises ValueError for a key whose value tuple is
+    shorter than its word."""
+    common = lcm(*(Fraction(amp).denominator for amp in raw.values()))
+    totals: dict[Orbit, int] = defaultdict(int)
+    for key, amp in raw.items():
         x, y, wm, wp = key
         nm, np_ = len(wm), len(wp)
         if len(x) < nm or len(y) < np_:
             raise ValueError(f"value tuples of {key} are shorter than its words")
         orbit = (tuple(sorted(zip(x, wm))), x[nm:], tuple(sorted(zip(y, wp))), y[np_:])
-        totals[orbit] += amp
-    orbits = []
-    for (minus_columns, x_tail, plus_columns, y_tail), total in totals.items():
-        if total:
-            minus, plus = _arrangements(minus_columns), _arrangements(plus_columns)
-            orbits.append((minus, x_tail, plus, y_tail, total, len(minus) * len(plus)))
-    if not orbits:
-        return State(state.scale, {})
-    common = lcm(*(size for *_, size in orbits))
-    shared = gcd(*(total * (common // size) for *_, total, size in orbits))
-    out: dict[StateKey, int] = {}
-    for minus, x_tail, plus, y_tail, total, size in orbits:
-        value = total * (common // size) // shared
-        for x_head, wm in minus:
-            x = x_head + x_tail
-            for y_head, wp in plus:
-                out[(x, y_head + y_tail, wm, wp)] = value
-    return State(state.scale * Fraction(shared, common), out)
+        totals[orbit] += int(amp * common)
+    return _project(totals, 1, common)
 
 
 def apply_letter(state: State, letter: W.Letter, n: int) -> State:
-    """One creation or annihilation operator, exactly, then re-symmetrize.
-    A creator multiplies each amplitude by n_b + 1; an annihilator divides
-    the scale by N and multiplies the amplitude of each key it leaves at
-    its level by N."""
+    """One creation or annihilation operator on a symmetrized state,
+    exactly, then re-symmetrized, one orbit at a time.  Per color b an
+    orbit is its sorted columns, its tail, and the other color's columns
+    and tail; every key of the orbit moves to the same place.
+
+    A creator of index i appends the column (z, i) to each key, for every
+    z in 1..N when it is dominant (n_b >= n_other: both value tuples grow
+    by z) and with z the first tail value otherwise, and multiplies by
+    n_b + 1; so the orbit's |orbit| keys all land in one orbit per z.
+    An annihilator of index i removes the last column c = (v, i) of each
+    key that ends in one: a key of an orbit ends in c in
+    orderings(columns - c) * orderings(other columns) ways.  Subordinate
+    (n_b <= n_other), v becomes the first tail value; dominant, it must
+    equal the other tail's last value, which leaves with it, and the
+    amplitude is divided by N.  The scale is divided by N and a subordinate
+    image multiplied by N, to stay on integers."""
     b, i = letter.b, letter.i
-    scale = state.scale
-    out: dict[StateKey, int] = defaultdict(int)
+    den = state.den
+    totals: dict[Orbit, int] = defaultdict(int)
     if letter.k == W.CREATE:
-        for (x, y, wm, wp), amp in state.amps.items():
-            words = (wm, wp)
-            nb, nother = len(words[b]), len(words[1 - b])
+        for orbit, amp in state.amps.items():
+            cols, tail, other, other_tail = _from_color(b, orbit)
+            nb, nother = len(cols), len(other)
             if max(nb + 1, nother) > DENSE_MAX_LEVEL:
                 raise CapacityError(f"word drives a level above {DENSE_MAX_LEVEL}")
-            coef = amp * (nb + 1)
-            new_word = words[b] + (i,)
-            pair = (new_word, words[1 - b]) if b == 0 else (words[1 - b], new_word)
+            coef = amp * (nb + 1) * _orderings(cols) * _orderings(other)
             if nb >= nother:
-                for z in range(1, n + 1):
-                    out[(x + (z,), y + (z,), pair[0], pair[1])] += coef
+                images = [(_inserted(cols, (z, i)), tail, other, other_tail + (z,)) for z in range(1, n + 1)]
             else:
-                out[(x, y, pair[0], pair[1])] += coef
+                images = [(_inserted(cols, (tail[0], i)), tail[1:], other, other_tail)]
+            for image in images:
+                totals[_from_color(b, image)] += coef
     else:
         # adjoint of creation: on an already-symmetrized state only the
         # last word factor is removed; the k-sum of the textbook formula
         # is recovered by the surrounding symmetrization average
-        scale = scale / n
-        for (x, y, wm, wp), amp in state.amps.items():
-            words = (wm, wp)
-            nb, nother = len(words[b]), len(words[1 - b])
-            if nb == 0 or words[b][-1] != i:
-                continue
-            new_word = words[b][:-1]
-            pair = (new_word, words[1 - b]) if b == 0 else (words[1 - b], new_word)
-            if nb <= nother:
-                out[(x, y, pair[0], pair[1])] += amp * n
-            elif x[-1] == y[-1]:
-                out[(x[:-1], y[:-1], pair[0], pair[1])] += amp
-    return sym_project(State(scale, out))
+        den *= n
+        for orbit, amp in state.amps.items():
+            cols, tail, other, other_tail = _from_color(b, orbit)
+            nb, nother = len(cols), len(other)
+            coef = amp * _orderings(other)
+            for j, column in enumerate(cols):
+                if column[1] != i or (j and cols[j - 1] == column):
+                    continue
+                rest = cols[:j] + cols[j + 1:]
+                if nb <= nother:
+                    image = (rest, (column[0],) + tail, other, other_tail)
+                    weight = coef * _orderings(rest) * n
+                elif column[0] == other_tail[-1]:
+                    image = (rest, tail, other, other_tail[:-1])
+                    weight = coef * _orderings(rest)
+                else:
+                    continue
+                totals[_from_color(b, image)] += weight
+    return _project(totals, state.num, den)
+
+
+def _from_color(b: int, orbit: Orbit) -> Orbit:
+    """The orbit with color b's columns and tail first; its own inverse."""
+    return orbit if b == 0 else (orbit[2], orbit[3], orbit[0], orbit[1])
+
+
+def _inserted(columns: tuple[Column, ...], column: Column) -> tuple[Column, ...]:
+    k = bisect(columns, column)
+    return columns[:k] + (column,) + columns[k:]
 
 
 def apply_word(state: State, w: W.Word, n: int) -> State:
@@ -197,116 +251,124 @@ def apply_word(state: State, w: W.Word, n: int) -> State:
 
 
 def check_state(state: State) -> None:
-    """Validate the basis-key invariants: the two value tuples of a key are
-    equal-length permutations of each other, sized to the larger word, and
-    the state is fixed by the symmetrization projector; raises ValueError
-    otherwise."""
-    for key in state.amps:
-        x, y, wm, wp = key
-        if not len(x) == len(y) == max(len(wm), len(wp)):
-            raise ValueError(f"value tuples of {key} do not match its level")
-        if sorted(x) != sorted(y):
-            raise ValueError(f"value tuples of {key} are not permutations of each other")
-    if sym_project(state).amplitudes() != state.amplitudes():
+    """Validate the orbit invariants: columns in sorted order, the two
+    value multisets (column values and tail) equal and sized to the larger
+    word, and the state fixed by the symmetrization projector, which drops
+    an orbit of amplitude 0; raises ValueError otherwise."""
+    for orbit in state.amps:
+        minus, x_tail, plus, y_tail = orbit
+        if list(minus) != sorted(minus) or list(plus) != sorted(plus):
+            raise ValueError(f"columns of {orbit} are not in sorted order")
+        if not len(minus) + len(x_tail) == len(plus) + len(y_tail) == max(len(minus), len(plus)):
+            raise ValueError(f"value tuples of {orbit} do not match its level")
+        if sorted([v for v, _ in minus] + list(x_tail)) != sorted([v for v, _ in plus] + list(y_tail)):
+            raise ValueError(f"value tuples of {orbit} are not permutations of each other")
+    sums = {orbit: amp * _orderings(orbit[0]) * _orderings(orbit[2]) for orbit, amp in state.amps.items()}
+    if _project(sums, state.num, state.den).amplitudes() != state.amplitudes():
         raise ValueError("state is not fixed by the symmetrization projector")
 
 
 def state_inner(s1: State, s2: State, n: int) -> Fraction:
-    """Weighted inner product: each basis key carries N^-level / (n_-)!(n_+)!."""
-    total = Fraction(0)
-    others = s2.amplitudes()
-    for key, amp in s1.amplitudes().items():
-        other = others.get(key)
+    """Weighted inner product: each basis key carries N^-level / (n_-)!(n_+)!,
+    and an orbit's keys share their amplitudes, so it counts |orbit| times."""
+    total = 0
+    for orbit, amp in s1.amps.items():
+        other = s2.amps.get(orbit)
         if other is None:
             continue
-        x, _, wm, wp = key
-        weight = Fraction(1, n ** len(x) * factorial(len(wm)) * factorial(len(wp)))
-        total += amp * other * weight
-    return total
+        minus, x_tail, plus, _ = orbit
+        size = _orderings(minus) * _orderings(plus)
+        total += Fraction(
+            amp * other * size,
+            n ** (len(minus) + len(x_tail)) * factorial(len(minus)) * factorial(len(plus)),
+        )
+    return total * s1.scale * s2.scale
 
 
 def vacuum_expectation_dense(w: W.Word, n: int) -> Fraction:
-    """<vacuum, A vacuum> by literal operator application."""
+    """<vacuum, A vacuum> by literal operator application; the letters are
+    read through `words.word()`, so a malformed one raises ValueError."""
     check_dense_params(n)
-    final = apply_word(vacuum_state(), w, n)
-    return final.scale * final.amps.get(VACUUM_KEY, 0)
+    final = apply_word(vacuum_state(), W.word(w), n)
+    return Fraction(final.num * final.amps.get(VACUUM, 0), final.den)
 
 
 def vacuum_expectation_lambda(p: ColoredPairPartition, n: int) -> Fraction:
     """<vacuum, A vacuum> for the canonical word of p, via elementary-state
-    propagation summed over value assignments to the dominant creators.
-    The levels, and with them the scale, are fixed by the word; an
-    assignment only decides whether the state survives, so the sum is the
-    survivor count times that one scale."""
+    propagation over the value assignments to the dominant creators, all in
+    one depth-first walk.  The levels, and with them the scale, are fixed by
+    the word; an assignment only decides whether the state survives, so the
+    sum is the survivor count times that one scale."""
     check_dense_params(n)
     word = W.canonical_word(p)
     cls = classify(p)
     rights = p.base.right_points()
-    dominant_creators = [k for k in range(1, p.size + 1) if k in rights and cls[k] == "D"]
-
-    survivors, scale = 0, None
-    for values in itertools.product(range(1, n + 1), repeat=len(dominant_creators)):
-        lam = dict(zip(dominant_creators, values))
-        found = _propagate(word, lam, n, p)
-        if found is None:
-            continue
-        if scale is None:
-            scale = found
-        elif found != scale:
-            raise RuntimeError("every surviving assignment must carry the scale of the word")
-        survivors += 1
-    if scale is None:
+    dominant_creators = {k for k in rights if cls[k] == "D"}
+    scales = _surviving_scales(word, dominant_creators, n)
+    if not scales:
         return Fraction(0)
-    return Fraction(survivors * scale[0], scale[1])
+    if any(scale != scales[0] for scale in scales):
+        raise RuntimeError("every surviving assignment must carry the scale of the word")
+    return Fraction(len(scales) * scales[0][0], scales[0][1])
 
 
-def _propagate(
-    word: W.Word, lam: dict[int, int], n: int, p: ColoredPairPartition
-) -> tuple[int, int] | None:
-    """Elementary-state propagation right-to-left through the word.
+def _surviving_scales(word: W.Word, dominant_creators: set[int], n: int) -> list[tuple[int, int]]:
+    """Elementary-state propagation right to left through the word, for
+    every value assignment to the dominant creators in one depth-first
+    walk: a branch splits at a dominant creator, one branch per value, and
+    ends at the first dominant annihilator whose values disagree, so
+    assignments share the walk of their common prefix.
 
-    The state is a scale factor, one value tuple per color (both of length
-    max(level_0, level_1)), and one index word per color; word positions
-    1..level_b bind to the same positions of color b's tuple, positions
-    above level_b are its unbound tail.  Returns the scale as (numerator,
-    denominator), or None when the state dies."""
-    num = den = 1
-    tuples: list[list[int]] = [[], []]  # color 0 tuple, color 1 tuple
-    words: list[list[int]] = [[], []]
-    for k in range(p.size, 0, -1):
-        letter = word[k - 1]
-        b, i = letter.b, letter.i
-        nb, nother = len(words[b]), len(words[1 - b])
-        if letter.k == W.CREATE:
-            if max(nb + 1, nother) > LAMBDA_MAX_LEVEL:
-                raise CapacityError(f"word drives a level above {LAMBDA_MAX_LEVEL}")
-            num *= nb + 1
-            if (k in lam) != (nb >= nother):
-                raise RuntimeError("exactly the dominant creators carry an assignment")
-            if k in lam:
-                tuples[0].append(lam[k])
-                tuples[1].append(lam[k])
-            words[b].append(i)
-        else:
-            pos = words[b].index(i)
-            bound_value = tuples[b][pos]
-            if nb > nother:
-                # dominant: level drops, the weak side's top tail entry must
-                # match the value bound to this index
-                if tuples[1 - b][-1] != bound_value:
-                    return None
-                den *= n * nb
-                del tuples[b][pos]
-                del tuples[1 - b][-1]
+    A branch's state is a scale factor, one value tuple per color (both of
+    length max(level_0, level_1)), and one index word per color; word
+    positions 1..level_b bind to the same positions of color b's tuple,
+    positions above level_b are its unbound tail.  Returns the scale
+    (numerator, denominator) of every surviving branch."""
+    found: list[tuple[int, int]] = []
+    letters = [(let.b, let.i, let.k == W.CREATE) for let in word]
+
+    def walk(k: int, tuples: list[list[int]], words: list[list[int]], num: int, den: int):
+        while k:
+            b, i, creator = letters[k - 1]
+            nb, nother = len(words[b]), len(words[1 - b])
+            if creator:
+                if max(nb + 1, nother) > LAMBDA_MAX_LEVEL:
+                    raise CapacityError(f"word drives a level above {LAMBDA_MAX_LEVEL}")
+                if (k in dominant_creators) != (nb >= nother):
+                    raise RuntimeError("exactly the dominant creators carry an assignment")
+                num *= nb + 1
+                words[b].append(i)
+                k -= 1
+                if nb >= nother:
+                    # values 1..N-1 branch off; this walk goes on with N
+                    for z in range(1, n):
+                        walk(k, [tuples[0] + [z], tuples[1] + [z]], [words[0][:], words[1][:]], num, den)
+                    tuples[0].append(n)
+                    tuples[1].append(n)
             else:
-                # subordinate: freed value becomes the bottom of b's tail
-                den *= nb
-                del tuples[b][pos]
-                tuples[b].insert(nb - 1, bound_value)
-            del words[b][pos]
-    if words[0] or words[1] or tuples[0] or tuples[1]:
-        raise RuntimeError("the word must return to the vacuum")
-    return num, den
+                pos = words[b].index(i)
+                bound_value = tuples[b][pos]
+                if nb > nother:
+                    # dominant: level drops, the weak side's top tail entry
+                    # must match the value bound to this index
+                    if tuples[1 - b][-1] != bound_value:
+                        return
+                    den *= n * nb
+                    del tuples[b][pos]
+                    del tuples[1 - b][-1]
+                else:
+                    # subordinate: freed value becomes the bottom of b's tail
+                    den *= nb
+                    del tuples[b][pos]
+                    tuples[b].insert(nb - 1, bound_value)
+                del words[b][pos]
+                k -= 1
+        if words[0] or words[1] or tuples[0] or tuples[1]:
+            raise RuntimeError("the word must return to the vacuum")
+        found.append((num, den))
+
+    walk(len(word), [[], []], [[], []], 1, 1)
+    return found
 
 
 def word_frame(w: W.Word) -> BarFrame:

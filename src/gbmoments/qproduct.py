@@ -133,6 +133,7 @@ def t_q_star_n(
     residue r; there are never more terms than colorings.  A kernel fixes
     once its crossings' class pairs (a, b) and class weights; a term is the
     product of q_base[res[a], res[b]] and them, in q_product_eval's order.
+    A kernel with a class of weight 0 has only zero terms, so it is skipped.
     """
     if n < 1 or q_base.size < 1:
         raise ValueError("n and the matrix size must be positive")
@@ -155,6 +156,8 @@ def t_q_star_n(
             continue
         links = [(ids[j1], ids[j2]) for j1, j2 in cross]
         weights = [t(v.restrict(j for j in range(v.m) if ids[j] == b)) for b in range(blocks)]
+        if not all(weights):
+            continue
         for res in residues[blocks]:
             term = math.prod([rows[res[a]][res[b]] for a, b in links] + weights, start=Fraction(1))
             if term:

@@ -21,10 +21,18 @@ that dense matrix with one diagonal-max LDL^T, as
 `gbmoments.qproduct.gram_psd_check` did before it factored block by block,
 and its smallest pivot and verdict must be what that function returns; and
 `t_q_star_n` is the n^m coloring enumeration that
-`gbmoments.qproduct.t_q_star_n` must agree with.  `sym_project` is the literal |G|-fold group average that
-`gbmoments.fock.sym_project` computes by orbit sums.  `point_color` and
-`maximal_monotone_paths` are direct readings of a partition and a cycle
-that only the tests use.
+`gbmoments.qproduct.t_q_star_n` must agree with.
+The dense oracle's references work on vectors given per basis key, with
+one exact amplitude each: `expand` lists every key of each orbit of a
+`gbmoments.fock.State`, `apply_letter` is the per-key operator that
+`gbmoments.fock.apply_letter` applies a whole orbit at a time (every key
+of the state moved, before re-symmetrizing), and `sym_project` is the
+literal |G|-fold group average that `gbmoments.fock.sym_project` computes
+by orbit sums.  `propagate` is one elementary-state propagation for one
+value assignment to the dominant creators, and `vacuum_expectation_lambda`
+runs it once per assignment, which `gbmoments.fock`'s one depth-first walk
+must agree with.  `point_color` and `maximal_monotone_paths` are direct
+readings of a partition and a cycle that only the tests use.
 """
 
 from __future__ import annotations
@@ -40,8 +48,9 @@ from gbmoments.broken import (
     involution,
     multiply,
 )
+from gbmoments import words as W
 from gbmoments.cyclegraph import ColorProfile, CycleGraphAnalysis
-from gbmoments.fock import StateKey
+from gbmoments.fock import DENSE_MAX_LEVEL, LAMBDA_MAX_LEVEL, State, StateKey
 from gbmoments.partitions import (
     CapacityError,
     ColorArityError,
@@ -405,3 +414,119 @@ def sym_project(state: dict[StateKey, Fraction]) -> dict[StateKey, Fraction]:
                 key = (x2, _apply_perm(y, pp), wm2, _apply_perm(wp, pp))
                 out[key] += weight
     return {k: v for k, v in out.items() if v}
+
+
+def expand(state: State) -> dict[StateKey, Fraction]:
+    """The state per basis key: each orbit's amplitude times the scale on
+    every distinct ordering of its minus columns and of its plus columns."""
+    out: dict[StateKey, Fraction] = {}
+    for (minus, x_tail, plus, y_tail), amp in state.amplitudes().items():
+        for minus_order in set(itertools.permutations(minus)):
+            x_head, wm = (tuple(part) for part in zip(*minus_order)) if minus else ((), ())
+            for plus_order in set(itertools.permutations(plus)):
+                y_head, wp = (tuple(part) for part in zip(*plus_order)) if plus else ((), ())
+                out[(x_head + x_tail, y_head + y_tail, wm, wp)] = amp
+    return out
+
+
+def apply_letter(state: dict[StateKey, Fraction], letter: W.Letter, n: int) -> dict[StateKey, Fraction]:
+    """One creation or annihilation operator on a symmetrized vector given
+    per key, before re-symmetrizing.  A creator multiplies each amplitude
+    by n_b + 1 and, at a dominant creator (n_b >= n_other), puts the new
+    column at every value z in 1..N; an annihilator removes the last word
+    factor, and divides by N when it drops the level."""
+    b, i = letter.b, letter.i
+    out: dict[StateKey, Fraction] = defaultdict(Fraction)
+    if letter.k == W.CREATE:
+        for (x, y, wm, wp), amp in state.items():
+            words = (wm, wp)
+            nb, nother = len(words[b]), len(words[1 - b])
+            if max(nb + 1, nother) > DENSE_MAX_LEVEL:
+                raise CapacityError(f"word drives a level above {DENSE_MAX_LEVEL}")
+            coef = amp * (nb + 1)
+            new_word = words[b] + (i,)
+            pair = (new_word, words[1 - b]) if b == 0 else (words[1 - b], new_word)
+            if nb >= nother:
+                for z in range(1, n + 1):
+                    out[(x + (z,), y + (z,), pair[0], pair[1])] += coef
+            else:
+                out[(x, y, pair[0], pair[1])] += coef
+    else:
+        # adjoint of creation: on an already-symmetrized state only the
+        # last word factor is removed; the k-sum of the textbook formula
+        # is recovered by the surrounding symmetrization average
+        for (x, y, wm, wp), amp in state.items():
+            words = (wm, wp)
+            nb, nother = len(words[b]), len(words[1 - b])
+            if nb == 0 or words[b][-1] != i:
+                continue
+            new_word = words[b][:-1]
+            pair = (new_word, words[1 - b]) if b == 0 else (words[1 - b], new_word)
+            if nb <= nother:
+                out[(x, y, pair[0], pair[1])] += amp
+            elif x[-1] == y[-1]:
+                out[(x[:-1], y[:-1], pair[0], pair[1])] += amp / n
+    return dict(out)
+
+
+def vacuum_expectation_lambda(p: ColoredPairPartition, n: int) -> Fraction:
+    """The elementary-state oracle, one propagation per value assignment
+    to the dominant creators: the survivor count times the word's scale."""
+    word = W.canonical_word(p)
+    cls = classify(p)
+    rights = p.base.right_points()
+    dominant_creators = [k for k in range(1, p.size + 1) if k in rights and cls[k] == D]
+    found = []
+    for values in itertools.product(range(1, n + 1), repeat=len(dominant_creators)):
+        scale = propagate(word, dict(zip(dominant_creators, values)), n, p)
+        if scale is not None:
+            found.append(scale)
+    assert all(scale == found[0] for scale in found), found
+    return Fraction(len(found) * found[0][0], found[0][1]) if found else Fraction(0)
+
+
+def propagate(
+    word: W.Word, lam: dict[int, int], n: int, p: ColoredPairPartition
+) -> tuple[int, int] | None:
+    """Elementary-state propagation right-to-left through the word.
+
+    The state is a scale factor, one value tuple per color (both of length
+    max(level_0, level_1)), and one index word per color; word positions
+    1..level_b bind to the same positions of color b's tuple, positions
+    above level_b are its unbound tail.  Returns the scale as (numerator,
+    denominator), or None when the state dies."""
+    num = den = 1
+    tuples: list[list[int]] = [[], []]  # color 0 tuple, color 1 tuple
+    words: list[list[int]] = [[], []]
+    for k in range(p.size, 0, -1):
+        letter = word[k - 1]
+        b, i = letter.b, letter.i
+        nb, nother = len(words[b]), len(words[1 - b])
+        if letter.k == W.CREATE:
+            if max(nb + 1, nother) > LAMBDA_MAX_LEVEL:
+                raise CapacityError(f"word drives a level above {LAMBDA_MAX_LEVEL}")
+            num *= nb + 1
+            assert (k in lam) == (nb >= nother), "exactly the dominant creators carry an assignment"
+            if k in lam:
+                tuples[0].append(lam[k])
+                tuples[1].append(lam[k])
+            words[b].append(i)
+        else:
+            pos = words[b].index(i)
+            bound_value = tuples[b][pos]
+            if nb > nother:
+                # dominant: level drops, the weak side's top tail entry must
+                # match the value bound to this index
+                if tuples[1 - b][-1] != bound_value:
+                    return None
+                den *= n * nb
+                del tuples[b][pos]
+                del tuples[1 - b][-1]
+            else:
+                # subordinate: freed value becomes the bottom of b's tail
+                den *= nb
+                del tuples[b][pos]
+                tuples[b].insert(nb - 1, bound_value)
+            del words[b][pos]
+    assert not (words[0] or words[1] or tuples[0] or tuples[1]), "the word must return to the vacuum"
+    return num, den

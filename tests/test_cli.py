@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import re
@@ -408,6 +409,31 @@ def test_clt_reports_are_pinned(capsys, monkeypatch, name, q, options):
     wall_time = re.compile(r'"wall_time_s": [0-9.e+-]+')
     assert wall_time.sub("", out) == wall_time.sub("", pinned)
     assert wall_time.search(out)
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["compare", "--max-pairs", "4", "--N", "2"],
+         "3ef491b717616b70a80311cd33cd41f09bbcc3a53454914d4406de9663345f09"),
+        (["compare", "--max-pairs", "4", "--N", "3"],
+         "22c38d374e91f657225ccab66831aa70e7cbe8aa3181c2156f7b6d24c5b6b5d0"),
+        (["oracle", "--mode", "both", "--N", "3", "--word", str(FIXTURES / "word_two_colors_m4.json")],
+         "5d6884f31fb975f0f5e2ad43fbdc8f4d881c47bd3dbc13681f31df9c39fa2c8c"),
+        (["oracle", "--mode", "both", "--N", "2", "--word", str(FIXTURES / "word_two_colors_m5.json")],
+         "7b6cd16589761977c3e56b256d881b0ed42203ef2caa1cff6ededa1d12b9829f"),
+    ],
+    ids=["compare_N2", "compare_N3", "oracle_m4_N3", "oracle_m5_N2"],
+)
+def test_oracle_reports_are_pinned(capsys, argv, digest):
+    # SHA-256 of the reports of the dense oracle that listed every key of
+    # a state and of the elementary-state oracle that walked the word once
+    # per value assignment, up to wall_time_s
+    assert dispatch(argv) == 0
+    out = capsys.readouterr().out
+    wall_time = re.compile(r'"wall_time_s": [0-9.e+-]+')
+    assert wall_time.search(out)
+    assert hashlib.sha256(wall_time.sub("", out).encode()).hexdigest() == digest
 
 
 def test_stirling(capsys):

@@ -20,6 +20,7 @@ from gbmoments.fock import (
     State,
     apply_letter,
     apply_word,
+    check_state,
     commutation_check,
     exclusion_check,
     rho_n_combinatorial,
@@ -237,6 +238,24 @@ def test_check_dense_word_leaves_vanishing_words_to_the_oracle():
         fock.check_dense_word(w, 4)
 
 
+@pytest.mark.parametrize(
+    "letter",
+    [W.Letter(2, 1, W.CREATE), W.Letter(-1, 1, W.ANNIHILATE), W.Letter(0, 1, "x")],
+    ids=["color_2", "color_minus_1", "kind_x"],
+)
+def test_dense_oracle_refuses_malformed_letters(letter):
+    # letters built without words.word(): both dense entry points read the
+    # word through it, so a tuple word and a list word raise ValueError
+    # where the per-color lookups raised IndexError, or read an unknown
+    # kind as an annihilator
+    w = (W.annihilate(0, 1), letter, W.create(0, 1))
+    for given_word in (w, list(w)):
+        with pytest.raises(ValueError):
+            vacuum_expectation_dense(given_word, 2)
+        with pytest.raises(ValueError):
+            fock.check_dense_word(given_word, 2)
+
+
 def test_dense_matches_combinatorial_on_general_words():
     rng = random.Random(99)
     letters = [
@@ -288,24 +307,66 @@ def test_lambda_oracle_sampled_m5():
 
 def test_lambda_oracle_refuses_mixed_scales(monkeypatch):
     # the levels fix the scale, so two survivors with different scales
-    # mean the propagation is broken; the check raises, so python -O keeps it
+    # mean the walk is broken; the check raises, so python -O keeps it
     p = ColoredPairPartition.of([(1, 3), (2, 4)], [1, 1])
-    scales = iter([(1, 2), (1, 3)])
-    monkeypatch.setattr(fock, "_propagate", lambda *args: next(scales))
+    monkeypatch.setattr(fock, "_surviving_scales", lambda *args: [(1, 2), (1, 3)])
     with pytest.raises(RuntimeError, match="scale"):
         vacuum_expectation_lambda(p, 2)
 
 
+def test_lambda_oracle_checks_survive_optimize():
+    # python -O strips assert statements; both checks of the walk must
+    # still raise: a creator whose level and classification disagree,
+    # either way, and survivors of mixed scales
+    script = """
+from gbmoments import fock
+from gbmoments.partitions import ColoredPairPartition
+one_color = ColoredPairPartition.of([(1, 3), (2, 4)], [1, 1])
+# its creator at point 3 is subordinate: color 0 is at level 1 there
+two_colors = ColoredPairPartition.of([(1, 4), (2, 3)], [0, 1])
+def message(p):
+    try:
+        fock.vacuum_expectation_lambda(p, 2)
+    except RuntimeError as exc:
+        return str(exc)
+print(message(one_color))
+fock.classify = lambda p: dict.fromkeys(range(1, p.size + 1), "S")
+print(message(one_color))
+fock.classify = lambda p: dict.fromkeys(range(1, p.size + 1), "D")
+print(message(two_colors))
+fock._surviving_scales = lambda *args: [(1, 2), (1, 3)]
+print(message(one_color))
+"""
+    src = str(Path(fock.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "None",
+        "exactly the dominant creators carry an assignment",
+        "exactly the dominant creators carry an assignment",
+        "every surviving assignment must carry the scale of the word",
+    ]
+
+
+def test_lambda_walk_matches_per_assignment_reference():
+    # one propagation per value assignment against one depth-first walk
+    rng = random.Random(57)
+    parts = [p for m in (1, 2, 3, 4) for p in enumerate_colored(m, 2)]
+    for p in parts + rng.sample(enumerate_colored(5, 2), 300):
+        for n in (2, 3):
+            assert vacuum_expectation_lambda(p, n) == reference.vacuum_expectation_lambda(p, n), (p, n)
+
+
 def exact_amplitudes(state):
     """The exact amplitudes of a state, after checking that it keeps one
-    int per key."""
+    int per orbit."""
     assert all(type(amp) is int for amp in state.amps.values()), state.amps
     return state.amplitudes()
 
 
 def test_intermediate_states_stay_valid():
-    from gbmoments.fock import check_state
-
     p = ColoredPairPartition.of([(1, 5), (2, 4), (3, 6)], [0, 1, 0])
     state = vacuum_state()
     for letter in reversed(W.canonical_word(p)):
@@ -315,22 +376,20 @@ def test_intermediate_states_stay_valid():
 
 
 def test_check_state_rejects_invalid_states():
-    from gbmoments.fock import check_state
-
-    # a lone key with a two-letter word is not fixed by the symmetrization
-    unsymmetrized = State.of({((1, 2), (1, 2), (5, 6), ()): Fraction(1)})
-    with pytest.raises(ValueError, match="symmetrization"):
-        check_state(unsymmetrized)
-    check_state(sym_project(unsymmetrized))
+    # orbits list their columns sorted
+    unsorted = State.of({(((2, 5), (1, 6)), (), (), (1, 2)): Fraction(1)})
+    with pytest.raises(ValueError, match="sorted order"):
+        check_state(unsorted)
+    check_state(sym_project({((2, 1), (1, 2), (5, 6), ()): Fraction(1)}))
     # an explicit zero amplitude is dropped by the projector
-    zero = sym_project(State.of({((1,), (1,), (5,), ()): Fraction(2, 3)}))
-    zero.amps[((2,), (2,), (5,), ())] = 0
+    zero = sym_project({((1,), (1,), (5,), ()): Fraction(2, 3)})
+    zero.amps[(((2, 5),), (), (), (2,))] = 0
     with pytest.raises(ValueError, match="symmetrization"):
         check_state(zero)
     with pytest.raises(ValueError, match="level"):
-        check_state(State.of({((1,), (1,), (5, 6), ()): Fraction(1)}))
+        check_state(State.of({(((1, 5),), (), (), (1, 2)): Fraction(1)}))
     with pytest.raises(ValueError, match="permutations"):
-        check_state(State.of({((1, 2), (1, 1), (5, 6), ()): Fraction(1)}))
+        check_state(State.of({(((1, 5), (2, 6)), (), (), (1, 1)): Fraction(1)}))
 
 
 def test_symmetrization_idempotent():
@@ -339,12 +398,12 @@ def test_symmetrization_idempotent():
         ((1, 2), (2, 1), (3, 4), ()),
     ]:
         raw = {level_key: Fraction(1)}
-        once = sym_project(State.of(raw))
-        exact = exact_amplitudes(once)
+        once = sym_project(raw)
+        exact = reference.expand(once)
         assert exact == reference.sym_project(raw)
-        assert len(once) == len(exact) > 1
-        twice = sym_project(once)
-        assert exact_amplitudes(twice) == exact and len(twice) == len(once)
+        assert len(once) == len(exact_amplitudes(once)) == 1 < len(exact)
+        twice = sym_project(exact)
+        assert exact_amplitudes(twice) == exact_amplitudes(once) and len(twice) == len(once)
 
 
 def _permute_columns(key, perm_minus, perm_plus):
@@ -387,37 +446,62 @@ def raw_states(draw):
 @given(raw_states())
 def test_sym_project_matches_literal_average(state):
     expected = reference.sym_project(state)
-    projected = sym_project(State.of(state))
-    assert exact_amplitudes(projected) == expected
-    assert len(projected) == len(expected)
+    projected = sym_project(state)
+    exact_amplitudes(projected)
+    assert reference.expand(projected) == expected
 
 
-def test_sym_project_matches_literal_average_on_oracle_states(monkeypatch):
-    seen = []
-    project = fock.sym_project
-    monkeypatch.setattr(fock, "sym_project", lambda s: seen.append(s) or project(s))
+def oracle_steps():
+    """Every step of the dense oracle on the canonical words of all m <= 3
+    partitions and 20 sampled m = 4 ones, and on 60 words of at most 4
+    pairs whose indices repeat (so an orbit can hold one column twice), at
+    N = 2 and 3: the state before the letter, the letter, N, and the state
+    after it."""
     rng = random.Random(808)
     parts = [p for m in (1, 2, 3) for p in enumerate_colored(m, 2)]
+    words = [W.canonical_word(p) for p in parts + rng.sample(enumerate_colored(4, 2), 20)]
+    words += balanced_words(809, 60, 4)
+    steps = []
     for n in (2, 3):
-        for p in parts + rng.sample(enumerate_colored(4, 2), 20):
-            vacuum_expectation_dense(W.canonical_word(p), n)
-    assert len(seen) > 1800
-    for state in seen:
-        expected = reference.sym_project(exact_amplitudes(state))
-        projected = project(state)
-        assert exact_amplitudes(projected) == expected
-        assert len(projected) == len(expected)
+        for w in words:
+            state = vacuum_state()
+            for letter in reversed(w):
+                after = apply_letter(state, letter, n)
+                steps.append((state, letter, n, after))
+                state = after
+    return steps
+
+
+def test_orbit_states_match_the_per_key_operator():
+    # each state the oracle reaches, listed key by key, is the literal
+    # group average of the per-key operator applied to the state before
+    steps = oracle_steps()
+    assert len(steps) > 1800
+    for state, letter, n, after in steps:
+        exact_amplitudes(after)
+        check_state(after)
+        expected = reference.sym_project(reference.apply_letter(reference.expand(state), letter, n))
+        assert reference.expand(after) == expected, (letter, n)
+
+
+def test_sym_project_matches_literal_average_on_oracle_states():
+    # the per-key vectors the oracle's steps average, before averaging
+    for state, letter, n, after in oracle_steps():
+        raw = reference.apply_letter(reference.expand(state), letter, n)
+        projected = sym_project(raw)
+        assert reference.expand(projected) == reference.sym_project(raw)
+        assert exact_amplitudes(projected) == exact_amplitudes(after)
 
 
 def test_sym_project_rejects_short_value_tuples():
     with pytest.raises(ValueError, match="shorter"):
-        sym_project(State.of({((1,), (1, 2), (5, 6), ()): Fraction(1)}))
+        sym_project({((1,), (1, 2), (5, 6), ()): Fraction(1)})
     with pytest.raises(ValueError, match="shorter"):
-        sym_project(State.of({((1, 2), (1,), (), (5, 6)): Fraction(1)}))
+        sym_project({((1, 2), (1,), (), (5, 6)): Fraction(1)})
 
 
 def test_arrangements_memo_is_bounded():
-    info = fock._arrangements.cache_info()
+    info = fock._orderings.cache_info()
     assert info.maxsize is not None and info.maxsize <= 4096
 
 
@@ -441,6 +525,16 @@ def test_creation_annihilation_adjoint():
         for state in (u, v, au, av):
             assert len(state) == len(exact_amplitudes(state))
         assert state_inner(au, v, n) == state_inner(u, av, n)
+        assert state_inner(au, v, n) == keyed_inner(reference.expand(au), reference.expand(v), n)
+
+
+def keyed_inner(amps1, amps2, n):
+    """The weighted inner product summed key by key."""
+    return sum(
+        (amp * amps2[key] / (n ** len(key[0]) * math.factorial(len(key[2])) * math.factorial(len(key[3])))
+         for key, amp in amps1.items() if key in amps2),
+        Fraction(0),
+    )
 
 
 def test_rho_n_combinatorial_examples():

@@ -244,6 +244,37 @@ def test_t_q_star_n_prices_each_kernel_once(monkeypatch):
                 assert t_q_star_n(t, q, n, v) == reference.t_q_star_n(t, q, n, v), (v, n)
 
 
+def test_t_q_star_n_skips_kernels_of_weight_zero(monkeypatch):
+    """Every term of a kernel with a class of weight 0 is 0, so none of
+    its residue terms is multiplied out; the sum keeps its value and type."""
+
+    class CountingMath:
+        products = 0
+
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def prod(self, *args, **kwargs):
+            CountingMath.products += 1
+            return math.prod(*args, **kwargs)
+
+    monkeypatch.setattr(qproduct, "math", CountingMath())
+    q = QMatrix.of([[1, -HALF], [-HALF, Fraction(1, 3)]])
+    v = PairPartition.of([(1, 5), (2, 7), (3, 6), (4, 8)])
+    for n in (2, 3, 10**6):
+        got = t_q_star_n(lambda _: 0, q, n, v)
+        assert got == 0 and type(got) is Fraction
+    assert CountingMath.products == 0
+    # a weight that is 0 on one-pair classes leaves only the kernels
+    # without one, whose terms still agree with the enumeration
+    only_pairs = lambda u: Fraction(u.m != 1)
+    for n in (2, 3):
+        got = t_q_star_n(only_pairs, q, n, v)
+        want = reference.t_q_star_n(only_pairs, q, n, v)
+        assert got == want and type(got) is type(want)
+    assert CountingMath.products > 0
+
+
 @st.composite
 def coloring_sums(draw):
     """A random V of 5 or 6 pairs, a rational K x K matrix with K <= 2,
