@@ -7,17 +7,15 @@ with the per-color tensor words; read per color, a key is a row of
 (value, index) columns followed by an unbound tail of values.  A
 symmetrized vector is constant on each orbit of keys under the per-color
 symmetric groups, which permute the columns and fix the tails, so a
-`State` keeps one integer amplitude per orbit and one exact scale.  Every
-operator maps orbits to orbits: a creator sends an orbit to one orbit (one
-per value z at a dominant creator), an annihilator sends it to one orbit
-per distinct last column, weighed by the number of its keys that end in
-that column; each target orbit then gets its amplitude sum over its size,
-which is the symmetrization projector.  No key is ever listed.  The lambda
-oracle propagates single "elementary" states through the canonical word of
-a colored pair partition in one depth-first walk, right to left, that
-branches over the value of each dominant creator and drops a branch at the
-first dominant annihilator whose values disagree; the word fixes the scale,
-and an assignment only decides whether the state survives.
+`State` keeps one integer total per orbit (the amplitude sum of its keys)
+and one exact scale; on totals the symmetrization projector, which spreads
+a total evenly over the orbit's keys, is the identity.  An operator adds
+each orbit's total, weighed, to its image orbits; no key is ever listed.
+The lambda oracle propagates single "elementary" states through the
+canonical word of a colored pair partition in one depth-first walk, right
+to left, that branches over the value of each dominant creator and drops a
+branch at the first dominant annihilator whose values disagree; the word
+fixes the scale, and an assignment only decides whether the state survives.
 Negative N is covered by the purely combinatorial weight sum together with
 the exclusion, commutation, and finite-padding identities.  That sum is
 computed by the loop-sum identity rho_N(w) = N^-P(w) sum over the
@@ -34,7 +32,7 @@ from bisect import bisect
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 
 from . import words as W
 from .cyclegraph import BarFrame, bar_frame, classify, loop_counter
@@ -55,11 +53,11 @@ VACUUM: Orbit = ((), (), (), ())
 
 
 class State:
-    """A symmetrized vector of the dense space, kept on orbits: every key
-    of an orbit carries the same exact amplitude, num / den * amps[orbit].
-    Operators do integer work per orbit and fold their denominators into
-    num / den, which becomes a Fraction only when read; len() is the
-    number of orbits."""
+    """A symmetrized vector of the dense space, kept on orbits: amps[orbit]
+    is the integer total of the orbit's keys, each of which carries the
+    exact amplitude num / den * amps[orbit] / |orbit|.  Operators do integer
+    work per orbit and fold their factors into num / den, which becomes a
+    Fraction only when read; len() is the number of orbits."""
 
     __slots__ = ("num", "den", "amps")
 
@@ -71,19 +69,19 @@ class State:
     def __len__(self) -> int:
         return len(self.amps)
 
-    @property
-    def scale(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
     @classmethod
     def of(cls, exact: dict[Orbit, Fraction]) -> State:
-        """The state with these exact amplitudes, orbits kept as given."""
-        common = lcm(*(Fraction(amp).denominator for amp in exact.values()))
-        return cls(1, common, {orbit: int(amp * common) for orbit, amp in exact.items()})
+        """The state whose keys carry these exact amplitudes, one per orbit."""
+        totals = {orbit: Fraction(amp) * _size(orbit) for orbit, amp in exact.items()}
+        common = lcm(*(total.denominator for total in totals.values()))
+        return cls(1, common, {orbit: int(total * common) for orbit, total in totals.items()})
 
     def amplitudes(self) -> dict[Orbit, Fraction]:
         """The exact amplitude of every orbit, shared by each of its keys."""
-        return {orbit: Fraction(self.num * amp, self.den) for orbit, amp in self.amps.items()}
+        return {
+            orbit: Fraction(self.num * total, self.den * _size(orbit))
+            for orbit, total in self.amps.items()
+        }
 
 
 def check_dense_params(n: int):
@@ -91,29 +89,6 @@ def check_dense_params(n: int):
         raise ValueError("the Fock-space oracles require N >= 2 (signed case unsupported)")
     if n > DENSE_MAX_N:
         raise CapacityError(f"the Fock-space oracles are limited to N <= {DENSE_MAX_N}")
-
-
-def check_dense_word(w: W.Word, n: int):
-    """Refuse, before any operator is applied, what the dense oracle would
-    refuse while applying w: the parameters, the letters (as `words.word()`
-    does), then the level apply_letter checks at each creator.  Read right
-    to left, a creator of color b meets level max(n_b + 1, n_other), n_c
-    counting the color-c creators minus annihilators so far; every orbit of
-    a nonzero state has these word lengths, and a word with a compatible
-    partition never vanishes at N in {2, 3} (its vacuum amplitude is a sum
-    of positive t_N values).  A word without one may vanish first, so it is
-    left to the oracle."""
-    check_dense_params(n)
-    w = W.word(w)
-    counts, peak = [0, 0], 0
-    for let in reversed(w):
-        if let.k == W.CREATE:
-            peak = max(peak, counts[let.b] + 1, counts[1 - let.b])
-            counts[let.b] += 1
-        else:
-            counts[let.b] -= 1
-    if peak > DENSE_MAX_LEVEL and W.compatible_count(w) > 0:
-        raise CapacityError(f"word drives a level above {DENSE_MAX_LEVEL}")
 
 
 def vacuum_state() -> State:
@@ -132,34 +107,18 @@ def _orderings(columns: tuple[Column, ...]) -> int:
     return count
 
 
-def _project(totals: dict[Orbit, int], num: int, den: int) -> State:
-    """The symmetrized state num / den * P(v) of the vector v whose keys
-    in each orbit sum to that orbit's total: each key of an orbit gets the
-    total over the orbit's size, and orbits that sum to zero are dropped.
-    On integers: with L the lcm of the sizes, an orbit gets total * (L //
-    size) and the scale is divided by L; the amplitudes' gcd then moves
-    into the scale."""
-    sizes = {
-        orbit: _orderings(orbit[0]) * _orderings(orbit[2])
-        for orbit, total in totals.items()
-        if total
-    }
-    if not sizes:
-        return State(num, den, {})
-    common = lcm(*sizes.values())
-    amps = {orbit: totals[orbit] * (common // size) for orbit, size in sizes.items()}
-    shared = gcd(*amps.values())
-    return State(num * shared, den * common, {orbit: amp // shared for orbit, amp in amps.items()})
+def _size(orbit: Orbit) -> int:
+    """The number of keys in an orbit."""
+    return _orderings(orbit[0]) * _orderings(orbit[2])
 
 
 def sym_project(raw: dict[StateKey, int | Fraction]) -> State:
     """The symmetrization projector P = (1/|G|) sum over g in G of g on a
     vector given by one exact amplitude per basis key, with G = S_{n-} x
     S_{n+}: S_{n-} permutes the columns zip(x[:n-], w-), S_{n+} the columns
-    zip(y[:n+], w+), and the tails x[n-:], y[n+:] stay fixed.  P(v) is
-    constant on each orbit of keys, equal to the orbit's amplitude sum over
-    its size, so it is the State that `_project` makes of the orbit sums,
-    as apply_letter's are.  Raises ValueError for a key whose value tuple is
+    zip(y[:n+], w+), and the tails x[n-:], y[n+:] stay fixed.  P(v) spreads
+    each orbit's amplitude sum evenly over its keys, so as a State it is the
+    nonzero orbit sums.  Raises ValueError for a key whose value tuple is
     shorter than its word."""
     common = lcm(*(Fraction(amp).denominator for amp in raw.values()))
     totals: dict[Orbit, int] = defaultdict(int)
@@ -170,65 +129,67 @@ def sym_project(raw: dict[StateKey, int | Fraction]) -> State:
             raise ValueError(f"value tuples of {key} are shorter than its words")
         orbit = (tuple(sorted(zip(x, wm))), x[nm:], tuple(sorted(zip(y, wp))), y[np_:])
         totals[orbit] += int(amp * common)
-    return _project(totals, 1, common)
+    return State(1, common, {orbit: total for orbit, total in totals.items() if total})
 
 
 def apply_letter(state: State, letter: W.Letter, n: int) -> State:
-    """One creation or annihilation operator on a symmetrized state,
-    exactly, then re-symmetrized, one orbit at a time.  Per color b an
-    orbit is its sorted columns, its tail, and the other color's columns
-    and tail; every key of the orbit moves to the same place.
+    """One creation or annihilation operator on a symmetrized state, exactly,
+    one orbit total at a time; per color b an orbit is its sorted columns,
+    its tail, and the other color's columns and tail.  The orbits of a state
+    reached from the vacuum share their word lengths n_b and n_other, so the
+    level, the branch and the scale are settled once per letter (ValueError
+    for a state whose orbits do not share them).
 
-    A creator of index i appends the column (z, i) to each key, for every
-    z in 1..N when it is dominant (n_b >= n_other: both value tuples grow
-    by z) and with z the first tail value otherwise, and multiplies by
-    n_b + 1; so the orbit's |orbit| keys all land in one orbit per z.
-    An annihilator of index i removes the last column c = (v, i) of each
-    key that ends in one: a key of an orbit ends in c in
-    orderings(columns - c) * orderings(other columns) ways.  Subordinate
-    (n_b <= n_other), v becomes the first tail value; dominant, it must
-    equal the other tail's last value, which leaves with it, and the
-    amplitude is divided by N.  The scale is divided by N and a subordinate
-    image multiplied by N, to stay on integers."""
+    A creator of index i appends the column (z, i) to each key, for every z
+    in 1..N when dominant (n_b >= n_other: both value tuples grow by z) and
+    with z the first tail value otherwise; each image orbit gains the total,
+    and the scale the factor n_b + 1.  An annihilator of index i removes the
+    last column c = (v, i) from the keys that end in it, a share
+    mult(c) / n_b of the orbit.  Subordinate (n_b <= n_other), v becomes the
+    first tail value; dominant, v must equal the other tail's last value,
+    which leaves with it, and the amplitude is divided by N.  The scale is
+    divided by N * n_b and a subordinate image multiplied by N, to stay on
+    integers."""
     b, i = letter.b, letter.i
-    den = state.den
+    levels = {(len(orbit[2 * b]), len(orbit[2 - 2 * b])) for orbit in state.amps}
+    if len(levels) > 1:
+        raise ValueError("the orbits of a state must share their word lengths")
+    nb, nother = next(iter(levels), (0, 0))
+    num, den = state.num, state.den
     totals: dict[Orbit, int] = defaultdict(int)
     if letter.k == W.CREATE:
-        for orbit, amp in state.amps.items():
+        if max(nb + 1, nother) > DENSE_MAX_LEVEL:
+            raise CapacityError(f"word drives a level above {DENSE_MAX_LEVEL}")
+        num *= nb + 1
+        for orbit, total in state.amps.items():
             cols, tail, other, other_tail = _from_color(b, orbit)
-            nb, nother = len(cols), len(other)
-            if max(nb + 1, nother) > DENSE_MAX_LEVEL:
-                raise CapacityError(f"word drives a level above {DENSE_MAX_LEVEL}")
-            coef = amp * (nb + 1) * _orderings(cols) * _orderings(other)
             if nb >= nother:
-                images = [(_inserted(cols, (z, i)), tail, other, other_tail + (z,)) for z in range(1, n + 1)]
+                for z in range(1, n + 1):
+                    totals[_from_color(b, (_inserted(cols, (z, i)), tail, other, other_tail + (z,)))] += total
             else:
-                images = [(_inserted(cols, (tail[0], i)), tail[1:], other, other_tail)]
-            for image in images:
-                totals[_from_color(b, image)] += coef
-    else:
+                totals[_from_color(b, (_inserted(cols, (tail[0], i)), tail[1:], other, other_tail))] += total
+    elif nb:
         # adjoint of creation: on an already-symmetrized state only the
         # last word factor is removed; the k-sum of the textbook formula
         # is recovered by the surrounding symmetrization average
-        den *= n
-        for orbit, amp in state.amps.items():
+        den *= n * nb
+        for orbit, total in state.amps.items():
             cols, tail, other, other_tail = _from_color(b, orbit)
-            nb, nother = len(cols), len(other)
-            coef = amp * _orderings(other)
             for j, column in enumerate(cols):
                 if column[1] != i or (j and cols[j - 1] == column):
                     continue
                 rest = cols[:j] + cols[j + 1:]
                 if nb <= nother:
                     image = (rest, (column[0],) + tail, other, other_tail)
-                    weight = coef * _orderings(rest) * n
+                    weight = total * cols.count(column) * n
                 elif column[0] == other_tail[-1]:
                     image = (rest, tail, other, other_tail[:-1])
-                    weight = coef * _orderings(rest)
+                    weight = total * cols.count(column)
                 else:
                     continue
                 totals[_from_color(b, image)] += weight
-    return _project(totals, state.num, den)
+    # orbits of opposite totals can cancel, and the projector drops them
+    return State(num, den, {orbit: total for orbit, total in totals.items() if total})
 
 
 def _from_color(b: int, orbit: Orbit) -> Orbit:
@@ -254,7 +215,7 @@ def check_state(state: State) -> None:
     """Validate the orbit invariants: columns in sorted order, the two
     value multisets (column values and tail) equal and sized to the larger
     word, and the state fixed by the symmetrization projector, which drops
-    an orbit of amplitude 0; raises ValueError otherwise."""
+    an orbit of total 0; raises ValueError otherwise."""
     for orbit in state.amps:
         minus, x_tail, plus, y_tail = orbit
         if list(minus) != sorted(minus) or list(plus) != sorted(plus):
@@ -263,26 +224,24 @@ def check_state(state: State) -> None:
             raise ValueError(f"value tuples of {orbit} do not match its level")
         if sorted([v for v, _ in minus] + list(x_tail)) != sorted([v for v, _ in plus] + list(y_tail)):
             raise ValueError(f"value tuples of {orbit} are not permutations of each other")
-    sums = {orbit: amp * _orderings(orbit[0]) * _orderings(orbit[2]) for orbit, amp in state.amps.items()}
-    if _project(sums, state.num, state.den).amplitudes() != state.amplitudes():
-        raise ValueError("state is not fixed by the symmetrization projector")
+    if not all(state.amps.values()):
+        raise ValueError("state is not fixed by the symmetrization projector: an orbit has total 0")
 
 
 def state_inner(s1: State, s2: State, n: int) -> Fraction:
     """Weighted inner product: each basis key carries N^-level / (n_-)!(n_+)!,
-    and an orbit's keys share their amplitudes, so it counts |orbit| times."""
+    and an orbit of totals T1, T2 adds T1 * T2 / |orbit| times that weight."""
     total = 0
-    for orbit, amp in s1.amps.items():
-        other = s2.amps.get(orbit)
-        if other is None:
+    for orbit, t1 in s1.amps.items():
+        t2 = s2.amps.get(orbit)
+        if t2 is None:
             continue
         minus, x_tail, plus, _ = orbit
-        size = _orderings(minus) * _orderings(plus)
         total += Fraction(
-            amp * other * size,
-            n ** (len(minus) + len(x_tail)) * factorial(len(minus)) * factorial(len(plus)),
+            t1 * t2,
+            _size(orbit) * n ** (len(minus) + len(x_tail)) * factorial(len(minus)) * factorial(len(plus)),
         )
-    return total * s1.scale * s2.scale
+    return total * Fraction(s1.num * s2.num, s1.den * s2.den)
 
 
 def vacuum_expectation_dense(w: W.Word, n: int) -> Fraction:
@@ -391,9 +350,12 @@ def rho_n_combinatorial(w: W.Word, n: int) -> Fraction:
     so the sum is the loop sum N^-P(w) * sum over the compatible matchings
     M of N^cycles(M u Z(w)); the cycle counts (the lengths of
     `cyclegraph.loop_counter`'s per-cycle lists) are tallied and divided by
-    N^P(w) once.  Equals fock_moment(w, tn_handle(n))."""
+    N^P(w) once.  Equals fock_moment(w, tn_handle(n)).  The letters are read
+    through `words.word()`, so a malformed one raises ValueError, as in the
+    dense oracle."""
     if n == 0:
         raise ValueError("N must be nonzero")
+    w = W.word(w)
     matchings = W.compatible_matchings(w)
     if not matchings:
         return Fraction(0)

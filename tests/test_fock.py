@@ -198,44 +198,66 @@ def test_dense_oracle_guards():
         vacuum_expectation_dense(deep, 2)
 
 
-def _refused(check, *args):
-    try:
-        check(*args)
-    except CapacityError:
-        return True
-    return False
-
-
-def test_check_dense_word_matches_the_oracle_level_guard():
-    # words built from random colored pairings, annihilator left of its
-    # creator, so each has a compatible partition; about 1% drive the
-    # level past DENSE_MAX_LEVEL
-    rng = random.Random(17)
-    over = 0
-    for _ in range(700):
-        m = rng.randint(1, 6)
-        points = rng.sample(range(2 * m), 2 * m)
-        w = [None] * (2 * m)
-        for l, r in (sorted(points[j : j + 2]) for j in range(0, 2 * m, 2)):
-            b, i = rng.randint(0, 1), rng.randint(1, 2)
-            w[l], w[r] = W.annihilate(b, i), W.create(b, i)
-        n = rng.choice([2, 3])
-        expected = _refused(fock.check_dense_word, w, n)
-        assert _refused(vacuum_expectation_dense, w, n) == expected
-        over += expected
-    assert over > 0, over
-
-
-def test_check_dense_word_leaves_vanishing_words_to_the_oracle():
+def test_dense_oracle_vanishes_before_the_level_guard():
     # the color-1 annihilator kills the vacuum first: no partition is
     # compatible, so the oracle's 0 stands although five creators follow
     w = W.word([W.create(0, 1)] * 5 + [W.annihilate(1, 1)])
-    fock.check_dense_word(w, 2)
     assert vacuum_expectation_dense(w, 2) == 0
     with pytest.raises(ValueError):
-        fock.check_dense_word(w, 1)
+        vacuum_expectation_dense(w, 1)
     with pytest.raises(CapacityError):
-        fock.check_dense_word(w, 4)
+        vacuum_expectation_dense(w, 4)
+
+
+def test_dense_oracle_refuses_the_level_before_building_it(monkeypatch):
+    # every orbit of a state has the same word lengths, so the level guard
+    # fires once, before the creator inserts a fifth column anywhere
+    built = []
+    inserted = fock._inserted
+
+    def recording(columns, column):
+        built.append(inserted(columns, column))
+        return built[-1]
+
+    monkeypatch.setattr(fock, "_inserted", recording)
+    a = [W.annihilate(b, 1) for b in (0, 1, 0, 0, 0, 0)]
+    w = tuple(a) + W.adjoint(tuple(a))
+    with pytest.raises(CapacityError, match="level above 4"):
+        vacuum_expectation_dense(w, 3)
+    assert max(map(len, built)) == DENSE_MAX_LEVEL
+
+
+def test_apply_letter_drops_orbits_that_cancel():
+    # both orbits lose their column to the same image, with opposite totals
+    state = State.of({(((1, 1),), (), (), (1,)): Fraction(1), (((2, 1),), (), (), (2,)): Fraction(-1)})
+    check_state(state)
+    after = apply_letter(state, W.annihilate(0, 1), 2)
+    assert len(after) == 0
+    check_state(after)
+    assert len(apply_letter(vacuum_state(), W.annihilate(1, 1), 2)) == 0
+
+
+def test_apply_letter_refuses_mixed_word_lengths():
+    # only a hand-built state can mix word lengths; the check raises, so
+    # python -O keeps it
+    mixed = State.of({(((1, 1),), (), (), (1,)): Fraction(1), ((), (), (), ()): Fraction(1)})
+    for letter in (W.create(0, 1), W.annihilate(0, 1), W.annihilate(1, 1)):
+        with pytest.raises(ValueError, match="word lengths"):
+            apply_letter(mixed, letter, 2)
+    script = """
+from fractions import Fraction
+from gbmoments import fock, words as W
+mixed = fock.State.of({(((1, 1),), (), (), (1,)): Fraction(1), ((), (), (), ()): Fraction(1)})
+try:
+    fock.apply_letter(mixed, W.create(1, 1), 2)
+except ValueError as exc:
+    print(exc)
+"""
+    src = str(Path(fock.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert proc.stdout.strip() == "the orbits of a state must share their word lengths", proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -244,16 +266,14 @@ def test_check_dense_word_leaves_vanishing_words_to_the_oracle():
     ids=["color_2", "color_minus_1", "kind_x"],
 )
 def test_dense_oracle_refuses_malformed_letters(letter):
-    # letters built without words.word(): both dense entry points read the
-    # word through it, so a tuple word and a list word raise ValueError
-    # where the per-color lookups raised IndexError, or read an unknown
-    # kind as an annihilator
+    # letters built without words.word(): the dense oracle reads the word
+    # through it, so a tuple word and a list word raise ValueError where
+    # the per-color lookups raised IndexError, or read an unknown kind as
+    # an annihilator
     w = (W.annihilate(0, 1), letter, W.create(0, 1))
     for given_word in (w, list(w)):
         with pytest.raises(ValueError):
             vacuum_expectation_dense(given_word, 2)
-        with pytest.raises(ValueError):
-            fock.check_dense_word(given_word, 2)
 
 
 def test_dense_matches_combinatorial_on_general_words():
@@ -505,27 +525,27 @@ def test_arrangements_memo_is_bounded():
     assert info.maxsize is not None and info.maxsize <= 4096
 
 
-def random_low_level_state(rng, n):
-    state = vacuum_state()
-    for _ in range(rng.randrange(1, 4)):
-        letter = W.create(rng.randrange(2), rng.randrange(1, 4))
-        state = apply_letter(state, letter, n)
-    return state
-
-
 def test_creation_annihilation_adjoint():
-    rng = random.Random(7)
-    n = 2
-    for _ in range(25):
-        u = random_low_level_state(rng, n)
-        v = random_low_level_state(rng, n)
-        b, i = rng.randrange(2), rng.randrange(1, 4)
-        au = apply_letter(u, W.create(b, i), n)
-        av = apply_letter(v, W.annihilate(b, i), n)
-        for state in (u, v, au, av):
-            assert len(state) == len(exact_amplitudes(state))
-        assert state_inner(au, v, n) == state_inner(u, av, n)
-        assert state_inner(au, v, n) == keyed_inner(reference.expand(au), reference.expand(v), n)
+    # v is made by 2-4 random creators in shuffled order and u by all but
+    # the first of them, so a* u and v share orbits and <a* u, v> = <u, a v>
+    # compares nonzero values
+    for n in (2, 3):
+        rng = random.Random(7)
+        nonzero = 0
+        for _ in range(25):
+            creators = [W.create(rng.randrange(2), rng.randrange(1, 4)) for _ in range(rng.randrange(2, 5))]
+            u = apply_word(vacuum_state(), tuple(creators[1:]), n)
+            v = apply_word(vacuum_state(), tuple(rng.sample(creators, len(creators))), n)
+            b, i, _ = creators[0]
+            au = apply_letter(u, W.create(b, i), n)
+            av = apply_letter(v, W.annihilate(b, i), n)
+            for state in (u, v, au, av):
+                assert len(state) == len(exact_amplitudes(state))
+            inner = state_inner(au, v, n)
+            assert inner == state_inner(u, av, n)
+            assert inner == keyed_inner(reference.expand(au), reference.expand(v), n)
+            nonzero += inner != 0
+        assert nonzero >= 20, (n, nonzero)
 
 
 def keyed_inner(amps1, amps2, n):
@@ -556,6 +576,24 @@ def test_words_given_as_lists():
         for n in (2, -3):
             assert rho_n_combinatorial(listed, n) == rho_n_combinatorial(w, n)
     assert rho_n_combinatorial([a, c], 2) == W.compatible_count([a, c]) == 1
+
+
+@pytest.mark.parametrize(
+    "w, message",
+    [
+        ((W.annihilate(0, 1), W.Letter(2, 1, W.CREATE), W.create(0, 1)), "color id"),
+        ((W.annihilate(0, 1), W.Letter(0, 1, "x")), "letter kind"),
+    ],
+    ids=["color_2", "kind_x"],
+)
+def test_rho_n_combinatorial_refuses_malformed_letters(w, message):
+    # neither word has a compatible matching, so only the letter check on
+    # entry can refuse it
+    for given_word in (w, list(w)):
+        with pytest.raises(ValueError, match=message):
+            rho_n_combinatorial(given_word, 2)
+    with pytest.raises(ValueError, match="nonzero"):
+        rho_n_combinatorial((W.annihilate(0, 1), W.create(0, 1)), 0)
 
 
 @pytest.mark.parametrize("color", [2, -1])
