@@ -11,12 +11,16 @@ moment formulas.
 Everything but the partition's own arcs is fixed by the colors and the
 annihilator/creator roles of the points (left points are annihilators),
 so `bar_frame` computes it from those alone, once per word for all the
-partitions compatible with it.  `loop_counter` walks the cycles a
+partitions compatible with it, and refuses roles that no partition pairs
+off.  The frame keeps only what the cycle walk reads: r, dominance, Z, the
+bar successors and the peaks.  `loop_counter` walks the cycles a
 partition's arcs close with a frame's bar arcs and returns each cycle's
 count of maximal increasing paths: the one cycle statistic behind every
 moment weight (`moments.t_n`, `moments.t_colored`, and `moments.t_uncolored`
-through the constant coloring) and the word-level sum.  `build_graph` walks
-the full vertex cycles only for the `graph` report.
+through the constant coloring) and the word-level sum.  The reports build
+the rest on demand: `profile` the per-color span counts, the frame's
+properties the bar pairs, their colors and arcs, and `build_graph` the
+full vertex cycles of the `graph` report.
 """
 
 from __future__ import annotations
@@ -69,58 +73,92 @@ def _oriented(pair: tuple[int, int], color: int) -> tuple[int, int]:
 
 class BarFrame(NamedTuple):
     """The word-level part of the cycle graph, point-indexed over 0..n
-    (index 0 unused): the points' colors, span counts, dominance, Z, the
-    bar pairs and their colors and arcs, and succ[u], the bar successor of
-    each point u a bar arc leaves (0 at the points pair arcs leave).
+    (index 0 unused): the points' colors and roles (annihilator flags),
+    their own-color span counts r, dominance and Z, and at each point u a
+    bar arc leaves, its bar successor succ[u] and its peak flag peak[u]
+    (both 0 at the points pair arcs leave).
 
     A maximal increasing path ends at a vertex entered by an increasing arc
     and left by a decreasing one.  Annihilators never are such peaks (a
     color-1 one leaves by its pair arc to the right, a color-0 one is
     entered by its pair arc from the right), and a creator's pair arc comes
     from or goes to its partner on the left, so a creator k is one iff its
-    bar neighbour Z(k) lies left of it: `paths`, the number of peaks, is the
-    number of bar pairs whose right end is a creator, the same for every
-    partition with these points.
+    bar neighbour Z(k) lies left of it.  So a bar pair holds a peak iff its
+    right end is a creator; peak[u] marks that on the pair's bar arc, and
+    `paths`, the number of peaks, is the same for every partition with
+    these points.
+
+    Only reports read the bar pairs, their colors and arcs and the
+    classification; they are derived here on demand, and `profile` builds
+    the per-color span counts.
     """
 
     color: Sequence[int]
-    counts: tuple[list[int], list[int]]
+    annihilator: Sequence[bool]
     r: list[int]
     dominant: list[bool]
     z: list[int]
-    bar: tuple[tuple[int, int], ...]
-    bar_colors: tuple[int, ...]
-    arcs_bar: tuple[tuple[int, int], ...]
     succ: list[int]
+    peak: list[int]
     paths: int
+
+    @property
+    def bar(self) -> tuple[tuple[int, int], ...]:
+        return tuple((k, zk) for k, zk in enumerate(self.z) if k < zk)
+
+    @property
+    def bar_colors(self) -> tuple[int, ...]:
+        return tuple(self.color[k] ^ self.dominant[k] for k, _ in self.bar)
+
+    @property
+    def arcs_bar(self) -> tuple[tuple[int, int], ...]:
+        return tuple(_oriented(pair, c) for pair, c in zip(self.bar, self.bar_colors))
 
     @property
     def classification(self) -> dict[int, str]:
         return {k: D if d else S for k, d in enumerate(self.dominant) if k}
 
 
-def bar_frame(color: Sequence[int], annihilator: Sequence[bool]) -> BarFrame:
-    """The frame of points 1..n with the given colors and roles (index 0
-    unused), for points that some colored pair partition pairs off, each
-    pair an annihilator left of a creator of its color.
+def _ranks(color: Sequence[int], annihilator: Sequence[bool]) -> tuple[list[int], list[bool]]:
+    """Each point's own-color count r and dominance, from one running count
+    per color: r[k] counts the pairs of k's color open at k, k's own
+    included, and k is dominant iff that exceeds the other color's open
+    pairs.  The running counts also check that the points pair off: no
+    count may drop below 0 and both must end at 0, else ValueError."""
+    n = len(color) - 1
+    r = [0] * (n + 1)
+    dominant = [False] * (n + 1)
+    open_pairs = [0, 0]
+    for k in range(1, n + 1):
+        c = color[k]
+        if annihilator[k]:
+            open_pairs[c] = rk = open_pairs[c] + 1
+        else:
+            rk = open_pairs[c]
+            if not rk:
+                raise ValueError("a creator must close an open annihilator of its color")
+            open_pairs[c] = rk - 1
+        r[k] = rk
+        dominant[k] = rk > open_pairs[1 - c]
+    if open_pairs != [0, 0]:
+        raise ValueError("every annihilator must be closed by a creator of its color")
+    return r, dominant
 
-    One pass each computes the span counts, the dominance split, Z, the bar
-    coloring and the bar successors; a violated invariant of the
-    construction raises RuntimeError.
+
+def bar_frame(color: Sequence[int], annihilator: Sequence[bool]) -> BarFrame:
+    """The frame of points 1..n with the given colors in {0, 1} and roles
+    (index 0 unused).  Points that no colored pair partition pairs off,
+    each pair an annihilator left of a creator of its color, raise
+    ValueError.
+
+    Three passes: one running count per color gives r and dominance, two
+    sweeps give Z, and one pass over Z checks it and the bar arcs and
+    fills succ, peak and paths; a violated invariant of the construction
+    raises RuntimeError.
     """
     n = len(color) - 1
     points = range(1, n + 1)
-    # counts[b][u] = #b-annihilators <= u - #b-creators < u, from one
-    # difference array per color
-    diff = ([0] * (n + 2), [0] * (n + 2))
-    for k, c, a in zip(points, color[1:], annihilator[1:]):
-        if a:
-            diff[c][k] += 1
-        else:
-            diff[c][k + 1] -= 1
-    counts = (list(accumulate(diff[0])), list(accumulate(diff[1])))
-    r = [counts[c][k] for k, c in enumerate(color)]
-    dominant = [r[k] > counts[1 - c][k] for k, c in enumerate(color)]
+    r, dominant = _ranks(color, annihilator)
     look_right = [a == d for a, d in zip(annihilator, dominant)]
 
     # two sweeps, each keeping the last point seen with every r-value in 1..m;
@@ -132,30 +170,33 @@ def bar_frame(color: Sequence[int], annihilator: Sequence[bool]) -> BarFrame:
             if look_right[k] == wanted:
                 z[k] = last[r[k]]
             last[r[k]] = k
-    if any(z[z[k]] != k for k in points):
-        raise RuntimeError("z must be a fixed-point-free involution")
-
-    # a bar pair keeps the color of subordinate endpoints and flips dominant ones
-    bar = tuple((k, zk) for k, zk in enumerate(z) if k < zk)
-    bar_color = [c ^ d for c, d in zip(color, dominant)]
-    bar_colors = tuple(bar_color[k] for k, _ in bar)
-    if bar_colors != tuple(bar_color[k] for _, k in bar):
-        raise RuntimeError("bar coloring must not depend on the endpoint")
 
     # pair arcs leave color-1 annihilators and color-0 creators and enter the
     # other points, so each vertex has in- and out-degree 1 iff every bar
     # arc leaves one of the other points and enters one of those
-    arcs_bar = tuple(_oriented(pair, c) for pair, c in zip(bar, bar_colors))
     succ = [0] * (n + 1)
-    for u, v in arcs_bar:
-        # a pair arc leaves u iff color[u] == annihilator[u] (1 == True)
-        if color[u] == annihilator[u]:
-            raise RuntimeError("every vertex must have out-degree 1")
-        if color[v] != annihilator[v]:
-            raise RuntimeError("every vertex must have in-degree 1")
-        succ[u] = v
-    paths = sum(1 for _, k in bar if not annihilator[k])
-    return BarFrame(color, counts, r, dominant, z, bar, bar_colors, arcs_bar, succ, paths)
+    peak = [0] * (n + 1)
+    paths = 0
+    for k in points:
+        zk = z[k]
+        if z[zk] != k:
+            raise RuntimeError("z must be a fixed-point-free involution")
+        if k < zk:
+            # a bar pair keeps the color of subordinate endpoints and flips dominant ones
+            c = color[k] ^ dominant[k]
+            if c != color[zk] ^ dominant[zk]:
+                raise RuntimeError("bar coloring must not depend on the endpoint")
+            u, v = _oriented((k, zk), c)
+            # a pair arc leaves u iff color[u] == annihilator[u] (1 == True)
+            if color[u] == annihilator[u]:
+                raise RuntimeError("every vertex must have out-degree 1")
+            if color[v] != annihilator[v]:
+                raise RuntimeError("every vertex must have in-degree 1")
+            succ[u] = v
+            if not annihilator[zk]:
+                peak[u] = 1
+                paths += 1
+    return BarFrame(color, annihilator, r, dominant, z, succ, peak, paths)
 
 
 def loop_counter(frame: BarFrame) -> Callable[[Iterable[tuple[int, int]]], list[int]]:
@@ -166,44 +207,33 @@ def loop_counter(frame: BarFrame) -> Callable[[Iterable[tuple[int, int]]], list[
     cycle count.
 
     A cycle alternates pair and bar arcs, so it is walked once on the m
-    points pair arcs leave, under the map that follows a pair arc and then
-    a bar arc.  A cycle's path count is its number of peaks, the creators r
-    with Z(r) < r (see `BarFrame`), and each creator rides on the step of
-    its own pair.
+    points pair arcs leave, each step a pair arc and then a bar arc; a
+    cycle's path count is the number of its bar arcs that carry a peak
+    (see `BarFrame`).
     """
-    # slot numbers the points pair arcs leave; after[t] is the slot the bar
-    # arc leaving t enters
-    slot = [0] * len(frame.succ)
-    sources = [u for u, v in enumerate(frame.succ) if u and not v]
-    for j, u in enumerate(sources):
-        slot[u] = j
-    after = [slot[v] for v in frame.succ]
-    peak = [int(z < k) for k, z in enumerate(frame.z)]
-    color = frame.color
-    m = len(sources)
+    color, succ, peak = frame.color, frame.succ, frame.peak
+    size = len(succ)
 
     def path_counts(pairs: Iterable[tuple[int, int]]) -> list[int]:
-        step = [0] * m
-        peaks = [0] * m
+        # step[u] is the point the pair arc leaving u enters
+        step = [0] * size
         for l, r in pairs:
             if color[l]:
-                j = slot[l]
-                step[j] = after[r]
+                step[l] = r
             else:
-                j = slot[r]
-                step[j] = after[l]
-            peaks[j] = peak[r]
-        # walk each cycle once, marking its slots done with step -1
+                step[r] = l
+        # walk each cycle once from its first point, zeroing the steps it
+        # takes; the enumeration reads the zeroed entries and skips them
         counts = []
-        for start in range(m):
-            if step[start] < 0:
-                continue
-            k = 0
-            j = start
-            while step[j] >= 0:
-                k += peaks[j]
-                step[j], j = -1, step[j]
-            counts.append(k)
+        for j, t in enumerate(step):
+            if t:
+                k = 0
+                while t:
+                    step[j] = 0
+                    k += peak[t]
+                    j = succ[t]
+                    t = step[j]
+                counts.append(k)
         return counts
 
     return path_counts
@@ -230,7 +260,13 @@ def _frame(p: ColoredPairPartition) -> BarFrame:
 def profile(p: ColoredPairPartition) -> ColorProfile:
     """Per-color span counts p_b(u) and the own-color count r(k)."""
     frame = _frame(p)
-    return ColorProfile(tuple(map(tuple, frame.counts)), tuple(frame.r[1:]))
+    # one difference array per color: a pair (l, r) spans the points l..r
+    diff = ([0] * (p.size + 2), [0] * (p.size + 2))
+    for (left, right), c in zip(p.base.pairs, p.colors):
+        diff[c][left] += 1
+        diff[c][right + 1] -= 1
+    counts = (tuple(accumulate(diff[0])), tuple(accumulate(diff[1])))
+    return ColorProfile(counts, tuple(frame.r[1:]))
 
 
 def classify(p: ColoredPairPartition) -> dict[int, str]:

@@ -353,9 +353,14 @@ def rho_n_combinatorial(w: W.Word, n: int) -> Fraction:
     N^P(w) once.  Equals fock_moment(w, tn_handle(n)).  The letters are read
     through `words.word()`, so a malformed one raises ValueError, as in the
     dense oracle."""
+    return _loop_sum(W.word(w), n)
+
+
+def _loop_sum(w: W.Word, n: int) -> Fraction:
+    """`rho_n_combinatorial` of a word already read through `words.word()`:
+    the identity checks read each of their words once and sum here."""
     if n == 0:
         raise ValueError("N must be nonzero")
-    w = W.word(w)
     matchings = W.compatible_matchings(w)
     if not matchings:
         return Fraction(0)
@@ -393,7 +398,7 @@ def exclusion_check(
         prof = W.word_profile(w)
         if not any(v > -n for v in prof.values()):
             continue
-        value = rho_n_combinatorial(W.adjoint(w) + w, n)
+        value = _loop_sum(W.adjoint(w) + w, n)
         checked += 1
         if value != 0:
             failures.append((w, value))
@@ -407,14 +412,13 @@ def commutation_check(
 
     Requires the color-b profile weight of A to dominate the other color's.
     """
+    a_word, b_word = W.word(a_word), W.word(b_word)
     if W.profile_weight(a_word, b) < W.profile_weight(a_word, 1 - b):
         raise ValueError("hypothesis violated: |w_b| < |w_-b| for the word A")
-    middle = (W.annihilate(b, i), W.create(b, i))
-    lhs = rho_n_combinatorial(W.adjoint(b_word) + middle + a_word, n)
+    middle = W.word((W.annihilate(b, i), W.create(b, i)))
+    lhs = _loop_sum(W.adjoint(b_word) + middle + a_word, n)
     weight = W.word_profile(a_word).get((b, i), 0)
-    rhs = (1 + Fraction(weight, n)) * rho_n_combinatorial(
-        W.adjoint(b_word) + a_word, n
-    )
+    rhs = (1 + Fraction(weight, n)) * _loop_sum(W.adjoint(b_word) + a_word, n)
     return lhs, rhs, lhs == rhs
 
 
@@ -422,7 +426,8 @@ def _padded(
     a_word: W.Word, b_word: W.Word, b: int, pad: int, middle: W.Word
 ) -> W.Word:
     """B* a_{2p}..a_{p+1} middle a*_{p+1}..a*_{2p} A on the color-b padding
-    indices p+1..2p (p = pad), which A and B must not use."""
+    indices p+1..2p (p = pad), which A and B must not use; read through
+    `words.word()` when A, B and middle are."""
     used = {(let.b, let.i) for let in a_word + b_word}
     if any((b, j) in used for j in range(pad + 1, 2 * pad + 1)):
         raise ValueError("padding indices must be unused by A and B")
@@ -437,14 +442,13 @@ def wlim_identity_check(
     """Exact finite-padding identity
     rho(B* a_{2p}..a_{p+1} a* a a*_{p+1}..a*_{2p} A) = (w^A_b(i)/N^2) rho(B* A)
     for padding size p beyond the profile threshold."""
-    full = _padded(a_word, b_word, b, pad, (W.create(b, i), W.annihilate(b, i)))
+    a_word, b_word = W.word(a_word), W.word(b_word)
+    full = _padded(a_word, b_word, b, pad, W.word((W.create(b, i), W.annihilate(b, i))))
     if pad + W.profile_weight(a_word, b) <= W.profile_weight(a_word, 1 - b):
         raise ValueError("padding size below the identity's threshold")
-    lhs = rho_n_combinatorial(full, n)
+    lhs = _loop_sum(full, n)
     weight = W.word_profile(a_word).get((b, i), 0)
-    rhs = Fraction(weight, n**2) * rho_n_combinatorial(
-        W.adjoint(b_word) + a_word, n
-    )
+    rhs = Fraction(weight, n**2) * _loop_sum(W.adjoint(b_word) + a_word, n)
     return lhs, rhs, lhs == rhs
 
 
@@ -454,10 +458,11 @@ def wlim_creator_pair_bound(
     """Decay bound for the doubled-creator padding variant:
     |rho(B* pads a* a* pads* A)| <= C |N|^(1-r) with C the number of
     compatible partitions, valid once pad + |w_b| - |w_-b| > 2r."""
-    full = _padded(a_word, b_word, b, pad, (W.create(b, i), W.create(b, i)))
+    a_word, b_word = W.word(a_word), W.word(b_word)
+    full = _padded(a_word, b_word, b, pad, W.word((W.create(b, i), W.create(b, i))))
     if pad + W.profile_weight(a_word, b) - W.profile_weight(a_word, 1 - b) <= 2 * r:
         raise ValueError("padding size below the bound's threshold")
-    value = rho_n_combinatorial(full, n)
+    value = _loop_sum(full, n)
     count = W.compatible_count(full)
     bound = Fraction(count * abs(n), abs(n) ** r)
     return value, bound, abs(value) <= bound

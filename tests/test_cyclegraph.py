@@ -1,12 +1,16 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernel_reference as reference
 from gbmoments import moments
 from gbmoments.cyclegraph import (
+    bar_frame,
     bar_partition,
     build_graph,
     classify,
+    point_roles,
     profile,
     z_map,
 )
@@ -110,6 +114,27 @@ def test_twelve_point_graph(twelve_point, twelve_point_expected):
 def all_two_colored(max_m):
     for m in range(1, max_m + 1):
         yield from enumerate_colored(m, 2)
+
+
+def test_bar_frame_accepts_exactly_the_roles_some_partition_pairs_off():
+    # every color/role sequence of <= 7 points (21,845); the valid ones are
+    # read off the colored partitions themselves
+    valid = {
+        tuple(map(tuple, point_roles(p.base.pairs, p.colors)))
+        for p in all_two_colored(3)
+    } | {((0,), (False,))}
+    accepted = 0
+    for n in range(8):
+        for points in itertools.product(((0, False), (0, True), (1, False), (1, True)), repeat=n):
+            color = (0,) + tuple(c for c, _ in points)
+            annihilator = (False,) + tuple(a for _, a in points)
+            if (color, annihilator) in valid:
+                assert bar_frame(color, annihilator).color == color
+                accepted += 1
+            else:
+                with pytest.raises(ValueError):
+                    bar_frame(color, annihilator)
+    assert accepted == len(valid)
 
 
 def test_z_map_color_side_laws():

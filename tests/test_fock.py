@@ -676,16 +676,23 @@ def test_word_frame_is_every_compatible_partitions_frame():
 
 def test_frame_invariants_survive_optimize():
     # python -O strips assert statements; the frame's checks must still
-    # raise.  Only Z can fail on an input (points no partition pairs off);
-    # the degree checks are reached by misorienting the bar arcs.
+    # raise.  Only the pairing check fails on an input (a lone creator);
+    # Z and the bar coloring are reached by faking the ranks, the degree
+    # checks by misorienting the bar arcs.
     script = """
 from gbmoments import cyclegraph
 def message(*args):
     try:
         cyclegraph.bar_frame(*args)
-    except RuntimeError as exc:
-        return str(exc)
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 print(message([0, 0], [False, False]))
+ranks = cyclegraph._ranks
+cyclegraph._ranks = lambda color, annihilator: ([0, 1, 1], [False, False, False])
+print(message([0, 0, 0], [False, True, False]))
+cyclegraph._ranks = lambda color, annihilator: ([0, 1, 2, 1, 1], [False, True, False, False, False])
+print(message([0, 0, 0, 0, 0], [False, True, False, True, False]))
+cyclegraph._ranks = ranks
 cyclegraph._oriented = lambda pair, c: (pair[1], pair[0]) if c else pair
 print(message([0, 0, 0], [False, True, False]))
 cyclegraph._oriented = lambda pair, c: (pair[0], pair[0])
@@ -697,9 +704,11 @@ print(message([0, 0, 0], [False, True, False]))
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "z must be a fixed-point-free involution",
-        "every vertex must have out-degree 1",
-        "every vertex must have in-degree 1",
+        "ValueError: a creator must close an open annihilator of its color",
+        "RuntimeError: z must be a fixed-point-free involution",
+        "RuntimeError: bar coloring must not depend on the endpoint",
+        "RuntimeError: every vertex must have out-degree 1",
+        "RuntimeError: every vertex must have in-degree 1",
     ]
 
 
@@ -724,6 +733,25 @@ def test_commutation_hypothesis_enforced():
     a_word = (W.create(0, 1), W.create(0, 2))
     with pytest.raises(ValueError):
         commutation_check(a_word, a_word, 1, 1, 2)
+
+
+def test_identity_checks_read_their_words_once():
+    # the words, the middle letters and the padding are read through
+    # words.word(), so lists are accepted and malformed letters refused
+    a_star = (W.create(1, 1),)
+    assert commutation_check(list(a_star), list(a_star), 1, 1, 2) == commutation_check(a_star, a_star, 1, 1, 2)
+    assert wlim_identity_check(list(a_star), list(a_star), 1, 1, 2, 4) == wlim_identity_check(a_star, a_star, 1, 1, 2, 4)
+    bad = (W.Letter(0, 1, "x"),)
+    with pytest.raises(ValueError, match="letter kind"):
+        commutation_check(bad, (), 1, 1, 2)
+    with pytest.raises(ValueError, match="basis index"):
+        commutation_check((), (), 1, 0, 2)
+    with pytest.raises(ValueError, match="basis index"):
+        wlim_identity_check((), (), 1, 0, 2, 4)
+    with pytest.raises(ValueError, match="letter kind"):
+        wlim_creator_pair_bound((), bad, 1, 1, 2, 4, 1)
+    with pytest.raises(ValueError, match="nonzero"):
+        commutation_check((), (), 1, 1, 0)
 
 
 def random_word_and_shuffle(rng, max_len=4):
