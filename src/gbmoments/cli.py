@@ -289,6 +289,10 @@ def cmd_pd_check(args) -> tuple[dict, dict, list[dict]]:
         or broken.broken_count(args.max_points, args.colors) > MAX_GRAM_FAMILY
     ):
         raise CapacityError(f"the Gram family has more than {MAX_GRAM_FAMILY} diagrams")
+    # no weight reads another count, and a zero-point family of a huge one
+    # passes the guard yet builds 2 * colors leg groups
+    if args.colors not in (1, 2):
+        raise ValueError("pd-check reads --colors 1 or 2")
     family = broken.enumerate_broken(args.max_points, args.colors)
     if args.q12 is not None:
         if args.colors != 2:

@@ -31,8 +31,7 @@ import itertools
 from bisect import bisect
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, lcm
+from math import lcm
 
 from . import words as W
 from .cyclegraph import BarFrame, bar_frame, classify, loop_counter
@@ -57,7 +56,9 @@ class State:
     is the integer total of the orbit's keys, each of which carries the
     exact amplitude num / den * amps[orbit] / |orbit|.  Operators do integer
     work per orbit and fold their factors into num / den, which becomes a
-    Fraction only when read; len() is the number of orbits."""
+    Fraction only when read; len() is the number of orbits.  No oracle reads
+    a single key, so the per-key view (every key with its amplitude) is
+    left to the tests' reference `expand`."""
 
     __slots__ = ("num", "den", "amps")
 
@@ -69,20 +70,6 @@ class State:
     def __len__(self) -> int:
         return len(self.amps)
 
-    @classmethod
-    def of(cls, exact: dict[Orbit, Fraction]) -> State:
-        """The state whose keys carry these exact amplitudes, one per orbit."""
-        totals = {orbit: Fraction(amp) * _size(orbit) for orbit, amp in exact.items()}
-        common = lcm(*(total.denominator for total in totals.values()))
-        return cls(1, common, {orbit: int(total * common) for orbit, total in totals.items()})
-
-    def amplitudes(self) -> dict[Orbit, Fraction]:
-        """The exact amplitude of every orbit, shared by each of its keys."""
-        return {
-            orbit: Fraction(self.num * total, self.den * _size(orbit))
-            for orbit, total in self.amps.items()
-        }
-
 
 def check_dense_params(n: int):
     if n < 2:
@@ -93,23 +80,6 @@ def check_dense_params(n: int):
 
 def vacuum_state() -> State:
     return State(1, 1, {VACUUM: 1})
-
-
-# the m <= 4 compare matrix meets 256 distinct column multisets
-@lru_cache(maxsize=1024)
-def _orderings(columns: tuple[Column, ...]) -> int:
-    """The number of distinct orderings of a sorted multiset of columns,
-    len! over the factorials of the multiplicities."""
-    count, run = factorial(len(columns)), 1
-    for j in range(1, len(columns)):
-        run = run + 1 if columns[j] == columns[j - 1] else 1
-        count //= run
-    return count
-
-
-def _size(orbit: Orbit) -> int:
-    """The number of keys in an orbit."""
-    return _orderings(orbit[0]) * _orderings(orbit[2])
 
 
 def sym_project(raw: dict[StateKey, int | Fraction]) -> State:
@@ -209,39 +179,6 @@ def apply_word(state: State, w: W.Word, n: int) -> State:
         if not state:
             break
     return state
-
-
-def check_state(state: State) -> None:
-    """Validate the orbit invariants: columns in sorted order, the two
-    value multisets (column values and tail) equal and sized to the larger
-    word, and the state fixed by the symmetrization projector, which drops
-    an orbit of total 0; raises ValueError otherwise."""
-    for orbit in state.amps:
-        minus, x_tail, plus, y_tail = orbit
-        if list(minus) != sorted(minus) or list(plus) != sorted(plus):
-            raise ValueError(f"columns of {orbit} are not in sorted order")
-        if not len(minus) + len(x_tail) == len(plus) + len(y_tail) == max(len(minus), len(plus)):
-            raise ValueError(f"value tuples of {orbit} do not match its level")
-        if sorted([v for v, _ in minus] + list(x_tail)) != sorted([v for v, _ in plus] + list(y_tail)):
-            raise ValueError(f"value tuples of {orbit} are not permutations of each other")
-    if not all(state.amps.values()):
-        raise ValueError("state is not fixed by the symmetrization projector: an orbit has total 0")
-
-
-def state_inner(s1: State, s2: State, n: int) -> Fraction:
-    """Weighted inner product: each basis key carries N^-level / (n_-)!(n_+)!,
-    and an orbit of totals T1, T2 adds T1 * T2 / |orbit| times that weight."""
-    total = 0
-    for orbit, t1 in s1.amps.items():
-        t2 = s2.amps.get(orbit)
-        if t2 is None:
-            continue
-        minus, x_tail, plus, _ = orbit
-        total += Fraction(
-            t1 * t2,
-            _size(orbit) * n ** (len(minus) + len(x_tail)) * factorial(len(minus)) * factorial(len(plus)),
-        )
-    return total * Fraction(s1.num * s2.num, s1.den * s2.den)
 
 
 def vacuum_expectation_dense(w: W.Word, n: int) -> Fraction:

@@ -7,7 +7,6 @@ parameters are supplied.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -52,7 +51,8 @@ class ThomaParameter(FrozenValue):
 
     def __init__(self, alpha: tuple[Scalar, ...] = (), beta: tuple[Scalar, ...] = ()):
         for seq in (alpha, beta):
-            if any(x <= 0 for x in seq):
+            # not x > 0 also refuses NaN
+            if any(not x > 0 for x in seq):
                 raise ValueError("parameter entries must be positive")
             if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
                 raise ValueError("parameter sequences must be weakly decreasing")
@@ -176,7 +176,8 @@ def _graph_exponent(
     counts of its bar arcs joined with the pairs' arcs.  The exponent of
     t_N is sum((k - 1) * c): paths - cycles."""
     frame = bar_frame(*point_roles(pairs, colors))
-    return _interned(tuple(sorted(Counter(loop_counter(frame)(pairs)).items())))
+    counts = loop_counter(frame)(pairs)
+    return _interned(tuple(sorted((k, counts.count(k)) for k in set(counts))))
 
 
 def tn_exponent(p: ColoredPairPartition) -> int:

@@ -24,8 +24,10 @@ and its smallest pivot and verdict must be what that function returns; and
 `gbmoments.qproduct.t_q_star_n` must agree with.
 The dense oracle's references work on vectors given per basis key, with
 one exact amplitude each: `expand` lists every key of each orbit of a
-`gbmoments.fock.State`, `apply_letter` is the per-key operator that
-`gbmoments.fock.apply_letter` applies a whole orbit at a time (every key
+`gbmoments.fock.State`, counting each orbit's size from the column
+orderings it lists and asserting the orbit invariants, so it reads no
+code of the oracle under test; `apply_letter` is the per-key operator
+that `gbmoments.fock.apply_letter` applies a whole orbit at a time (every key
 of the state moved, before re-symmetrizing), and `sym_project` is the
 literal |G|-fold group average that `gbmoments.fock.sym_project` computes
 by orbit sums.  `propagate` is one elementary-state propagation for one
@@ -416,14 +418,31 @@ def sym_project(state: dict[StateKey, Fraction]) -> dict[StateKey, Fraction]:
     return {k: v for k, v in out.items() if v}
 
 
-def expand(state: State) -> dict[StateKey, Fraction]:
-    """The state per basis key: each orbit's amplitude times the scale on
-    every distinct ordering of its minus columns and of its plus columns."""
+def expand(state: State, from_vacuum: bool = True) -> dict[StateKey, Fraction]:
+    """The state per basis key: each orbit's total times the scale, shared
+    by every distinct ordering of its minus columns and of its plus
+    columns, the orbit's size being the product of the two ordering
+    counts.  Each orbit is first checked to have a nonzero int total (the
+    projector drops an orbit of total 0) and sorted columns; on a state
+    reached from the vacuum, also to have its two value multisets (column
+    values and tail) equal and sized to the larger word, which a projection
+    of arbitrary keys need not."""
     out: dict[StateKey, Fraction] = {}
-    for (minus, x_tail, plus, y_tail), amp in state.amplitudes().items():
-        for minus_order in set(itertools.permutations(minus)):
+    for orbit, total in state.amps.items():
+        minus, x_tail, plus, y_tail = orbit
+        assert type(total) is int and total, f"{orbit} has total {total!r}"
+        assert list(minus) == sorted(minus) and list(plus) == sorted(plus), f"{orbit} has unsorted columns"
+        if from_vacuum:
+            level = max(len(minus), len(plus))
+            assert len(minus) + len(x_tail) == len(plus) + len(y_tail) == level, f"{orbit} is off its level"
+            values = sorted([v for v, _ in minus] + list(x_tail)), sorted([v for v, _ in plus] + list(y_tail))
+            assert values[0] == values[1], f"{orbit} has unequal value multisets"
+        minus_orders = set(itertools.permutations(minus))
+        plus_orders = set(itertools.permutations(plus))
+        amp = Fraction(state.num * total, state.den * len(minus_orders) * len(plus_orders))
+        for minus_order in minus_orders:
             x_head, wm = (tuple(part) for part in zip(*minus_order)) if minus else ((), ())
-            for plus_order in set(itertools.permutations(plus)):
+            for plus_order in plus_orders:
                 y_head, wp = (tuple(part) for part in zip(*plus_order)) if plus else ((), ())
                 out[(x_head + x_tail, y_head + y_tail, wm, wp)] = amp
     return out

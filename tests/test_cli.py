@@ -353,6 +353,15 @@ def test_over_enumeration_budget_exits_3(capsys, monkeypatch, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_pd_check_refuses_colors_no_weight_reads(capsys, monkeypatch):
+    # at 0 points the family guard counts one diagram, whatever --colors is
+    monkeypatch.setattr(broken, "enumerate_broken", lambda *a: pytest.fail("enumerated"))
+    start = time.perf_counter()
+    assert dispatch(["pd-check", "--max-points", "0", "--colors", str(10**30)]) == 2
+    assert time.perf_counter() - start < 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_pd_check(capsys):
     code, report = run(
         capsys, ["pd-check", "--max-points", "3", "--colors", "2", "--t", "tn", "--N", "2"]

@@ -48,6 +48,17 @@ def test_thoma_parameter_validation():
     assert tp.gamma == Fraction(1, 4)
 
 
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [((float("nan"),), ()), ((0.5,), (float("nan"),))],
+    ids=["nan_alpha", "nan_beta"],
+)
+def test_thoma_parameter_refuses_nan(alpha, beta):
+    # nan <= 0 is False, so positivity is tested as not x > 0
+    with pytest.raises(ValueError, match="positive"):
+        ThomaParameter(alpha, beta)
+
+
 def test_thoma_n():
     assert thoma_n(2).alpha == (HALF, HALF)
     assert thoma_n(-2).beta == (HALF, HALF)
