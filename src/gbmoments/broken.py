@@ -278,16 +278,10 @@ class RightHookRun(FrozenValue):
     __slots__ = ("colors",)
     colors: tuple[int, ...]
 
-    def __init__(self, colors: tuple[int, ...]):
-        self._assign(colors)
-
 
 class LeftHookRun(FrozenValue):
     __slots__ = ("colors",)
     colors: tuple[int, ...]
-
-    def __init__(self, colors: tuple[int, ...]):
-        self._assign(colors)
 
 
 class PermutationBlock(FrozenValue):
@@ -297,9 +291,6 @@ class PermutationBlock(FrozenValue):
     __slots__ = ("perms",)
     perms: tuple[tuple[int, ...], ...]
 
-    def __init__(self, perms: tuple[tuple[int, ...], ...]):
-        self._assign(perms)
-
 
 Factor = RightHookRun | LeftHookRun | PermutationBlock
 
@@ -308,9 +299,6 @@ class StandardForm(FrozenValue):
     __slots__ = ("num_colors", "factors")
     num_colors: int
     factors: tuple[Factor, ...]
-
-    def __init__(self, num_colors: int, factors: tuple[Factor, ...]):
-        self._assign(num_colors, factors)
 
 
 def permute_right_legs(

@@ -20,7 +20,8 @@ moment weight (`moments.t_n`, `moments.t_colored`, and `moments.t_uncolored`
 through the constant coloring) and the word-level sum.  The reports build
 the rest on demand: `profile` the per-color span counts, the frame's
 properties the bar pairs, their colors and arcs, and `build_graph` the
-full vertex cycles of the `graph` report.
+full vertex cycles of the `graph` report, each cycle's paths counted by
+the same peak flags.
 """
 
 from __future__ import annotations
@@ -56,9 +57,6 @@ class ColorProfile(FrozenValue):
     counts: tuple[tuple[int, ...], tuple[int, ...]]
     r_values: tuple[int, ...]
 
-    def __init__(self, counts: tuple[tuple[int, ...], tuple[int, ...]], r_values: tuple[int, ...]):
-        self._assign(counts, r_values)
-
     def p(self, color: int, u: int) -> int:
         return self.counts[color][u]
 
@@ -86,7 +84,8 @@ class BarFrame(NamedTuple):
     bar neighbour Z(k) lies left of it.  So a bar pair holds a peak iff its
     right end is a creator; peak[u] marks that on the pair's bar arc, and
     `paths`, the number of peaks, is the same for every partition with
-    these points.
+    these points.  `loop_counter` and `build_graph` both count a cycle's
+    paths as the peak flags of its vertices.
 
     Only reports read the bar pairs, their colors and arcs and the
     classification; they are derived here on demand, and `profile` builds
@@ -313,21 +312,6 @@ class CycleGraphAnalysis(FrozenValue):
     cycles: tuple[tuple[int, ...], ...]
     path_counts: tuple[int, ...]
 
-    def __init__(
-        self,
-        classification: dict[int, str],
-        z: dict[int, int],
-        bar_pairs: PairPartition,
-        bar_colors: tuple[int, ...],
-        arcs_pairs: tuple[tuple[int, int], ...],
-        arcs_bar: tuple[tuple[int, int], ...],
-        cycles: tuple[tuple[int, ...], ...],
-        path_counts: tuple[int, ...],
-    ):
-        self._assign(
-            classification, z, bar_pairs, bar_colors, arcs_pairs, arcs_bar, cycles, path_counts
-        )
-
     @property
     def gamma(self) -> dict[int, int]:
         """Histogram: maximal-increasing-path count -> number of cycles."""
@@ -372,20 +356,15 @@ def build_graph(p: ColoredPairPartition) -> CycleGraphAnalysis:
         succ[u] = v
     # the first cycle is the fixed point 0 that pads the point-indexed list
     cycles = tuple(_walk_cycles(succ)[1:])
-    # a maximal increasing path ends at each vertex entered by an
-    # increasing arc and left by a decreasing one
-    path_counts = tuple(
-        sum(1 for i, v in enumerate(cyc) if cyc[i - 1] < v > succ[v])
-        for cyc in cycles
-    )
+    path_counts = tuple(sum(frame.peak[v] for v in cyc) for cyc in cycles)
     points = range(1, p.size + 1)
     return CycleGraphAnalysis(
-        classification=frame.classification,
-        z={k: frame.z[k] for k in points},
-        bar_pairs=PairPartition(frame.bar),
-        bar_colors=frame.bar_colors,
-        arcs_pairs=arcs_pairs,
-        arcs_bar=frame.arcs_bar,
-        cycles=cycles,
-        path_counts=path_counts,
+        frame.classification,
+        {k: frame.z[k] for k in points},
+        PairPartition(frame.bar),
+        frame.bar_colors,
+        arcs_pairs,
+        frame.arcs_bar,
+        cycles,
+        path_counts,
     )

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from . import words as W
@@ -43,9 +42,9 @@ class ThomaParameter(FrozenValue):
     __slots__ = ("alpha", "beta", "_power_sums", "_characters")
     alpha: tuple[Scalar, ...]
     beta: tuple[Scalar, ...]
-    # power sums by order and characters by cycle type, filled on first use;
-    # kept per instance because equal parameters need not give equal results
-    # (0.5 == Fraction(1, 2))
+    # power sums by order, and characters by sorted (length, count) items
+    # (see `_character`), filled on first use; kept per instance because
+    # equal parameters need not give equal results (0.5 == Fraction(1, 2))
     _power_sums: dict[int, Scalar]
     _characters: dict[tuple[tuple[int, int], ...], Scalar]
 
@@ -93,33 +92,42 @@ def thoma_character(tp: ThomaParameter, cycle_type: Mapping[int, int]) -> Scalar
     """Character value for a permutation with the given cycle type; fixed
     points (length-1 entries) are ignored.
 
-    Every call validates the cycle type; the value is memoized on tp by
-    the sorted (length, count) pairs that contribute, in at most
-    CHARACTER_MEMO_SIZE entries, the oldest dropped first."""
+    Every call validates the cycle type: each length an int >= 1 and each
+    count an int >= 0 (bools refused), else ValueError."""
     contributing = []
     for m, count in sorted(cycle_type.items()):
-        if m < 1 or count < 0:
-            raise ValueError("cycle type must map lengths >= 1 to counts >= 0")
+        if type(m) is not int or type(count) is not int or m < 1 or count < 0:
+            raise ValueError("cycle type must map int lengths >= 1 to int counts >= 0")
         if m >= 2 and count:
             contributing.append((m, count))
-    key = tuple(contributing)
+    return _character(tp, tuple(contributing))
+
+
+def _character(tp: ThomaParameter, items: tuple[tuple[int, int], ...]) -> Scalar:
+    """The product of p_k ** c over the sorted (k, c) items with k >= 2, in
+    item order, memoized on tp by the items in at most CHARACTER_MEMO_SIZE
+    entries, the oldest dropped first."""
     memo = tp._characters
-    value = memo.get(key)
+    value = memo.get(items)
     if value is None:
         value = Fraction(1)
-        for m, count in key:
-            value *= tp.power_sum_factor(m) ** count
+        for k, count in items:
+            if k >= 2:
+                value *= tp.power_sum_factor(k) ** count
         if len(memo) >= CHARACTER_MEMO_SIZE:
             del memo[next(iter(memo))]
-        memo[key] = value
+        memo[items] = value
     return value
+
+
+def _check_permutation(perm: Sequence[int]):
+    if any(type(j) is not int for j in perm) or sorted(perm) != list(range(len(perm))):
+        raise ValueError("not a permutation of ints in one-line notation")
 
 
 def permutation_cycle_type(perm: Sequence[int]) -> dict[int, int]:
     """Cycle type of a permutation in 0-based one-line notation."""
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation in one-line notation")
+    _check_permutation(perm)
     out: dict[int, int] = {}
     for cycle in _walk_cycles(perm):
         out[len(cycle)] = out.get(len(cycle), 0) + 1
@@ -133,6 +141,7 @@ def spherical_function(
     common support)."""
     if len(pi) != len(pi_prime):
         raise ValueError("permutations must act on the same support")
+    _check_permutation(pi)
     inv = [0] * len(pi)
     for j, img in enumerate(pi):
         inv[img] = j
@@ -146,7 +155,7 @@ def t_uncolored(tp: ThomaParameter, v: PairPartition) -> Scalar:
     gamma under the constant coloring.  There every point is dominant, Z is
     the noncrossing hat and every creator r has Z(r) < r, so each cycle has
     one peak per pair, and gamma is rho."""
-    return thoma_character(tp, _graph_exponent(v.pairs, (1,) * v.m))
+    return _character(tp, _graph_exponent(v.pairs, (1,) * v.m))
 
 
 def t_colored(tp: ThomaParameter, p: ColoredPairPartition) -> Scalar:
@@ -155,14 +164,7 @@ def t_colored(tp: ThomaParameter, p: ColoredPairPartition) -> Scalar:
     maximal increasing paths, i.e. the Thoma character at the histogram
     gamma (k -> number of cycles)."""
     _require_two_colors(p)
-    return thoma_character(tp, _graph_exponent(p.base.pairs, p.colors))
-
-
-# one shared read-only mapping per distinct histogram, so cached partitions
-# with equal gamma hold one object
-@lru_cache(maxsize=1024)
-def _interned(histogram: tuple[tuple[int, int], ...]) -> Mapping[int, int]:
-    return MappingProxyType(dict(histogram))
+    return _character(tp, _graph_exponent(p.base.pairs, p.colors))
 
 
 # bench/worker.py reads this function's cache_info; the cap bounds memory
@@ -170,21 +172,21 @@ def _interned(histogram: tuple[tuple[int, int], ...]) -> Mapping[int, int]:
 @lru_cache(maxsize=4096)
 def _graph_exponent(
     pairs: tuple[tuple[int, int], ...], colors: tuple[int, ...]
-) -> Mapping[int, int]:
-    """The cycle graph's histogram gamma, read-only and sorted by path
-    count: the bar frame of the pairs' points, and the per-cycle path
-    counts of its bar arcs joined with the pairs' arcs.  The exponent of
-    t_N is sum((k - 1) * c): paths - cycles."""
+) -> tuple[tuple[int, int], ...]:
+    """The cycle graph's histogram gamma as its (path count, cycles) items,
+    sorted by path count, which `_character` takes as they are: the bar
+    frame of the pairs' points, and the per-cycle path counts of its bar
+    arcs joined with the pairs' arcs.  The exponent of t_N is
+    sum((k - 1) * c): paths - cycles."""
     frame = bar_frame(*point_roles(pairs, colors))
     counts = loop_counter(frame)(pairs)
-    return _interned(tuple(sorted((k, counts.count(k)) for k in set(counts))))
+    return tuple(sorted((k, counts.count(k)) for k in set(counts)))
 
 
 def tn_exponent(p: ColoredPairPartition) -> int:
     """paths - cycles of a two-colored partition's cycle graph, the power
     of 1/N in t_N."""
-    gamma = _graph_exponent(p.base.pairs, p.colors)
-    return sum((k - 1) * c for k, c in gamma.items())
+    return sum((k - 1) * c for k, c in _graph_exponent(p.base.pairs, p.colors))
 
 
 def t_n(n: int, p: ColoredPairPartition) -> Fraction:

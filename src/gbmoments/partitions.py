@@ -29,14 +29,16 @@ class ColorArityError(Exception):
 class FrozenValue:
     """Base of the package's immutable value classes.
 
-    A subclass lists its attributes in `__slots__` and sets them in its
-    `__init__` through `_assign` only; after that, assignment and deletion
-    raise AttributeError.  The slots not named with a leading underscore
-    are the value's fields, in order: two values are equal when they are of
-    the same class and their fields are equal, a value hashes as the tuple
-    of its fields, its repr is `Class(field=value, ...)`, and pickling
-    rebuilds it from its fields.  Underscore slots hold memos and take part
-    in none of these.  No subclass overrides these methods.
+    A subclass lists its attributes in `__slots__` and sets them through
+    `_assign` only; after that, assignment and deletion raise
+    AttributeError.  The default `__init__` takes one value per slot, in
+    order (a wrong count raises ValueError); a subclass that validates or
+    fills memo slots writes its own.  The slots not named with a leading
+    underscore are the value's fields, in order: two values are equal when
+    they are of the same class and their fields are equal, a value hashes
+    as the tuple of its fields, its repr is `Class(field=value, ...)`, and
+    pickling rebuilds it from its fields.  Underscore slots hold memos and
+    take part in none of these.  No subclass overrides these methods.
     """
 
     __slots__ = ()
@@ -45,6 +47,9 @@ class FrozenValue:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def __init__(self, *values):
+        self._assign(*values)
 
     def _assign(self, *values):
         """Set the slots, in order, to values; for use in __init__."""

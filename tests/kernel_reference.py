@@ -214,14 +214,7 @@ def build_graph(p: ColoredPairPartition) -> CycleGraphAnalysis:
 
     path_counts = tuple(_increasing_run_count(c) for c in cycles)
     return CycleGraphAnalysis(
-        classification=cls,
-        z=z,
-        bar_pairs=bar_pp,
-        bar_colors=bar_colors,
-        arcs_pairs=arcs_pairs,
-        arcs_bar=arcs_bar,
-        cycles=tuple(cycles),
-        path_counts=path_counts,
+        cls, z, bar_pp, bar_colors, arcs_pairs, arcs_bar, tuple(cycles), path_counts
     )
 
 

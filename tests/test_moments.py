@@ -10,6 +10,7 @@ from gbmoments import words as W
 from gbmoments.moments import (
     ThomaParameter,
     fock_moment,
+    permutation_cycle_type,
     spherical_function,
     t_colored,
     t_free,
@@ -82,6 +83,29 @@ def test_thoma_character_matches_power_formula():
             assert thoma_character(thoma_n(n), cycle_type) == Fraction(
                 1, n
             ) ** (moved - cycles)
+
+
+@pytest.mark.parametrize(
+    "cycle_type",
+    [{2: 0.5}, {2.5: 1}, {True: 1}, {2: True}],
+    ids=["count", "length", "bool_length", "bool_count"],
+)
+def test_thoma_character_refuses_non_int_cycle_types(cycle_type):
+    # a non-int length or count gives a float or a wrong value at a rational parameter
+    with pytest.raises(ValueError, match="int"):
+        thoma_character(ThomaParameter((HALF,)), cycle_type)
+
+
+@pytest.mark.parametrize(
+    "perm", [[True, False], [0.0, 1.0], [0, 0]], ids=["bools", "floats", "repeat"]
+)
+def test_permutations_must_be_ints_in_one_line_notation(perm):
+    with pytest.raises(ValueError, match="ints"):
+        permutation_cycle_type(perm)
+    # on either side of spherical_function
+    for pi, pi_prime in ((perm, (0, 1)), ((0, 1), perm)):
+        with pytest.raises(ValueError, match="ints"):
+            spherical_function(thoma_n(2), pi, pi_prime)
 
 
 def test_spherical_function():

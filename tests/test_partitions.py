@@ -17,7 +17,15 @@ from gbmoments.partitions import (
     noncrossing_hat,
     uncolored_cycles,
 )
-from gbmoments.broken import BrokenPairPartition, standard_form
+from gbmoments.broken import (
+    BrokenPairPartition,
+    LeftHookRun,
+    PermutationBlock,
+    RightHookRun,
+    StandardForm,
+    standard_form,
+)
+from gbmoments.cyclegraph import ColorProfile, CycleGraphAnalysis, build_graph, profile
 from gbmoments.moments import ThomaParameter, thoma_character
 from gbmoments.qproduct import QMatrix
 
@@ -283,14 +291,22 @@ def test_color_class_matches_resorting_reference():
 
 def _assert_frozen_value(obj, field, fields):
     """obj has no __dict__, refuses assignment and deletion, hashes as the
-    tuple of its fields and survives a pickle round trip."""
+    tuple of its fields (or refuses to, as that tuple does when a field is
+    a dict) and survives a pickle round trip."""
     assert not hasattr(obj, "__dict__")
     with pytest.raises(AttributeError):
         setattr(obj, field, ())
     with pytest.raises(AttributeError):
         delattr(obj, field)
-    assert hash(obj) == hash(fields)
+    assert _hash_or_error(obj) == _hash_or_error(fields)
     assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+def _hash_or_error(x):
+    try:
+        return hash(x)
+    except TypeError as e:
+        return str(e)
 
 
 def test_partitions_are_slotted_and_frozen():
@@ -331,6 +347,24 @@ def test_value_classes_are_slotted_and_frozen():
     _assert_frozen_value(sf, "factors", (2, sf.factors))
     assert sf == standard_form(ColoredPairPartition.of([(2, 4), (1, 3)], [1, 0]))
     assert sf != standard_form(ColoredPairPartition.of([(1, 2), (3, 4)], [0, 1]))
+
+    # classes built by FrozenValue's default constructor, one value per field
+    p = ColoredPairPartition.of([(1, 3), (2, 4)], [0, 1])
+    prof, graph = profile(p), build_graph(p)
+    _assert_frozen_value(prof, "counts", (prof.counts, prof.r_values))
+    fields = (graph.classification, graph.z, graph.bar_pairs, graph.bar_colors,
+              graph.arcs_pairs, graph.arcs_bar, graph.cycles, graph.path_counts)
+    _assert_frozen_value(graph, "cycles", fields)
+    assert graph == CycleGraphAnalysis(*fields) != CycleGraphAnalysis(*fields[:-1], (2,))
+    right, block, left = standard_form(ColoredPairPartition.of([(1, 3), (2, 4)], [1, 1])).factors
+    assert (type(right), type(block), type(left)) == (RightHookRun, PermutationBlock, LeftHookRun)
+    for obj, field in ((right, "colors"), (block, "perms"), (left, "colors")):
+        _assert_frozen_value(obj, field, (getattr(obj, field),))
+    # a wrong value count
+    for cls, values in ((RightHookRun, ((0,), (1,))), (ColorProfile, (prof.counts,)),
+                        (StandardForm, ())):
+        with pytest.raises(ValueError):
+            cls(*values)
 
 
 def test_json_round_trip():
