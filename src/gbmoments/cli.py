@@ -180,7 +180,7 @@ def cmd_eval(args) -> tuple[dict, dict, list[dict]]:
     parameters = _family_inputs(args, args.t)
     obj = _load_json(args.partition)
     p = colored_from_json(obj)
-    if args.t == "tn" and p.num_colors == 2:
+    if args.t == "tn":
         _check_power_digits(args.N, moments.tn_exponent(p))
     handle = _t_handle_from_args(args)
     value = handle(p)

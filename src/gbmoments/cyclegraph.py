@@ -18,10 +18,11 @@ partition's arcs close with a frame's bar arcs and returns each cycle's
 count of maximal increasing paths: the one cycle statistic behind every
 moment weight (`moments.t_n`, `moments.t_colored`, and `moments.t_uncolored`
 through the constant coloring) and the word-level sum.  The reports build
-the rest on demand: `profile` the per-color span counts, the frame's
-properties the bar pairs, their colors and arcs, and `build_graph` the
-full vertex cycles of the `graph` report, each cycle's paths counted by
-the same peak flags.
+the rest on demand: `profile` the per-color span counts, and `build_graph`
+the `graph` report.  It alone derives the classification, the bar pairs
+with their colors and arcs, and the full vertex cycles, each cycle's paths
+counted by the same peak flags; `classify`, `z_map` and `bar_partition`
+return its fields.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ class BarFrame(NamedTuple):
     paths as the peak flags of its vertices.
 
     Only reports read the bar pairs, their colors and arcs and the
-    classification; they are derived here on demand, and `profile` builds
-    the per-color span counts.
+    classification; `build_graph` derives them from z, color and dominant,
+    and `profile` builds the per-color span counts.
     """
 
     color: Sequence[int]
@@ -100,22 +101,6 @@ class BarFrame(NamedTuple):
     succ: list[int]
     peak: list[int]
     paths: int
-
-    @property
-    def bar(self) -> tuple[tuple[int, int], ...]:
-        return tuple((k, zk) for k, zk in enumerate(self.z) if k < zk)
-
-    @property
-    def bar_colors(self) -> tuple[int, ...]:
-        return tuple(self.color[k] ^ self.dominant[k] for k, _ in self.bar)
-
-    @property
-    def arcs_bar(self) -> tuple[tuple[int, int], ...]:
-        return tuple(_oriented(pair, c) for pair, c in zip(self.bar, self.bar_colors))
-
-    @property
-    def classification(self) -> dict[int, str]:
-        return {k: D if d else S for k, d in enumerate(self.dominant) if k}
 
 
 def _ranks(color: Sequence[int], annihilator: Sequence[bool]) -> tuple[list[int], list[bool]]:
@@ -274,7 +259,7 @@ def classify(p: ColoredPairPartition) -> dict[int, str]:
     Point k is dominant iff its own-color count r(k) exceeds the other
     color's count at k.
     """
-    return _frame(p).classification
+    return dict(build_graph(p).classification)
 
 
 def z_map(p: ColoredPairPartition) -> dict[int, int]:
@@ -284,8 +269,7 @@ def z_map(p: ColoredPairPartition) -> dict[int, int]:
     Dominant left points and subordinate right points look right;
     dominant right points and subordinate left points look left.
     """
-    z = _frame(p).z
-    return {k: z[k] for k in range(1, p.size + 1)}
+    return dict(build_graph(p).z)
 
 
 def bar_partition(p: ColoredPairPartition) -> tuple[PairPartition, tuple[int, ...]]:
@@ -294,8 +278,8 @@ def bar_partition(p: ColoredPairPartition) -> tuple[PairPartition, tuple[int, ..
     A bar pair keeps the color of its subordinate endpoints and flips the
     color of dominant ones; the two endpoints always agree on the result.
     """
-    frame = _frame(p)
-    return PairPartition(frame.bar), frame.bar_colors
+    analysis = build_graph(p)
+    return analysis.bar_pairs, analysis.bar_colors
 
 
 class CycleGraphAnalysis(FrozenValue):
@@ -303,8 +287,9 @@ class CycleGraphAnalysis(FrozenValue):
 
     __slots__ = ("classification", "z", "bar_pairs", "bar_colors", "arcs_pairs", "arcs_bar",
                  "cycles", "path_counts")
-    classification: dict[int, str]
-    z: dict[int, int]
+    # (point, value) items in point order, as `to_json` writes them
+    classification: tuple[tuple[int, str], ...]
+    z: tuple[tuple[int, int], ...]
     bar_pairs: PairPartition
     bar_colors: tuple[int, ...]
     arcs_pairs: tuple[tuple[int, int], ...]
@@ -330,8 +315,8 @@ class CycleGraphAnalysis(FrozenValue):
 
     def to_json(self) -> dict:
         return {
-            "classification": {str(k): v for k, v in sorted(self.classification.items())},
-            "z": {str(k): v for k, v in sorted(self.z.items())},
+            "classification": {str(k): v for k, v in self.classification},
+            "z": {str(k): v for k, v in self.z},
             "bar": {
                 "pairs": [list(p) for p in self.bar_pairs.pairs],
                 "colors": list(self.bar_colors),
@@ -346,7 +331,8 @@ class CycleGraphAnalysis(FrozenValue):
 
 def build_graph(p: ColoredPairPartition) -> CycleGraphAnalysis:
     """Build the directed graph and extract its cycle/path statistics: the
-    bar frame of p's points plus p's own arcs."""
+    bar frame of p's points plus p's own arcs.  Only here are the frame's
+    report views (classification, Z, bar pairs, colors, arcs) derived."""
     frame = _frame(p)
     arcs_pairs = tuple(
         _oriented(pair, c) for pair, c in zip(p.base.pairs, p.colors)
@@ -357,14 +343,17 @@ def build_graph(p: ColoredPairPartition) -> CycleGraphAnalysis:
     # the first cycle is the fixed point 0 that pads the point-indexed list
     cycles = tuple(_walk_cycles(succ)[1:])
     path_counts = tuple(sum(frame.peak[v] for v in cyc) for cyc in cycles)
-    points = range(1, p.size + 1)
+    z = tuple(enumerate(frame.z))[1:]
+    bar = tuple((k, zk) for k, zk in z if k < zk)
+    # a bar pair keeps the color of subordinate endpoints and flips dominant ones
+    bar_colors = tuple(frame.color[k] ^ frame.dominant[k] for k, _ in bar)
     return CycleGraphAnalysis(
-        frame.classification,
-        {k: frame.z[k] for k in points},
-        PairPartition(frame.bar),
-        frame.bar_colors,
+        tuple((k, D if frame.dominant[k] else S) for k, _ in z),
+        z,
+        PairPartition(bar),
+        bar_colors,
         arcs_pairs,
-        frame.arcs_bar,
+        tuple(_oriented(pair, c) for pair, c in zip(bar, bar_colors)),
         cycles,
         path_counts,
     )

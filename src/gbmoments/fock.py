@@ -14,7 +14,8 @@ each orbit's total, weighed, to its image orbits; no key is ever listed.
 The lambda oracle propagates single "elementary" states through the
 canonical word of a colored pair partition in one depth-first walk, right
 to left, that branches over the value of each dominant creator and drops a
-branch at the first dominant annihilator whose values disagree; the word
+branch at the first dominant annihilator whose values disagree.  It reads
+dominance off the word's levels alone, not from `cyclegraph`; the word
 fixes the scale, and an assignment only decides whether the state survives.
 Negative N is covered by the purely combinatorial weight sum together with
 the exclusion, commutation, and finite-padding identities.  That sum is
@@ -34,7 +35,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import words as W
-from .cyclegraph import BarFrame, bar_frame, classify, loop_counter
+from .cyclegraph import BarFrame, bar_frame, loop_counter
 from .partitions import CapacityError, ColoredPairPartition
 
 DENSE_MAX_LEVEL = 4
@@ -191,16 +192,13 @@ def vacuum_expectation_dense(w: W.Word, n: int) -> Fraction:
 
 def vacuum_expectation_lambda(p: ColoredPairPartition, n: int) -> Fraction:
     """<vacuum, A vacuum> for the canonical word of p, via elementary-state
-    propagation over the value assignments to the dominant creators, all in
-    one depth-first walk.  The levels, and with them the scale, are fixed by
-    the word; an assignment only decides whether the state survives, so the
-    sum is the survivor count times that one scale."""
+    propagation over the value assignments to the dominant creators (those
+    whose color's level is at least the other's when they act, read off the
+    word), all in one depth-first walk.  The levels, and with them the
+    scale, are fixed by the word; an assignment only decides whether the
+    state survives, so the sum is the survivor count times that one scale."""
     check_dense_params(n)
-    word = W.canonical_word(p)
-    cls = classify(p)
-    rights = p.base.right_points()
-    dominant_creators = {k for k in rights if cls[k] == "D"}
-    scales = _surviving_scales(word, dominant_creators, n)
+    scales = _surviving_scales(W.canonical_word(p), n)
     if not scales:
         return Fraction(0)
     if any(scale != scales[0] for scale in scales):
@@ -208,7 +206,7 @@ def vacuum_expectation_lambda(p: ColoredPairPartition, n: int) -> Fraction:
     return Fraction(len(scales) * scales[0][0], scales[0][1])
 
 
-def _surviving_scales(word: W.Word, dominant_creators: set[int], n: int) -> list[tuple[int, int]]:
+def _surviving_scales(word: W.Word, n: int) -> list[tuple[int, int]]:
     """Elementary-state propagation right to left through the word, for
     every value assignment to the dominant creators in one depth-first
     walk: a branch splits at a dominant creator, one branch per value, and
@@ -230,8 +228,6 @@ def _surviving_scales(word: W.Word, dominant_creators: set[int], n: int) -> list
             if creator:
                 if max(nb + 1, nother) > LAMBDA_MAX_LEVEL:
                     raise CapacityError(f"word drives a level above {LAMBDA_MAX_LEVEL}")
-                if (k in dominant_creators) != (nb >= nother):
-                    raise RuntimeError("exactly the dominant creators carry an assignment")
                 num *= nb + 1
                 words[b].append(i)
                 k -= 1

@@ -13,14 +13,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import words as W
 from .cyclegraph import _require_two_colors, bar_frame, loop_counter, point_roles
-from .partitions import (
-    ColorArityError,
-    ColoredPairPartition,
-    FrozenValue,
-    PairPartition,
-    _walk_cycles,
-    crossings,
-)
+from .partitions import ColoredPairPartition, FrozenValue, PairPartition, _walk_cycles
 
 Scalar = Fraction | float
 TFunction = Callable[[ColoredPairPartition], Scalar]
@@ -75,6 +68,10 @@ class ThomaParameter(FrozenValue):
             value = sum(a**m for a in self.alpha) + sign * sum(b**m for b in self.beta)
             self._power_sums[m] = value
         return value
+
+
+# the zero parameter (gamma = 1), at which t_uncolored is t_free
+FREE = ThomaParameter()
 
 
 @lru_cache(maxsize=64)
@@ -186,6 +183,7 @@ def _graph_exponent(
 def tn_exponent(p: ColoredPairPartition) -> int:
     """paths - cycles of a two-colored partition's cycle graph, the power
     of 1/N in t_N."""
+    _require_two_colors(p)
     return sum((k - 1) * c for k, c in _graph_exponent(p.base.pairs, p.colors))
 
 
@@ -193,15 +191,15 @@ def t_n(n: int, p: ColoredPairPartition) -> Fraction:
     """(1/N)^(paths - cycles); equals t_colored at the rectangular parameter."""
     if n == 0:
         raise ValueError("N must be nonzero")
-    if p.num_colors != 2:
-        raise ColorArityError("t_n is defined for exactly 2 colors")
     # the exponent is never negative, so n ** e is an exact int
     return Fraction(1, n ** tn_exponent(p))
 
 
 def t_free(v: PairPartition) -> Fraction:
-    """1 on noncrossing partitions, 0 otherwise."""
-    return Fraction(1) if not crossings(v) else Fraction(0)
+    """1 on noncrossing partitions, 0 otherwise: t_uncolored at the zero
+    parameter, where every power sum of order >= 2 vanishes, so a partition
+    weighs 1 iff its cycle type has only 1-cycles, iff it is noncrossing."""
+    return t_uncolored(FREE, v)
 
 
 def t_tensor(

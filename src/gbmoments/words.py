@@ -34,14 +34,16 @@ Word = tuple[Letter, ...]
 
 
 def word(letters: Iterable[Letter]) -> Word:
+    """The letters as a word; ValueError for a kind not 'a' or 'a*', or a
+    color id or basis index that is not an int in range (bools refused)."""
     w = tuple(letters)
     for let in w:
         if let.k not in (ANNIHILATE, CREATE):
             raise ValueError(f"letter kind must be 'a' or 'a*', got {let.k!r}")
-        if let.b not in (0, 1):
+        if type(let.b) is not int or let.b not in (0, 1):
             raise ValueError("color id must be 0 or 1")
-        if let.i < 1:
-            raise ValueError("basis index must be >= 1")
+        if type(let.i) is not int or let.i < 1:
+            raise ValueError("basis index must be an int >= 1")
     return w
 
 

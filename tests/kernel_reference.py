@@ -214,7 +214,8 @@ def build_graph(p: ColoredPairPartition) -> CycleGraphAnalysis:
 
     path_counts = tuple(_increasing_run_count(c) for c in cycles)
     return CycleGraphAnalysis(
-        cls, z, bar_pp, bar_colors, arcs_pairs, arcs_bar, tuple(cycles), path_counts
+        tuple(sorted(cls.items())), tuple(sorted(z.items())), bar_pp, bar_colors, arcs_pairs, arcs_bar,
+        tuple(cycles), path_counts
     )
 
 

@@ -154,8 +154,9 @@ def test_structural_invariants_small():
     for p in all_two_colored(4):
         a = build_graph(p)
         n = p.size
+        z = dict(a.z)
         # fixed-point-free involution
-        assert all(a.z[a.z[k]] == k and a.z[k] != k for k in range(1, n + 1))
+        assert all(z[z[k]] == k and z[k] != k for k in range(1, n + 1))
         # disjoint arc families, vertex-disjoint cycles covering [2m]
         assert not set(a.arcs_pairs) & set(a.arcs_bar)
         assert sorted(v for c in a.cycles for v in c) == list(range(1, n + 1))
@@ -246,15 +247,16 @@ def test_monotone_path_counts_balance():
 def test_monotone_path_endpoints_are_dominant():
     for p in all_two_colored(4):
         a = build_graph(p)
+        cls = dict(a.classification)
         lefts = p.base.left_points()
         for cycle in a.cycles:
             inc, dec = reference.maximal_monotone_paths(cycle)
             for run in inc:
-                assert a.classification[run[0]] == "D" and run[0] in lefts
-                assert a.classification[run[-1]] == "D" and run[-1] not in lefts
+                assert cls[run[0]] == "D" and run[0] in lefts
+                assert cls[run[-1]] == "D" and run[-1] not in lefts
             for run in dec:
-                assert a.classification[run[0]] == "D" and run[0] not in lefts
-                assert a.classification[run[-1]] == "D" and run[-1] in lefts
+                assert cls[run[0]] == "D" and run[0] not in lefts
+                assert cls[run[-1]] == "D" and run[-1] in lefts
 
 
 def test_kernel_matches_reference_exhaustive():
@@ -280,7 +282,8 @@ def test_kernel_matches_reference_random(p):
     a = build_graph(p)
     assert a == reference.build_graph(p)
     assert profile(p) == reference.profile(p)
-    assert all(a.z[k] != k and a.z[a.z[k]] == k for k in range(1, p.size + 1))
+    z = dict(a.z)
+    assert all(z[k] != k and z[z[k]] == k for k in range(1, p.size + 1))
     assert a.total_increasing_paths >= a.num_cycles
 
 

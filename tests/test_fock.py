@@ -30,7 +30,8 @@ from gbmoments.fock import (
     wlim_creator_pair_bound,
     wlim_identity_check,
 )
-from gbmoments.cyclegraph import build_graph
+from gbmoments import cyclegraph
+from gbmoments.cyclegraph import build_graph, classify
 from gbmoments.moments import fock_moment, t_colored, t_n, thoma_handle, thoma_n, tn_handle
 from gbmoments.partitions import (
     CapacityError,
@@ -258,8 +259,12 @@ except ValueError as exc:
 
 @pytest.mark.parametrize(
     "letter",
-    [W.Letter(2, 1, W.CREATE), W.Letter(-1, 1, W.ANNIHILATE), W.Letter(0, 1, "x")],
-    ids=["color_2", "color_minus_1", "kind_x"],
+    [
+        W.Letter(2, 1, W.CREATE), W.Letter(-1, 1, W.ANNIHILATE), W.Letter(0, 1, "x"),
+        W.Letter(True, 1, W.CREATE), W.Letter(0, 1.5, W.CREATE), W.Letter(0, float("nan"), W.CREATE),
+        W.Letter(0, "x", W.CREATE),
+    ],
+    ids=["color_2", "color_minus_1", "kind_x", "bool_color", "float_index", "nan_index", "str_index"],
 )
 def test_dense_oracle_refuses_malformed_letters(letter):
     # letters built without words.word(): the dense oracle reads the word
@@ -331,25 +336,18 @@ def test_lambda_oracle_refuses_mixed_scales(monkeypatch):
 
 
 def test_lambda_oracle_checks_survive_optimize():
-    # python -O strips assert statements; both checks of the walk must
-    # still raise: a creator whose level and classification disagree,
-    # either way, and survivors of mixed scales
+    # python -O strips assert statements; the scale check of the walk must
+    # still raise on survivors of mixed scales
     script = """
 from gbmoments import fock
 from gbmoments.partitions import ColoredPairPartition
 one_color = ColoredPairPartition.of([(1, 3), (2, 4)], [1, 1])
-# its creator at point 3 is subordinate: color 0 is at level 1 there
-two_colors = ColoredPairPartition.of([(1, 4), (2, 3)], [0, 1])
 def message(p):
     try:
         fock.vacuum_expectation_lambda(p, 2)
     except RuntimeError as exc:
         return str(exc)
 print(message(one_color))
-fock.classify = lambda p: dict.fromkeys(range(1, p.size + 1), "S")
-print(message(one_color))
-fock.classify = lambda p: dict.fromkeys(range(1, p.size + 1), "D")
-print(message(two_colors))
 fock._surviving_scales = lambda *args: [(1, 2), (1, 3)]
 print(message(one_color))
 """
@@ -360,10 +358,52 @@ print(message(one_color))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "None",
-        "exactly the dominant creators carry an assignment",
-        "exactly the dominant creators carry an assignment",
         "every surviving assignment must carry the scale of the word",
     ]
+
+
+def test_level_rule_is_the_papers_classification():
+    # the elementary-state walk branches at a creator iff its color's level
+    # is at least the other's when it acts, and reads nothing else; read
+    # right to left with one open count per color, that rule and its
+    # annihilator twin (strictly above) are the kernel's dominance
+    points = 0
+    for m in range(1, 6):
+        for p in enumerate_colored(m, 2):
+            levels = [0, 0]
+            rule = {}
+            for k, let in reversed(list(enumerate(W.canonical_word(p), start=1))):
+                b = let.b
+                if let.k == W.CREATE:
+                    rule[k] = "D" if levels[b] >= levels[1 - b] else "S"
+                    levels[b] += 1
+                else:
+                    rule[k] = "D" if levels[b] > levels[1 - b] else "S"
+                    levels[b] -= 1
+            assert rule == classify(p), p
+            points += len(rule)
+    assert points == 316_612
+
+
+def test_lambda_oracle_reads_no_cycle_graph(monkeypatch):
+    # the oracle is checked against the cycle-graph kernel, so it must not
+    # consult it: with the kernel's entry points made to raise, at every
+    # module that holds them, the walk gives the same values
+    parts = [p for m in (1, 2, 3) for p in enumerate_colored(m, 2)]
+    expected = [vacuum_expectation_lambda(p, n) for p in parts for n in (2, 3)]
+
+    def tripwire(*args):
+        raise AssertionError("the elementary-state oracle consulted the cycle-graph kernel")
+
+    for name in ("bar_frame", "classify", "build_graph"):
+        original = getattr(cyclegraph, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "gbmoments" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, tripwire)
+    # the wires are live in the oracle's own module
+    with pytest.raises(AssertionError, match="consulted"):
+        fock.word_frame(W.canonical_word(parts[0]))
+    assert [vacuum_expectation_lambda(p, n) for p in parts for n in (2, 3)] == expected
 
 
 def test_lambda_walk_matches_per_assignment_reference():
@@ -562,8 +602,12 @@ def test_words_given_as_lists():
     [
         ((W.annihilate(0, 1), W.Letter(2, 1, W.CREATE), W.create(0, 1)), "color id"),
         ((W.annihilate(0, 1), W.Letter(0, 1, "x")), "letter kind"),
+        ((W.annihilate(0, 1), W.Letter(True, 1, W.CREATE), W.create(0, 1)), "color id"),
+        ((W.annihilate(0, 1), W.Letter(0, 1.5, W.CREATE), W.create(0, 1)), "basis index"),
+        ((W.annihilate(0, 1), W.Letter(0, float("nan"), W.CREATE), W.create(0, 1)), "basis index"),
+        ((W.annihilate(0, 1), W.Letter(0, "x", W.CREATE), W.create(0, 1)), "basis index"),
     ],
-    ids=["color_2", "kind_x"],
+    ids=["color_2", "kind_x", "bool_color", "float_index", "nan_index", "str_index"],
 )
 def test_rho_n_combinatorial_refuses_malformed_letters(w, message):
     # neither word has a compatible matching, so only the letter check on
@@ -648,7 +692,8 @@ def test_word_frame_is_every_compatible_partitions_frame():
         for p in W.compatible_partitions(w):
             analysis = build_graph(p)
             assert frame.paths == analysis.total_increasing_paths, (w, p)
-            assert frame.bar == analysis.bar_pairs.pairs and frame.bar_colors == analysis.bar_colors
+            assert tuple(enumerate(frame.z))[1:] == analysis.z, (w, p)
+            assert [c == "D" for _, c in analysis.classification] == frame.dominant[1:], (w, p)
             partitions += 1
     assert partitions > 1000
 

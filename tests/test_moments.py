@@ -148,9 +148,15 @@ def test_t_n_needs_two_colors(num_colors):
 
 @pytest.mark.parametrize("num_colors", [1, 3])
 def test_t_colored_needs_two_colors(num_colors):
-    p = ColoredPairPartition.of([(1, 3), (2, 4)], [0, num_colors - 1], num_colors)
-    with pytest.raises(ColorArityError, match="cycle-graph analysis is defined for exactly 2 colors"):
-        t_colored(thoma_n(2), p)
+    # every weight that reads the cycle graph refuses another color count
+    # by the kernel's one check, also when only colors 0 and 1 are used
+    weights = (lambda p: t_colored(thoma_n(2), p), moments.tn_exponent, lambda p: t_n(2, p))
+    for colors in ([0, 0], [0, 1], [0, 2]):
+        if max(colors) < num_colors:
+            p = ColoredPairPartition.of([(1, 3), (2, 4)], colors, num_colors)
+            for weight in weights:
+                with pytest.raises(ColorArityError, match="cycle-graph analysis is defined for exactly 2 colors"):
+                    weight(p)
 
 
 def test_graph_cache_is_bounded():
@@ -266,6 +272,11 @@ def test_fock_moment_examples():
 def test_t_free():
     assert t_free(PairPartition.of([(1, 2), (3, 4)])) == 1
     assert t_free(PairPartition.of([(1, 3), (2, 4)])) == 0
+    # the zero parameter's character is the noncrossing indicator
+    for m in range(7):
+        for v in enumerate_pair_partitions(m):
+            value = t_free(v)
+            assert type(value) is Fraction and value == (1 if not crossings(v) else 0), v
 
 
 def test_tensor_word_moments_factor_over_colors():
