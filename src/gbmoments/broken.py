@@ -30,6 +30,7 @@ from .partitions import (
     PairPartition,
     _check_colors,
     _check_layout,
+    _check_permutation,
     _is_int,
     _json_pairs,
     _sorted_pairs,
@@ -305,8 +306,9 @@ def permute_right_legs(
     d: BrokenPairPartition, perms: Sequence[Sequence[int]]
 ) -> BrokenPairPartition:
     rights = []
-    for legs, perm in zip(d.right_legs, perms):
-        if sorted(perm) != list(range(len(legs))):
+    for legs, perm in zip(d.right_legs, perms, strict=True):
+        _check_permutation(perm)
+        if len(perm) != len(legs):
             raise ValueError("permutation must match the open leg count")
         rights.append(_permuted(legs, perm))
     return BrokenPairPartition(

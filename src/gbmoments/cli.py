@@ -30,6 +30,7 @@ from . import broken, fock, moments, qproduct
 from . import words as W
 from .cyclegraph import build_graph
 from .partitions import (
+    MAX_ENUM_PAIRS,
     MAX_ENUM_PARTITIONS,
     MAX_VALUE_DIGITS,
     CapacityError,
@@ -47,6 +48,8 @@ CAPACITY_EXIT = 3
 OUTPUT_EXIT = 4
 # pd-check families hold at most this many diagrams (5 points x 2 colors is 1,571)
 MAX_GRAM_FAMILY = 2048
+# enumerate lists at most 13!! partitions, all of 7 pairs (a ~58 MB report)
+MAX_ENUM_LISTING = double_factorial(13)
 # MAX_VALUE_DIGITS bounds the power N^e in an exact value's denominator
 # before it is computed: t_N's (1/N)^e in eval, the N^P(w) under oracle's
 # loop sum, the factor n^m of clt's error denominators (the --Q entries'
@@ -155,18 +158,15 @@ def _uncolored_t_from_args(args) -> moments.UncoloredTFunction:
 
 
 def cmd_enumerate(args) -> tuple[dict, dict, list[dict]]:
-    inputs = {"pairs": args.pairs, "colors": args.colors}
-    if args.colors == 1:
-        items = enumerate_pair_partitions(args.pairs)
-        listing = [p.to_json() for p in items]
-        expected = double_factorial(2 * args.pairs - 1)
-    else:
-        items = enumerate_colored(args.pairs, args.colors)
-        listing = [p.to_json() for p in items]
-        expected = double_factorial(2 * args.pairs - 1) * args.colors**args.pairs
-    results = {"count": len(items), "partitions": listing}
-    checks = [_check("count", expected, len(items))]
-    return inputs, results, checks
+    m, k = args.pairs, args.colors
+    if m < 0 or k < 1:
+        raise ValueError("need --pairs >= 0 and --colors >= 1")
+    # m is bounded first, so a huge m costs no double factorial
+    if m > MAX_ENUM_PAIRS or (expected := double_factorial(2 * m - 1) * k**m) > MAX_ENUM_LISTING:
+        raise CapacityError(f"enumerate lists at most {MAX_ENUM_LISTING} partitions")
+    items = enumerate_pair_partitions(m) if k == 1 else enumerate_colored(m, k)
+    results = {"count": len(items), "partitions": [p.to_json() for p in items]}
+    return {"pairs": m, "colors": k}, results, [_check("count", expected, len(items))]
 
 
 def cmd_graph(args) -> tuple[dict, dict, list[dict]]:

@@ -12,17 +12,18 @@ Everything but the partition's own arcs is fixed by the colors and the
 annihilator/creator roles of the points (left points are annihilators),
 so `bar_frame` computes it from those alone, once per word for all the
 partitions compatible with it, and refuses roles that no partition pairs
-off.  The frame keeps only what the cycle walk reads: r, dominance, Z, the
-bar successors and the peaks.  `loop_counter` walks the cycles a
-partition's arcs close with a frame's bar arcs and returns each cycle's
-count of maximal increasing paths: the one cycle statistic behind every
-moment weight (`moments.t_n`, `moments.t_colored`, and `moments.t_uncolored`
-through the constant coloring) and the word-level sum.  The reports build
-the rest on demand: `profile` the per-color span counts, and `build_graph`
-the `graph` report.  It alone derives the classification, the bar pairs
-with their colors and arcs, and the full vertex cycles, each cycle's paths
-counted by the same peak flags; `classify`, `z_map` and `bar_partition`
-return its fields.
+off.  The frame keeps the colors, dominance and Z, which the `graph`
+report reads, and the bar successors and peaks, which the cycle walk
+reads.  `loop_counter` walks the cycles a partition's arcs close with a
+frame's bar arcs and returns each cycle's count of maximal increasing
+paths: the one cycle statistic behind every moment weight (`moments.t_n`,
+`moments.t_colored`, and `moments.t_uncolored` through the constant
+coloring) and the word-level sum.  The reports build the rest on demand:
+`profile` builds the per-color span counts and reads r from them, with no
+frame, and `build_graph` the `graph` report.  It alone derives the
+classification, the bar pairs with their colors and arcs, and the full
+vertex cycles, each cycle's paths counted by the same peak flags;
+`classify`, `z_map` and `bar_partition` return its fields.
 """
 
 from __future__ import annotations
@@ -72,10 +73,9 @@ def _oriented(pair: tuple[int, int], color: int) -> tuple[int, int]:
 
 class BarFrame(NamedTuple):
     """The word-level part of the cycle graph, point-indexed over 0..n
-    (index 0 unused): the points' colors and roles (annihilator flags),
-    their own-color span counts r, dominance and Z, and at each point u a
-    bar arc leaves, its bar successor succ[u] and its peak flag peak[u]
-    (both 0 at the points pair arcs leave).
+    (index 0 unused): the points' colors, dominance and Z, and at each
+    point u a bar arc leaves, its bar successor succ[u] and its peak flag
+    peak[u] (both 0 at the points pair arcs leave).
 
     A maximal increasing path ends at a vertex entered by an increasing arc
     and left by a decreasing one.  Annihilators never are such peaks (a
@@ -89,13 +89,10 @@ class BarFrame(NamedTuple):
     paths as the peak flags of its vertices.
 
     Only reports read the bar pairs, their colors and arcs and the
-    classification; `build_graph` derives them from z, color and dominant,
-    and `profile` builds the per-color span counts.
+    classification; `build_graph` derives them from z, color and dominant.
     """
 
     color: Sequence[int]
-    annihilator: Sequence[bool]
-    r: list[int]
     dominant: list[bool]
     z: list[int]
     succ: list[int]
@@ -180,7 +177,7 @@ def bar_frame(color: Sequence[int], annihilator: Sequence[bool]) -> BarFrame:
             if not annihilator[zk]:
                 peak[u] = 1
                 paths += 1
-    return BarFrame(color, annihilator, r, dominant, z, succ, peak, paths)
+    return BarFrame(color, dominant, z, succ, peak, paths)
 
 
 def loop_counter(frame: BarFrame) -> Callable[[Iterable[tuple[int, int]]], list[int]]:
@@ -236,21 +233,18 @@ def point_roles(
     return color, annihilator
 
 
-def _frame(p: ColoredPairPartition) -> BarFrame:
-    _require_two_colors(p)
-    return bar_frame(*point_roles(p.base.pairs, p.colors))
-
-
 def profile(p: ColoredPairPartition) -> ColorProfile:
-    """Per-color span counts p_b(u) and the own-color count r(k)."""
-    frame = _frame(p)
+    """Per-color span counts p_b(u) and the own-color count r(k): the
+    number of pairs of k's own color that span k, read from those counts."""
+    _require_two_colors(p)
     # one difference array per color: a pair (l, r) spans the points l..r
     diff = ([0] * (p.size + 2), [0] * (p.size + 2))
     for (left, right), c in zip(p.base.pairs, p.colors):
         diff[c][left] += 1
         diff[c][right + 1] -= 1
     counts = (tuple(accumulate(diff[0])), tuple(accumulate(diff[1])))
-    return ColorProfile(counts, tuple(frame.r[1:]))
+    color, _ = point_roles(p.base.pairs, p.colors)
+    return ColorProfile(counts, tuple(counts[color[k]][k] for k in range(1, p.size + 1)))
 
 
 def classify(p: ColoredPairPartition) -> dict[int, str]:
@@ -333,7 +327,8 @@ def build_graph(p: ColoredPairPartition) -> CycleGraphAnalysis:
     """Build the directed graph and extract its cycle/path statistics: the
     bar frame of p's points plus p's own arcs.  Only here are the frame's
     report views (classification, Z, bar pairs, colors, arcs) derived."""
-    frame = _frame(p)
+    _require_two_colors(p)
+    frame = bar_frame(*point_roles(p.base.pairs, p.colors))
     arcs_pairs = tuple(
         _oriented(pair, c) for pair, c in zip(p.base.pairs, p.colors)
     )

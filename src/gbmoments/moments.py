@@ -13,7 +13,8 @@ from typing import Callable, Mapping, Sequence
 
 from . import words as W
 from .cyclegraph import _require_two_colors, bar_frame, loop_counter, point_roles
-from .partitions import ColoredPairPartition, FrozenValue, PairPartition, _walk_cycles
+from .partitions import ColoredPairPartition, FrozenValue, PairPartition
+from .partitions import _check_permutation, _walk_cycles
 
 Scalar = Fraction | float
 TFunction = Callable[[ColoredPairPartition], Scalar]
@@ -32,13 +33,12 @@ class ThomaParameter(FrozenValue):
     since it contributes to no power sum of order >= 2.
     """
 
-    __slots__ = ("alpha", "beta", "_power_sums", "_characters")
+    __slots__ = ("alpha", "beta", "_characters")
     alpha: tuple[Scalar, ...]
     beta: tuple[Scalar, ...]
-    # power sums by order, and characters by sorted (length, count) items
-    # (see `_character`), filled on first use; kept per instance because
-    # equal parameters need not give equal results (0.5 == Fraction(1, 2))
-    _power_sums: dict[int, Scalar]
+    # characters by sorted (length, count) items (see `_character`), filled
+    # on first use, the one memo every weight call reads; kept per instance
+    # because equal parameters need not give equal results (0.5 == Fraction(1, 2))
     _characters: dict[tuple[tuple[int, int], ...], Scalar]
 
     def __init__(self, alpha: tuple[Scalar, ...] = (), beta: tuple[Scalar, ...] = ()):
@@ -53,7 +53,7 @@ class ThomaParameter(FrozenValue):
         slack = 0 if all(isinstance(x, Fraction) for x in entries) else 1e-12
         if sum(entries) > 1 + slack:
             raise ValueError("sum(alpha) + sum(beta) must be <= 1")
-        self._assign(alpha, beta, {}, {})
+        self._assign(alpha, beta, {})
 
     @property
     def gamma(self) -> Scalar:
@@ -62,12 +62,8 @@ class ThomaParameter(FrozenValue):
     def power_sum_factor(self, m: int) -> Scalar:
         """sum(alpha_i^m) + (-1)^(m+1) * sum(beta_i^m), the weight of an
         m-cycle."""
-        value = self._power_sums.get(m)
-        if value is None:
-            sign = 1 if m % 2 else -1
-            value = sum(a**m for a in self.alpha) + sign * sum(b**m for b in self.beta)
-            self._power_sums[m] = value
-        return value
+        sign = 1 if m % 2 else -1
+        return sum(a**m for a in self.alpha) + sign * sum(b**m for b in self.beta)
 
 
 # the zero parameter (gamma = 1), at which t_uncolored is t_free
@@ -115,11 +111,6 @@ def _character(tp: ThomaParameter, items: tuple[tuple[int, int], ...]) -> Scalar
             del memo[next(iter(memo))]
         memo[items] = value
     return value
-
-
-def _check_permutation(perm: Sequence[int]):
-    if any(type(j) is not int for j in perm) or sorted(perm) != list(range(len(perm))):
-        raise ValueError("not a permutation of ints in one-line notation")
 
 
 def permutation_cycle_type(perm: Sequence[int]) -> dict[int, int]:

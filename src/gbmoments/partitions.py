@@ -189,13 +189,21 @@ def _check_layout(pairs: Sequence[tuple[int, int]], n: int, singles: Sequence[in
 
 
 def _check_colors(colors: Sequence[int], m: int, num_colors: int):
-    """Raise ValueError unless there is one color per pair, each an int
-    (not a bool) in [0, num_colors)."""
+    """Raise ValueError unless num_colors is an int >= 1 and there is one
+    color per pair, each an int in [0, num_colors); bools are refused."""
+    if not (type(num_colors) is int and num_colors >= 1):
+        raise ValueError(f"num_colors must be an integer >= 1, got {num_colors!r}")
     if len(colors) != m:
         raise ValueError("need exactly one color per pair")
     for c in colors:
         if not (type(c) is int and 0 <= c < num_colors):
             raise ValueError("color ids must be integers in [0, num_colors)")
+
+
+def _check_permutation(perm: Sequence[int]):
+    """Raise ValueError unless perm is a one-line permutation of ints (not bools)."""
+    if any(type(j) is not int for j in perm) or sorted(perm) != list(range(len(perm))):
+        raise ValueError("not a permutation of ints in one-line notation")
 
 
 def _sorted_pairs(tagged: Iterable) -> tuple[tuple, tuple]:
@@ -258,8 +266,6 @@ def colored_from_json(obj) -> ColoredPairPartition:
     num_colors = obj.get("num_colors", 2)
     if not (isinstance(colors, list) and all(map(_is_int, colors))):
         raise ValueError("'colors' must be a list of integers")
-    if not _is_int(num_colors):
-        raise ValueError("'num_colors' must be an integer")
     return ColoredPairPartition(base, tuple(colors), num_colors)
 
 
@@ -280,27 +286,36 @@ def _matchings(opens: Sequence, closes: Sequence) -> list[tuple[tuple[int, int],
     """The perfect matchings of 1..len(opens)-1 whose pairs (l, r) have
     opens[l] is not None and closes[r] == opens[l] (index 0 is unused), each
     as its pairs sorted by l.  The smallest free point is paired with each
-    allowed partner in ascending order, recursively."""
+    allowed partner in ascending order, depth first and without recursion,
+    so a word of any depth is matched: the free points form a doubly linked
+    list (nxt, prv; sentinels 0 and n + 1), a pair taken is unlinked, and
+    relinked in reverse order on the way back."""
+    end = len(opens)
+    nxt, prv = list(range(1, end + 1)), list(range(-1, end))
     out: list[tuple[tuple[int, int], ...]] = []
     pairs: list[tuple[int, int]] = []
-
-    def rec(free: list[int]):
-        if not free:
-            out.append(tuple(pairs))
-            return
-        l = free[0]
-        key = opens[l]
-        if key is None:
-            return
-        for j in range(1, len(free)):
-            r = free[j]
-            if closes[r] == key:
-                pairs.append((l, r))
-                rec(free[1:j] + free[j + 1 :])
-                pairs.pop()
-
-    rec(list(range(1, len(opens))))
-    return out
+    descend = True
+    while True:
+        if descend:
+            l = nxt[0]
+            if l == end:
+                out.append(tuple(pairs))
+            r = nxt[l] if l < end and opens[l] is not None else end
+        while r < end and closes[r] != opens[l]:
+            r = nxt[r]
+        descend = r < end
+        if descend:
+            pairs.append((l, r))
+            nxt[prv[l]], prv[nxt[l]] = nxt[l], prv[l]
+            nxt[prv[r]], prv[nxt[r]] = nxt[r], prv[r]
+        elif not pairs:
+            return out
+        else:
+            # back up: relink the last pair, then try l's next partner
+            l, r = pairs.pop()
+            nxt[prv[r]] = prv[nxt[r]] = r
+            nxt[prv[l]] = prv[nxt[l]] = l
+            r = nxt[r]
 
 
 def enumerate_pair_partitions(m: int) -> list[PairPartition]:
@@ -342,21 +357,30 @@ def crossings(
     return out
 
 
-def noncrossing_hat(v: PairPartition) -> PairPartition:
-    """The unique noncrossing pair partition with the same left points as v.
-
-    Left points open, right points close the most recently opened point
-    (stack matching).
-    """
-    lefts = v.left_points()
+def _hat_successors(v: PairPartition) -> list[int]:
+    """succ[j], the pair whose right point the noncrossing hat joins to pair
+    j's left point.  Left points open in pair order, and a right point closes
+    the last one opened; the one hat matcher, for `noncrossing_hat` and `uncolored_cycles`."""
+    closer = [-1] * (v.size + 1)
+    for j, (_, r) in enumerate(v.pairs):
+        closer[r] = j
+    succ = [0] * v.m
     stack: list[int] = []
-    pairs = []
-    for k in range(1, v.size + 1):
-        if k in lefts:
-            stack.append(k)
+    opened = 0
+    for j in closer[1:]:
+        if j < 0:
+            stack.append(opened)
+            opened += 1
         else:
-            pairs.append((stack.pop(), k))
-    return PairPartition.of(pairs)
+            succ[stack.pop()] = j
+    return succ
+
+
+def noncrossing_hat(v: PairPartition) -> PairPartition:
+    """The unique noncrossing pair partition with the same left points as v:
+    each left point with the right point `_hat_successors` joins it to."""
+    hat = zip(v.pairs, _hat_successors(v))
+    return PairPartition(tuple((l, v.pairs[k][1]) for (l, _), k in hat))
 
 
 def _walk_cycles(succ: Sequence[int]) -> list[tuple[int, ...]]:
@@ -386,25 +410,10 @@ def uncolored_cycles(
     """Cycle decomposition of v and the histogram rho: length -> count.
 
     A cycle is a sequence of pairs ((l_1,r_1), ..., (l_s,r_s)) of v such
-    that (l_i, r_{i+1 mod s}) lies in the noncrossing hat of v.
-
-    The hat is matched on the fly: left points open, in pair order, and a
-    right point closes the most recently opened pair j, so succ[j] is the
-    pair that owns that right point.
+    that (l_i, r_{i+1 mod s}) lies in the noncrossing hat of v: the cycles
+    of the hat's successor map `_hat_successors`, walked by `_walk_cycles`.
     """
-    closer = [-1] * (v.size + 1)
-    for j, (_, r) in enumerate(v.pairs):
-        closer[r] = j
-    succ = [0] * v.m
-    stack: list[int] = []
-    opened = 0
-    for j in closer[1:]:
-        if j < 0:
-            stack.append(opened)
-            opened += 1
-        else:
-            succ[stack.pop()] = j
-    cycles = [tuple(v.pairs[j] for j in cyc) for cyc in _walk_cycles(succ)]
+    cycles = [tuple(v.pairs[j] for j in cyc) for cyc in _walk_cycles(_hat_successors(v))]
     rho: dict[int, int] = {}
     for cyc in cycles:
         rho[len(cyc)] = rho.get(len(cyc), 0) + 1

@@ -7,9 +7,10 @@ recomputes what it needs from the partition and checks its invariants with
 plain asserts.  `cycle_type_via_permutation` is the permutation-based cycle
 type that `gbmoments.partitions.uncolored_cycles` must agree with, and
 `uncolored_cycles` here is the hat-based walk it must reproduce cycle by
-cycle, which builds the noncrossing hat as a partition and looks pairs up
-in dicts; `color_class` is the relabel that re-sorts the chosen pairs
-through `PairPartition.of`.
+cycle, which looks pairs up in dicts; both read the reference's own
+`noncrossing_hat`, a stack over the left points, and share no code with
+the package's hat matcher `partitions._hat_successors`; `color_class` is
+the relabel that re-sorts the chosen pairs through `PairPartition.of`.
 `pair_layout_ok`, `colors_ok` and `broken_layout_ok` are the sort-based
 validity checks of `PairPartition`, `ColoredPairPartition` and
 `BrokenPairPartition` that the one-pass `partitions._check_layout` and
@@ -59,11 +60,24 @@ from gbmoments.partitions import (
     ColoredPairPartition,
     PairPartition,
     crossings,
-    noncrossing_hat,
 )
 
 D = "D"
 S = "S"
+
+
+def noncrossing_hat(v: PairPartition) -> PairPartition:
+    """The unique noncrossing pair partition with the same left points as v:
+    left points open, right points close the most recently opened point."""
+    lefts = v.left_points()
+    stack: list[int] = []
+    pairs = []
+    for k in range(1, v.size + 1):
+        if k in lefts:
+            stack.append(k)
+        else:
+            pairs.append((stack.pop(), k))
+    return PairPartition.of(pairs)
 
 
 def point_color(p: ColoredPairPartition, k: int) -> int:

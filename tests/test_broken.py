@@ -390,6 +390,27 @@ def test_constructor_rejects_bad_layout(n, pairs, colors, left_legs):
         BrokenPairPartition(n, 2, pairs, colors, left_legs, ((), ()))
 
 
+def test_constructor_rejects_a_bad_color_count():
+    # both were accepted with a float or a bool color count
+    with pytest.raises(ValueError):
+        BrokenPairPartition(2, 1.0, ((1, 2),), (0,), ((),), ((),))
+    with pytest.raises(ValueError):
+        empty(True)
+
+
+@pytest.mark.parametrize(
+    "perms",
+    [[[True, False], []], [[1.0, 0.0], []], [[1, 0], [], [5, 7]], [[0], []], [[1, 0]]],
+    ids=["bools", "floats", "past_the_color_count", "short", "a_color_short"],
+)
+def test_permute_right_legs_refuses_bad_permutations(perms):
+    # two open right legs of color 0 and none of color 1
+    d = multiply(right_hook(0), right_hook(0))
+    assert broken.permute_right_legs(d, [[1, 0], []]).right_legs == ((1, 2), ())
+    with pytest.raises(ValueError):
+        broken.permute_right_legs(d, perms)
+
+
 @pytest.mark.parametrize("m, k", [(m, 2) for m in range(5)] + [(m, 3) for m in range(4)])
 def test_embed_shares_the_colored_layout(m, k):
     for p in enumerate_colored(m, k):

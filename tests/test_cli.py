@@ -50,6 +50,13 @@ def test_enumerate_capacity_exit(capsys):
     assert dispatch(["enumerate", "--pairs", "9"]) == 3
 
 
+def test_enumerate_bad_counts_exit_2(capsys):
+    # the listing bound's count is never formed from them (0 ** -1 would raise)
+    for pairs, colors in [("-1", "1"), ("-1", "2"), ("2", "0"), ("-1", "0"), ("9", "0")]:
+        assert dispatch(["enumerate", "--pairs", pairs, "--colors", colors]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_usage_exit():
     assert dispatch(["no-such-command"]) == 2
     assert dispatch(["eval", "--partition", "does-not-exist.json", "--t", "tn"]) == 2
@@ -251,6 +258,19 @@ def test_oracle_over_partition_budget_exits_3(capsys, tmp_path, monkeypatch):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_oracle_on_a_deep_nest(capsys, tmp_path):
+    # a(0,1) ... a(0,1200) a*(0,1200) ... a*(0,1): one compatible partition,
+    # matched without a recursion as deep as the word
+    m = 1200
+    word = [{"b": 0, "i": i, "k": "a"} for i in range(1, m + 1)]
+    word += [{"b": 0, "i": i, "k": "a*"} for i in range(m, 0, -1)]
+    path = tmp_path / "nest.json"
+    path.write_text(json.dumps(word))
+    code, report = run(capsys, ["oracle", "--word", str(path), "--N", "2", "--mode", "combinatorial"])
+    assert code == 0 and report["results"]["combinatorial"] == "1"
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # [[1,3],[2,5],[4,6]] in one color: t_N = (1/N)^2
 CROSSING_THREE = {"pairs": [[1, 3], [2, 5], [4, 6]], "colors": [0, 0, 0]}
 # a1 a2 a3 a4 a1* a2* a3* a4*: P(w) = 4
@@ -349,6 +369,22 @@ def test_over_enumeration_budget_exits_3(capsys, monkeypatch, argv):
     monkeypatch.setattr(partitions, "enumerate_pair_partitions", lambda m: pytest.fail("enumerated"))
     start = time.perf_counter()
     assert dispatch(argv) == 3
+    assert time.perf_counter() - start < 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "pairs, colors",
+    # 15!! = 2,027,025; 11!! * 2^6 = 665,280; 200,000 partitions
+    [("8", "1"), ("6", "2"), ("1", "200000")],
+    ids=["8_pairs", "6_pairs_2_colors", "1_pair_200000_colors"],
+)
+def test_enumerate_over_the_listing_bound_exits_3(capsys, monkeypatch, pairs, colors):
+    # each is within the library's enumeration cap, but no report lists it
+    monkeypatch.setattr(cli, "enumerate_pair_partitions", lambda m: pytest.fail("enumerated"))
+    monkeypatch.setattr(cli, "enumerate_colored", lambda m, k: pytest.fail("enumerated"))
+    start = time.perf_counter()
+    assert dispatch(["enumerate", "--pairs", pairs, "--colors", colors]) == 3
     assert time.perf_counter() - start < 1
     assert "Traceback" not in capsys.readouterr().err
 

@@ -20,6 +20,7 @@ from gbmoments.partitions import (
     PairPartition,
     enumerate_colored,
     enumerate_pair_partitions,
+    noncrossing_hat,
     uncolored_cycles,
 )
 
@@ -227,6 +228,29 @@ def pair_partitions(draw, min_m=7, max_m=12):
     m = draw(st.integers(min_value=min_m, max_value=max_m))
     perm = draw(st.permutations(range(1, 2 * m + 1)))
     return PairPartition.of(zip(perm[::2], perm[1::2]))
+
+
+def _assert_constant_coloring_bar_is_the_hat(v):
+    # t_uncolored reads rho off the cycle graph because under a constant
+    # coloring its Z is the noncrossing hat; the reference hat shares no
+    # code with the package's
+    hat = noncrossing_hat(v)
+    assert hat == reference.noncrossing_hat(v)
+    for c in (0, 1):
+        assert build_graph(ColoredPairPartition(v, (c,) * v.m, 2)).bar_pairs == hat
+
+
+def test_constant_coloring_bar_is_the_hat_exhaustive():
+    # m = 0..6: 11,465 partitions, 22,930 colorings
+    for m in range(7):
+        for v in enumerate_pair_partitions(m):
+            _assert_constant_coloring_bar_is_the_hat(v)
+
+
+@settings(deadline=None)
+@given(pair_partitions())
+def test_constant_coloring_bar_is_the_hat_random(v):
+    _assert_constant_coloring_bar_is_the_hat(v)
 
 
 @settings(deadline=None)

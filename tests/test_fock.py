@@ -586,6 +586,16 @@ def test_rho_n_combinatorial_examples():
     assert rho_n_combinatorial(W.adjoint(word_a) + word_a, -1) == 0
 
 
+def test_rho_n_combinatorial_on_a_deep_nest():
+    # 1,200 nested pairs with distinct indices: one compatible partition,
+    # and a matcher without recursion, so no RecursionError
+    m = 1200
+    w = tuple(W.annihilate(0, i) for i in range(1, m + 1)) + tuple(
+        W.create(0, i) for i in range(m, 0, -1)
+    )
+    assert rho_n_combinatorial(w, 2) == 1
+
+
 def test_words_given_as_lists():
     a, c = W.annihilate(0, 1), W.create(0, 1)
     for w in [(a, c), (a, a, c, c), (a, W.annihilate(1, 2), W.create(1, 2), c), (c, a)]:

@@ -126,6 +126,22 @@ def test_partition_validation():
             ColoredPairPartition.of([(1, 2), (3, 4)], colors)
 
 
+@pytest.mark.parametrize(
+    "pairs, colors, num_colors",
+    [(((1, 2),), (0,), 2.5), (((1, 2),), (0,), True), (((1, 2),), (0,), "2"), ((), (), 0)],
+    ids=["float", "bool", "str", "zero_on_no_pairs"],
+)
+def test_color_count_validation(pairs, colors, num_colors):
+    # all but "2" were accepted, and "2" raised TypeError out of a comparison
+    with pytest.raises(ValueError):
+        ColoredPairPartition(PairPartition(pairs), colors, num_colors)
+
+
+def test_enumerate_colored_refuses_a_bool_color_count():
+    with pytest.raises(ValueError):
+        enumerate_colored(2, True)
+
+
 # mutations of a well-formed broken diagram; each may make it invalid
 MUTATIONS = ["shuffle", "overlap", "out_of_range", "flip", "leg_on_pair", "wrong_n", "bad_color"]
 
@@ -327,7 +343,7 @@ def test_value_classes_are_slotted_and_frozen():
     fresh = ThomaParameter(alpha=(half,), beta=(quarter,))
     tp.power_sum_factor(3)
     thoma_character(tp, {2: 1})
-    assert tp._power_sums and tp._characters and not fresh._power_sums
+    assert tp._characters and not fresh._characters
     assert tp == fresh and hash(tp) == hash(fresh)
     assert tp != ThomaParameter(alpha=(half, quarter))
 
