@@ -31,7 +31,6 @@ from . import words as W
 from .cyclegraph import build_graph
 from .partitions import (
     MAX_ENUM_PAIRS,
-    MAX_ENUM_PARTITIONS,
     MAX_VALUE_DIGITS,
     CapacityError,
     ColorArityError,
@@ -194,12 +193,9 @@ def cmd_eval(args) -> tuple[dict, dict, list[dict]]:
 def cmd_oracle(args) -> tuple[dict, dict, list[dict]]:
     obj = _load_json(args.word)
     w = W.word_from_json(obj)
-    count = W.compatible_count(w)
-    if count > MAX_ENUM_PARTITIONS:
-        raise CapacityError(f"the word has more than {MAX_ENUM_PARTITIONS} compatible partitions")
     # the dense oracle runs first, so what it refuses is refused before the sum
     dense = fock.vacuum_expectation_dense(w, args.N) if args.mode == "both" else None
-    if count:
+    if W.compatible_count(w):
         _check_power_digits(args.N, fock.word_frame(w).paths)
     combinatorial = fock.rho_n_combinatorial(w, args.N)
     results = {"combinatorial": fmt_scalar(combinatorial)}

@@ -11,14 +11,14 @@ moment formulas.
 Everything but the partition's own arcs is fixed by the colors and the
 annihilator/creator roles of the points (left points are annihilators),
 so `bar_frame` computes it from those alone, once per word for all the
-partitions compatible with it, and refuses roles that no partition pairs
-off.  The frame keeps the colors, dominance and Z, which the `graph`
+partitions compatible with it (the word-level sum `fock._loop_sum` scans
+its Z and path count), and refuses roles that no partition pairs off.  The frame keeps the colors, dominance and Z, which the `graph`
 report reads, and the bar successors and peaks, which the cycle walk
 reads.  `loop_counter` walks the cycles a partition's arcs close with a
 frame's bar arcs and returns each cycle's count of maximal increasing
 paths: the one cycle statistic behind every moment weight (`moments.t_n`,
 `moments.t_colored`, and `moments.t_uncolored` through the constant
-coloring) and the word-level sum.  The reports build the rest on demand:
+coloring).  The reports build the rest on demand:
 `profile` builds the per-color span counts and reads r from them, with no
 frame, and `build_graph` the `graph` report.  It alone derives the
 classification, the bar pairs with their colors and arcs, and the full

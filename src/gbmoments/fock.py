@@ -19,28 +19,30 @@ dominance off the word's levels alone, not from `cyclegraph`; the word
 fixes the scale, and an assignment only decides whether the state survives.
 Negative N is covered by the purely combinatorial weight sum together with
 the exclusion, commutation, and finite-padding identities.  That sum is
-computed by the loop-sum identity rho_N(w) = N^-P(w) sum over the
-compatible matchings M of N^cycles(M u Z(w)): the bar partition Z(w) and
-the path count P(w) are the same for every partition compatible with w, so
-they are computed once per word (`word_frame`) and only the cycles of each
-matching joined with Z(w) are counted.
+the loop sum rho_N(w) = N^-P(w) sum over the compatible matchings M of
+N^cycles(M u Z(w)): the bar partition Z(w) and the path count P(w) are the
+same for every partition compatible with w, so they are computed once per
+word (`word_frame`), and the sum is read off one left-to-right scan over
+the open paths of M u Z(w), which lists no matching.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect
+from bisect import bisect, bisect_left, bisect_right, insort
 from collections import defaultdict
 from fractions import Fraction
 from math import lcm
 
 from . import words as W
-from .cyclegraph import BarFrame, bar_frame, loop_counter
+from .cyclegraph import BarFrame, bar_frame
 from .partitions import CapacityError, ColoredPairPartition
 
 DENSE_MAX_LEVEL = 4
 DENSE_MAX_N = 3
 LAMBDA_MAX_LEVEL = 5
+# open paths, summed over the states of one point, that the loop scan may hold
+SCAN_MAX_PATHS = 200_000
 
 # key: (x, y, word_minus, word_plus); len(x) == len(y) == max(word lengths)
 StateKey = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -281,29 +283,114 @@ def rho_n_combinatorial(w: W.Word, n: int) -> Fraction:
 
     The word fixes the bar frame, and with it Z(w) and the path count P(w),
     so the sum is the loop sum N^-P(w) * sum over the compatible matchings
-    M of N^cycles(M u Z(w)); the cycle counts (the lengths of
-    `cyclegraph.loop_counter`'s per-cycle lists) are tallied and divided by
-    N^P(w) once.  Equals fock_moment(w, tn_handle(n)).  The letters are read
+    M of N^cycles(M u Z(w)), which `_loop_sum` scans without listing the
+    matchings.  Equals fock_moment(w, tn_handle(n)).  The letters are read
     through `words.word()`, so a malformed one raises ValueError, as in the
-    dense oracle."""
+    dense oracle; a word whose scan would hold more than `SCAN_MAX_PATHS`
+    open paths raises CapacityError."""
     return _loop_sum(W.word(w), n)
 
 
 def _loop_sum(w: W.Word, n: int) -> Fraction:
     """`rho_n_combinatorial` of a word already read through `words.word()`:
-    the identity checks read each of their words once and sum here."""
+    the identity checks read each of their words once and sum here.
+
+    One left-to-right scan over the word's points keeps the open paths of
+    M u Z(w) for every partial matching M of the points scanned so far,
+    grouped into states with integer weights (the number of partial
+    matchings, times N per closed cycle).  An open path has two ends: a bar
+    end waiting for its point t = Z(k) > k is labeled t, an annihilator end
+    waiting for a creator is labeled by its (color, index) key.  A state
+    lists every path from both of its ends, each as `end * base + other
+    end`, sorted; so the ends that carry one label are a run found by
+    bisection, and a state hashes as a tuple of ints.  Raises
+    CapacityError once the states being built hold more than
+    `SCAN_MAX_PATHS` paths in all, before the next letter is read."""
     if n == 0:
         raise ValueError("N must be nonzero")
-    matchings = W.compatible_matchings(w)
-    if not matchings:
+    if not W.compatible_count(w):
         return Fraction(0)
     frame = word_frame(w)
-    path_counts = loop_counter(frame)
-    histogram = [0] * (len(w) // 2 + 1)
-    for pairs in matchings:
-        histogram[len(path_counts(pairs))] += 1
-    numerator = sum(count * n**c for c, count in enumerate(histogram))
-    return Fraction(numerator, n**frame.paths)
+    # bar labels are the points 1..len(w), key labels follow them
+    base = 2 * len(w) + 1
+    keys: dict[tuple[int, int], int] = {}
+    states: dict[tuple[int, ...], int] = {(): 1}
+    for k, let in enumerate(w, start=1):
+        label = keys.setdefault((let.b, let.i), len(w) + 1 + len(keys))
+        states = _scan_point(states, k, frame.z[k], label, let.k == W.CREATE, base, n)
+        if not states:
+            return Fraction(0)
+    return Fraction(states.get((), 0), n**frame.paths)
+
+
+def _scan_point(
+    states: dict[tuple[int, ...], int], k: int, z: int, label: int, creator: bool, base: int, n: int
+) -> dict[tuple[int, ...], int]:
+    """The states after point k, with bar partner z and key label `label`.
+    An annihilator opens a path (label, z) when z > k, and otherwise puts
+    its label on the bar end k.  A creator takes one open end labeled
+    `label`, in every way (a run of equal ends is one move, weighed by the
+    run's length): when z > k that end becomes the bar end z; otherwise the
+    path of the bar end k is joined to it, or closed, times N, when the
+    taken end is that path's other end."""
+    out: dict[tuple[int, ...], int] = {}
+    built = 0
+
+    def put(new: list[int], amount: int):
+        nonlocal built
+        state = tuple(new)
+        total = out.get(state)
+        if total is None:
+            built += len(state) // 2
+            if built > SCAN_MAX_PATHS:
+                raise CapacityError(f"the loop scan holds more than {SCAN_MAX_PATHS} open paths")
+            out[state] = amount
+        elif total + amount:
+            out[state] = total + amount
+        else:
+            # at negative N the moves into a state can cancel
+            del out[state]
+
+    bar, key = k * base, label * base
+    for ends, weight in states.items():
+        if z < k:
+            # the bar end k is the one end labeled k; its path leaves the state
+            rest = list(ends)
+            other = rest.pop(bisect_left(ends, bar)) - bar
+            del rest[bisect_left(rest, other * base + k)]
+        if not creator:
+            if z > k:
+                new = list(ends)
+                insort(new, key + z)
+                insort(new, z * base + label)
+            else:
+                new = rest
+                insort(new, key + other)
+                insort(new, other * base + label)
+            put(new, weight)
+            continue
+        if z < k and other == label:
+            put(rest, weight * n)
+        j, stop = bisect_left(ends, key), bisect_left(ends, key + base)
+        while j < stop:
+            end = ends[j]
+            run = bisect_right(ends, end, j, stop) - j
+            j += run
+            # the taken end is one of `run` equal ends of paths (label, y)
+            y = end - key
+            if z > k:
+                new, x = list(ends), z
+            elif y != k:
+                new, x = rest[:], other
+            else:
+                continue
+            # the path (label, y) becomes (x, y)
+            del new[bisect_left(new, end)]
+            del new[bisect_left(new, y * base + label)]
+            insort(new, x * base + y)
+            insort(new, y * base + x)
+            put(new, weight * run)
+    return out
 
 
 def one_color_words(max_len: int, num_indices: int, color: int = 1):
@@ -345,28 +432,37 @@ def commutation_check(
 
     Requires the color-b profile weight of A to dominate the other color's.
     """
-    a_word, b_word = W.word(a_word), W.word(b_word)
-    if W.profile_weight(a_word, b) < W.profile_weight(a_word, 1 - b):
+    a_word, b_star = W.word(a_word), W.adjoint(W.word(b_word))
+    weight_b, weight_other, weight = _profile_weights(a_word, b, i)
+    if weight_b < weight_other:
         raise ValueError("hypothesis violated: |w_b| < |w_-b| for the word A")
     middle = W.word((W.annihilate(b, i), W.create(b, i)))
-    lhs = _loop_sum(W.adjoint(b_word) + middle + a_word, n)
-    weight = W.word_profile(a_word).get((b, i), 0)
-    rhs = (1 + Fraction(weight, n)) * _loop_sum(W.adjoint(b_word) + a_word, n)
+    lhs = _loop_sum(b_star + middle + a_word, n)
+    rhs = (1 + Fraction(weight, n)) * _loop_sum(b_star + a_word, n)
     return lhs, rhs, lhs == rhs
 
 
+def _profile_weights(a_word: W.Word, b: int, i: int) -> tuple[int, int, int]:
+    """|w_b| and |w_-b|, the color weights of the word A's profile (as
+    `words.profile_weight`), and its entry w_b(i), from one profile."""
+    profile = W.word_profile(a_word)
+    weight_b = sum(v for (c, _), v in profile.items() if c == b)
+    weight_other = sum(v for (c, _), v in profile.items() if c == 1 - b)
+    return weight_b, weight_other, profile.get((b, i), 0)
+
+
 def _padded(
-    a_word: W.Word, b_word: W.Word, b: int, pad: int, middle: W.Word
+    a_word: W.Word, b_star: W.Word, b: int, pad: int, middle: W.Word
 ) -> W.Word:
     """B* a_{2p}..a_{p+1} middle a*_{p+1}..a*_{2p} A on the color-b padding
     indices p+1..2p (p = pad), which A and B must not use; read through
-    `words.word()` when A, B and middle are."""
-    used = {(let.b, let.i) for let in a_word + b_word}
+    `words.word()` when A, B* and middle are."""
+    used = {(let.b, let.i) for let in a_word + b_star}
     if any((b, j) in used for j in range(pad + 1, 2 * pad + 1)):
         raise ValueError("padding indices must be unused by A and B")
     left_pad = tuple(W.annihilate(b, j) for j in range(2 * pad, pad, -1))
     right_pad = tuple(W.create(b, j) for j in range(pad + 1, 2 * pad + 1))
-    return W.adjoint(b_word) + left_pad + middle + right_pad + a_word
+    return b_star + left_pad + middle + right_pad + a_word
 
 
 def wlim_identity_check(
@@ -375,13 +471,13 @@ def wlim_identity_check(
     """Exact finite-padding identity
     rho(B* a_{2p}..a_{p+1} a* a a*_{p+1}..a*_{2p} A) = (w^A_b(i)/N^2) rho(B* A)
     for padding size p beyond the profile threshold."""
-    a_word, b_word = W.word(a_word), W.word(b_word)
-    full = _padded(a_word, b_word, b, pad, W.word((W.create(b, i), W.annihilate(b, i))))
-    if pad + W.profile_weight(a_word, b) <= W.profile_weight(a_word, 1 - b):
+    a_word, b_star = W.word(a_word), W.adjoint(W.word(b_word))
+    full = _padded(a_word, b_star, b, pad, W.word((W.create(b, i), W.annihilate(b, i))))
+    weight_b, weight_other, weight = _profile_weights(a_word, b, i)
+    if pad + weight_b <= weight_other:
         raise ValueError("padding size below the identity's threshold")
     lhs = _loop_sum(full, n)
-    weight = W.word_profile(a_word).get((b, i), 0)
-    rhs = Fraction(weight, n**2) * _loop_sum(W.adjoint(b_word) + a_word, n)
+    rhs = Fraction(weight, n**2) * _loop_sum(b_star + a_word, n)
     return lhs, rhs, lhs == rhs
 
 
@@ -391,9 +487,10 @@ def wlim_creator_pair_bound(
     """Decay bound for the doubled-creator padding variant:
     |rho(B* pads a* a* pads* A)| <= C |N|^(1-r) with C the number of
     compatible partitions, valid once pad + |w_b| - |w_-b| > 2r."""
-    a_word, b_word = W.word(a_word), W.word(b_word)
-    full = _padded(a_word, b_word, b, pad, W.word((W.create(b, i), W.create(b, i))))
-    if pad + W.profile_weight(a_word, b) - W.profile_weight(a_word, 1 - b) <= 2 * r:
+    a_word, b_star = W.word(a_word), W.adjoint(W.word(b_word))
+    full = _padded(a_word, b_star, b, pad, W.word((W.create(b, i), W.create(b, i))))
+    weight_b, weight_other, _ = _profile_weights(a_word, b, i)
+    if pad + weight_b - weight_other <= 2 * r:
         raise ValueError("padding size below the bound's threshold")
     value = _loop_sum(full, n)
     count = W.compatible_count(full)

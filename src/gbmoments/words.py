@@ -69,9 +69,9 @@ def profile_weight(w: Word, b: int) -> int:
     return sum(v for (bb, _), v in word_profile(w).items() if bb == b)
 
 
-def compatible_matchings(w: Word) -> list[tuple[tuple[int, int], ...]]:
-    """The pairs of every colored pair partition compatible with the word,
-    each sorted by left point, in the order of `partitions._matchings`.
+def compatible_partitions(w: Word) -> list[ColoredPairPartition]:
+    """All colored pair partitions compatible with the word, in the order of
+    `partitions._matchings` (each sorted by left point).
 
     A pair (l, r) with l < r requires an annihilator at l and a creator at
     r with equal colors and equal basis indices; the pair inherits that
@@ -85,15 +85,9 @@ def compatible_matchings(w: Word) -> list[tuple[tuple[int, int], ...]]:
         return []
     # an annihilator opens a pair that its creator closes
     opens = [None] + [(let.b, let.i, CREATE) if let.k == ANNIHILATE else None for let in w]
-    return _matchings(opens, (None,) + w)
-
-
-def compatible_partitions(w: Word) -> list[ColoredPairPartition]:
-    """All colored pair partitions compatible with the word, in the order of
-    `compatible_matchings`."""
     return [
         ColoredPairPartition(PairPartition(pairs), tuple(w[l - 1].b for l, _ in pairs), 2)
-        for pairs in compatible_matchings(w)
+        for pairs in _matchings(opens, (None,) + w)
     ]
 
 
@@ -105,9 +99,14 @@ def compatible_count(w: Word) -> int:
     count = 1
     for let in w:
         key = (let.b, let.i)
+        opened = unmatched.get(key, 0)
         if let.k == CREATE:
-            count *= unmatched.get(key, 0)
-        unmatched[key] = unmatched.get(key, 0) + (1 if let.k == ANNIHILATE else -1)
+            if not opened:
+                return 0
+            count *= opened
+            unmatched[key] = opened - 1
+        else:
+            unmatched[key] = opened + 1
     return 0 if any(unmatched.values()) else count
 
 

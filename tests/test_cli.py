@@ -240,22 +240,27 @@ def test_clt_computes_limit_once(capsys, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_oracle_over_partition_budget_exits_3(capsys, tmp_path, monkeypatch):
-    # a^10 a*^10 has 10! = 3,628,800 compatible partitions; fail fast
-    # rather than enumerate them if the guard stops firing
-    monkeypatch.setattr(W, "_matchings", lambda opens, closes: pytest.fail("enumerated"))
-    path = tmp_path / "word.json"
-    # the tripwire sits on the enumerator the combinatorial sum calls
-    path.write_text(json.dumps([{"b": 0, "i": 1, "k": "a"}, {"b": 0, "i": 1, "k": "a*"}]))
-    with pytest.raises(pytest.fail.Exception, match="enumerated"):
-        dispatch(["oracle", "--word", str(path), "--N", "2", "--mode", "combinatorial"])
+def test_oracle_over_scan_budget_exits_3(capsys, tmp_path, monkeypatch):
+    # a small budget: the 20-letter word a^10 a*^10 holds 10 open paths
+    # after its annihilators, so its scan must stop at the sixth letter
+    monkeypatch.setattr(fock, "SCAN_MAX_PATHS", 5)
+    points = []
+    scan_point = fock._scan_point
+    monkeypatch.setattr(fock, "_scan_point", lambda states, k, *rest: points.append(k) or scan_point(states, k, *rest))
     word = [{"b": 0, "i": 1, "k": k} for k in ["a"] * 10 + ["a*"] * 10]
+    path = tmp_path / "word.json"
     path.write_text(json.dumps(word))
     start = time.perf_counter()
     code = dispatch(["oracle", "--word", str(path), "--N", "2", "--mode", "combinatorial"])
     assert code == 3
     assert time.perf_counter() - start < 1
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "more than 5 open paths" in err
+    assert points == [1, 2, 3, 4, 5, 6]
+    # under the real budget the same word has its exact value, 11!/2^10
+    monkeypatch.undo()
+    code, report = run(capsys, ["oracle", "--word", str(path), "--N", "2", "--mode", "combinatorial"])
+    assert code == 0 and report["results"]["combinatorial"] == "155925/4"
 
 
 def test_oracle_on_a_deep_nest(capsys, tmp_path):

@@ -596,6 +596,61 @@ def test_rho_n_combinatorial_on_a_deep_nest():
     assert rho_n_combinatorial(w, 2) == 1
 
 
+@pytest.mark.parametrize("color", [0, 1])
+def test_rho_n_combinatorial_closed_form_on_one_index(color):
+    # rho_N(a^m a*^m) = prod_{j<m} (1 + j/N): the word has m! compatible
+    # partitions, 30! at m = 30, so only m <= 5 is also enumerated
+    for m in range(31):
+        w = (W.annihilate(color, 1),) * m + (W.create(color, 1),) * m
+        for n in (-3, -2, -1, 2, 3, 5):
+            expected = math.prod((1 + Fraction(j, n) for j in range(m)), start=Fraction(1))
+            assert rho_n_combinatorial(w, n) == expected, (m, n)
+            if m <= 5:
+                assert fock_moment(w, tn_handle(n)) == expected, (m, n)
+
+
+def heavy_word(rng, m):
+    """A seeded word of m pairs in two colors on index 1 or 2, most on 1,
+    so that it has many compatible partitions; balanced in every (color,
+    index)."""
+    points = list(range(2 * m))
+    rng.shuffle(points)
+    letters = [None] * (2 * m)
+    for l, r in zip(points[::2], points[1::2]):
+        l, r = min(l, r), max(l, r)
+        b, i = rng.randrange(2), rng.choice((1, 1, 1, 2))
+        letters[l], letters[r] = W.annihilate(b, i), W.create(b, i)
+    return tuple(letters)
+
+
+def test_rho_n_combinatorial_factors_at_a_balanced_seam():
+    # u balanced in every (color, index): no pair of a compatible partition
+    # crosses the seam, so rho(u v) = rho(u) rho(v); every product has more
+    # than 15!! compatible partitions, past any enumeration
+    rng = random.Random(2026)
+    cases = 0
+    while cases < 60:
+        u, v = heavy_word(rng, rng.randint(9, 11)), heavy_word(rng, rng.randint(9, 11))
+        if W.compatible_count(u + v) <= math.prod(range(1, 16, 2)):
+            continue
+        cases += 1
+        for n in (-3, -1, 2, 3):
+            assert rho_n_combinatorial(u + v, n) == rho_n_combinatorial(u, n) * rho_n_combinatorial(v, n), (u, v, n)
+
+
+def test_rho_n_combinatorial_matches_the_reference_graphs():
+    # the reference builds every compatible partition's graph with its own
+    # Z map and rise/fall rule, sharing no code with the scan's bar frame
+    partitions = 0
+    for w in balanced_words(4242, 300, 6):
+        graphs = [reference.build_graph(p) for p in W.compatible_partitions(w)]
+        partitions += len(graphs)
+        for n in (-3, -1, 2, 5):
+            expected = sum((Fraction(n) ** (len(g.cycles) - sum(g.path_counts)) for g in graphs), Fraction(0))
+            assert rho_n_combinatorial(w, n) == expected, (w, n)
+    assert partitions > 700
+
+
 def test_words_given_as_lists():
     a, c = W.annihilate(0, 1), W.create(0, 1)
     for w in [(a, c), (a, a, c, c), (a, W.annihilate(1, 2), W.create(1, 2), c), (c, a)]:
@@ -746,8 +801,8 @@ print(message([0, 0, 0], [False, True, False]))
     ]
 
 
-@pytest.mark.slow
 def test_exclusion_full_length_eight():
+    # 50,920 squared words of up to 16 letters, ~4 s on a 2-vCPU VM
     for n in (-1, -2):
         report = exclusion_check(n, max_len=8, num_indices=2)
         assert report["all_zero"], report["failures"][:3]
