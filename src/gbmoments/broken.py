@@ -167,7 +167,8 @@ def multiply(d1: BrokenPairPartition, d2: BrokenPairPartition) -> BrokenPairPart
     if d1.num_colors != d2.num_colors:
         raise ValueError("operands must share the color set")
     shift = d1.n
-    pairs, colors = _join(shift, [*zip(d1.pairs, d1.colors)], d1.right_legs, d2)
+    joined = tuple(r1[: len(l2)] for r1, l2 in zip(d1.right_legs, d2.left_legs))
+    pairs, colors = _join(shift, _template([*zip(d1.pairs, d1.colors)], joined), d2)
     lefts, rights = [], []
     for a in range(d1.num_colors):
         r1, l2 = d1.right_legs[a], d2.left_legs[a]
@@ -177,19 +178,29 @@ def multiply(d1: BrokenPairPartition, d2: BrokenPairPartition) -> BrokenPairPart
     return BrokenPairPartition(d1.n + d2.n, d1.num_colors, pairs, colors, tuple(lefts), tuple(rights))
 
 
-def _join(shift: int, tagged: list, right_legs: tuple[Legs, ...], d2: BrokenPairPartition):
+def _template(tagged: list, right_legs: tuple[Legs, ...]) -> tuple[list, tuple[int, ...]]:
+    """A first factor's part of each product it heads, from its (pair,
+    color) items in any order and the right legs that join: one slot per
+    left point, in point order, with the slots' colors.  A pair (l, r) of
+    color c is the slot (l, r, c, -1); right leg k + 1 of color a at point
+    p is (p, 0, a, k), whose right point the second factor fills in."""
+    slots = sorted(
+        [(l, r, c, -1) for (l, r), c in tagged]
+        + [(p, 0, a, k) for a, legs in enumerate(right_legs) for k, p in enumerate(legs)]
+    )
+    return slots, tuple([slot[2] for slot in slots])
+
+
+def _join(shift: int, template: tuple[list, tuple[int, ...]], d2: BrokenPairPartition):
     """Pairs and pair colors of the product of a first factor on `shift`
-    points, with (pair, color) items `tagged` in any order and the given
-    right legs, and d2: right leg k of color a joins d2's left leg k of
-    color a, and d2's pairs follow, shifted past every other point."""
-    seam = [
-        ((p, q + shift), a)
-        for a, (r1, l2) in enumerate(zip(right_legs, d2.left_legs))
-        for p, q in zip(r1, l2)
-    ]
-    # d2's pairs lie past every other point, so they follow the sorted ones
-    pairs, colors = _sorted_pairs(tagged + seam)
-    return pairs + tuple([(l + shift, r + shift) for l, r in d2.pairs]), colors + d2.colors
+    points, given by its `_template`, and d2: right leg k of color a joins
+    d2's left leg k of color a, and d2's pairs follow, shifted past every
+    other point."""
+    slots, colors = template
+    lefts = d2.left_legs
+    pairs = [(l, r) if r else (l, lefts[a][k] + shift) for l, r, a, k in slots]
+    pairs += [(l + shift, r + shift) for l, r in d2.pairs]
+    return tuple(pairs), colors + d2.colors
 
 
 def involution(d: BrokenPairPartition) -> BrokenPairPartition:
@@ -231,9 +242,10 @@ def gram_blocks(
     left-leg counts.  Each key's block is (its family indices in order, one
     row per index holding the products with those columns); every other
     entry, a right-legged diagram's whole row and column included, is an
-    exact 0.  A leg-free product goes straight to a colored pair partition,
-    and t is called on the same diagrams in the same row-major order as
-    when every product is formed."""
+    exact 0.  A leg-free product goes straight to a colored pair partition:
+    a row's `_template` is built once, and each column only fills in its
+    seam partners and appends its shifted pairs.  t is called on the same
+    diagrams in the same row-major order as when every product is formed."""
     if not family:
         raise ValueError("family must be nonempty")
     if 2 * max(d.n for d in family) > MAX_PRODUCT_POINTS:
@@ -247,9 +259,10 @@ def gram_blocks(
         if key is not None:
             columns, rows = blocks[key]
             tagged, _, right_legs = _mirror(d)
+            template = _template(tagged, right_legs)
             row = []
             for j in columns:
-                pairs, colors = _join(d.n, tagged, right_legs, family[j])
+                pairs, colors = _join(d.n, template, family[j])
                 row.append(t(ColoredPairPartition(PairPartition(pairs), colors, d.num_colors)))
             rows.append(row)
     return list(blocks.values()), None in keys

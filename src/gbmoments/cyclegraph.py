@@ -132,25 +132,27 @@ def bar_frame(color: Sequence[int], annihilator: Sequence[bool]) -> BarFrame:
     each pair an annihilator left of a creator of its color, raise
     ValueError.
 
-    Three passes: one running count per color gives r and dominance, two
-    sweeps give Z, and one pass over Z checks it and the bar arcs and
+    Three passes: one running count per color gives r and dominance, one
+    sweep gives Z, and one pass over Z checks it and the bar arcs and
     fills succ, peak and paths; a violated invariant of the construction
     raises RuntimeError.
     """
     n = len(color) - 1
     points = range(1, n + 1)
     r, dominant = _ranks(color, annihilator)
-    look_right = [a == d for a, d in zip(annihilator, dominant)]
 
-    # two sweeps, each keeping the last point seen with every r-value in 1..m;
-    # z[k] == 0 means no point of equal r-value lies on k's side
+    # one sweep keeping the last point seen with every r-value in 1..m: a
+    # point that looks left takes it, and it, if it looks right, takes the
+    # point; z[k] == 0 means k found no partner on its side
     z = [0] * (n + 1)
-    for order, wanted in ((points, False), (reversed(points), True)):
-        last = [0] * (n // 2 + 1)
-        for k in order:
-            if look_right[k] == wanted:
-                z[k] = last[r[k]]
-            last[r[k]] = k
+    last = [0] * (n // 2 + 1)
+    for k in points:
+        rk = r[k]
+        if annihilator[k] != dominant[k]:
+            j = z[k] = last[rk]
+            if j and annihilator[j] == dominant[j]:
+                z[j] = k
+        last[rk] = k
 
     # pair arcs leave color-1 annihilators and color-0 creators and enter the
     # other points, so each vertex has in- and out-degree 1 iff every bar

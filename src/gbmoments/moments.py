@@ -199,7 +199,8 @@ def t_tensor(
     """Product of the component weights on the color-restricted subpartitions."""
     if p.num_colors != 2:
         raise ValueError("tensor weight needs exactly two colors")
-    return t_minus(p.color_class(0)) * t_plus(p.color_class(1))
+    minus, plus = p.base.split(p.colors, 2)
+    return t_minus(minus) * t_plus(plus)
 
 
 def fock_moment(w: W.Word, t: TFunction) -> Scalar:

@@ -112,17 +112,39 @@ class PairPartition(FrozenValue):
     def right_points(self) -> frozenset[int]:
         return frozenset(r for _, r in self.pairs)
 
+    def split(self, ids: Sequence[int], count: int) -> list["PairPartition"]:
+        """Every class of pairs at once: class b holds the pairs j with
+        ids[j] == b, in their order here, points relabeled
+        order-preservingly to 1..2s.  One pass over the points numbers each
+        point within its class; each class is built through the validating
+        constructor.  ValueError unless count is an int >= 0 and ids holds
+        one int in [0, count) per pair."""
+        if not (type(count) is int and count >= 0):
+            raise ValueError(f"the class count must be an integer >= 0, got {count!r}")
+        _check_ids(ids, self.m, count)
+        # label[k] is first k's class, then k's number among its points
+        label = [0] * (self.size + 1)
+        for (l, r), b in zip(self.pairs, ids):
+            label[l] = label[r] = b
+        seen = [0] * count
+        for k in range(1, len(label)):
+            b = label[k]
+            seen[b] += 1
+            label[k] = seen[b]
+        classes: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+        for (l, r), b in zip(self.pairs, ids):
+            classes[b].append((label[l], label[r]))
+        return [PairPartition(tuple(pairs)) for pairs in classes]
+
     def restrict(self, pair_ids: Iterable[int]) -> "PairPartition":
-        """The subpartition on the pairs with the given indices, points
-        relabeled order-preservingly to 1..2s."""
-        chosen = [self.pairs[j] for j in sorted(pair_ids)]
-        kept = [0] * (self.size + 1)
-        for l, r in chosen:
-            kept[l] = kept[r] = 1
-        # a kept point's new label is the number of kept points up to it;
-        # the relabel keeps the chosen pairs sorted by l
-        label = list(itertools.accumulate(kept))
-        return PairPartition(tuple((label[l], label[r]) for l, r in chosen))
+        """The subpartition on the pairs with the given distinct indices in
+        [0, m) (else ValueError): class 0 of `split`."""
+        ids = [1] * self.m
+        for j in pair_ids:
+            if not (type(j) is int and 0 <= j < self.m and ids[j]):
+                raise ValueError(f"pair ids must be distinct integers in [0, {self.m}), got {j!r}")
+            ids[j] = 0
+        return self.split(ids, 2)[0]
 
     def to_json(self) -> dict:
         return {"m": self.m, "pairs": [list(p) for p in self.pairs]}
@@ -158,8 +180,10 @@ class ColoredPairPartition(FrozenValue):
 
     def color_class(self, color: int) -> PairPartition:
         """The subpartition of pairs with the given color, points relabeled
-        order-preservingly to 1..2s."""
-        return self.base.restrict([j for j, c in enumerate(self.colors) if c == color])
+        order-preservingly to 1..2s: that class of `split`.  A color that is
+        not an int in [0, num_colors) raises ValueError."""
+        _check_ids((color,), 1, self.num_colors)
+        return self.base.split(self.colors, self.num_colors)[color]
 
     def to_json(self) -> dict:
         d = self.base.to_json()
@@ -193,10 +217,16 @@ def _check_colors(colors: Sequence[int], m: int, num_colors: int):
     color per pair, each an int in [0, num_colors); bools are refused."""
     if not (type(num_colors) is int and num_colors >= 1):
         raise ValueError(f"num_colors must be an integer >= 1, got {num_colors!r}")
-    if len(colors) != m:
+    _check_ids(colors, m, num_colors)
+
+
+def _check_ids(ids: Sequence[int], m: int, count: int):
+    """Raise ValueError unless there is one id per pair, each an int in
+    [0, count); bools are refused."""
+    if len(ids) != m:
         raise ValueError("need exactly one color per pair")
-    for c in colors:
-        if not (type(c) is int and 0 <= c < num_colors):
+    for c in ids:
+        if not (type(c) is int and 0 <= c < count):
             raise ValueError("color ids must be integers in [0, num_colors)")
 
 

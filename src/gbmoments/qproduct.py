@@ -92,8 +92,8 @@ def q_product_eval(
     value: Scalar = Fraction(1)
     for (j1, j2) in _crossing_index_pairs(p.base):
         value *= q.at(p.colors[j1], p.colors[j2])
-    for b in range(p.num_colors):
-        value *= ts[b](p.color_class(b))
+    for t, v in zip(ts, p.base.split(p.colors, p.num_colors)):
+        value *= t(v)
     return value
 
 
@@ -155,7 +155,7 @@ def t_q_star_n(
         if not residues[blocks]:
             continue
         links = [(ids[j1], ids[j2]) for j1, j2 in cross]
-        weights = [t(v.restrict(j for j in range(v.m) if ids[j] == b)) for b in range(blocks)]
+        weights = [t(c) for c in v.split(ids, blocks)]
         if not all(weights):
             continue
         for res in residues[blocks]:
@@ -198,21 +198,25 @@ def gram_psd_check(
     family: Sequence[BrokenPairPartition], t: TFunction
 ) -> tuple[Fraction, bool]:
     """Exact positive-semidefiniteness of the Gram matrix t_hat(d_i* d_j),
-    factored one `gram_blocks` block at a time: rational LDL^T pivoting on
-    the block's largest remaining diagonal entry d.  Once d <= 0, the block
-    is PSD iff d == 0 and nothing nonzero remains in it.  Returns (smallest
-    pivot, verdict), the same pair as one LDL^T on the dense matrix: its
-    pivots within a block are the block's own, it takes every positive one
-    and ends at the largest non-positive pivot any block ends at, a
+    decided one `gram_blocks` block at a time by `_pivots`: integer
+    elimination pivoting on the block's largest remaining diagonal entry d.
+    Once d <= 0, the block is PSD iff d == 0 and nothing nonzero remains in
+    it.  A weight that is not an int or Fraction, in any block, raises
+    ValueError before an asymmetric block does.  Returns (smallest pivot,
+    verdict), the same pair as one LDL^T on the dense matrix: its pivots
+    within a block are the block's own, it takes every positive one and
+    ends at the largest non-positive pivot any block ends at, a
     right-legged diagram's zero row ending at 0."""
     blocks, right_legged = gram_blocks(family, t)
-    matrices = [[[_exact(x) for x in row] for row in rows] for _, rows in blocks]
-    for a in matrices:
+    for x in (x for _, rows in blocks for row in rows for x in row):
+        if not isinstance(x, (int, Fraction)):
+            raise ValueError(f"Gram weights must be int or Fraction, not {type(x).__name__}")
+    for _, a in blocks:
         if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
             raise ValueError("gram matrix must be symmetric")
     positive, ends, ok = [], [Fraction(0)] if right_legged else [], True
-    for a in matrices:
-        pivots, block_ok = _ldl_pivots(a)
+    for _, a in blocks:
+        pivots, block_ok = _pivots(a)
         ok = ok and block_ok
         if pivots[-1] <= 0:
             ends.append(pivots.pop())
@@ -222,34 +226,38 @@ def gram_psd_check(
     return min(positive), ok
 
 
-def _ldl_pivots(a: list[list[Fraction]]) -> tuple[list[Fraction], bool]:
-    """The pivots of a symmetric matrix's LDL^T, factored in place, up to
-    and including the first one <= 0, and whether the matrix is PSD.  The
-    update for a pivot d > 0 touches only the columns where its row is
-    nonzero."""
+def _pivots(block: Sequence[Sequence[int | Fraction]]) -> tuple[list[Fraction], bool]:
+    """The pivots of a symmetric rational matrix's LDL^T, largest remaining
+    diagonal entry first (the first such row on ties), up to and
+    including the first one <= 0, and whether the matrix is PSD.
+
+    Fraction-free (Bareiss, Math. Comp. 22 (1968) 565): the matrix is
+    scaled by the lcm s of its denominators, and step k replaces each
+    remaining entry by (d_k a_ij - a_ip a_pj) // d_(k-1), an exact division
+    with d_0 = 1, where d_k is the k-th pivot entry.  Entry a_ij is then
+    d_k * s times the rational Schur complement's, so the diagonal maxima
+    agree (every d_k taken is > 0), and the rational pivot is
+    d_k / (d_(k-1) * s)."""
+    s = math.lcm(*[x.denominator for row in block for x in row])
+    a = [[x.numerator * (s // x.denominator) for x in row] for row in block]
     rest = list(range(len(a)))
     pivots = []
+    prev = 1
     while rest:
         p = max(rest, key=lambda i: a[i][i])
         d = a[p][p]
-        pivots.append(d)
+        pivots.append(Fraction(d, prev * s))
         if d <= 0:
             return pivots, d == 0 and not any(a[i][j] for i in rest for j in rest)
         rest.remove(p)
         row = a[p]
-        nonzero = [j for j in rest if row[j]]
-        for i in nonzero:
-            factor = row[i] / d
-            target = a[i]
-            for j in nonzero:
-                target[j] -= factor * row[j]
+        # the update keeps the matrix symmetric: compute j >= i, mirror the rest
+        for n, i in enumerate(rest):
+            target, f = a[i], row[i]
+            for j in rest[n:]:
+                target[j] = a[j][i] = (d * target[j] - f * row[j]) // prev
+        prev = d
     return pivots, True
-
-
-def _exact(x) -> Fraction:
-    if not isinstance(x, (int, Fraction)):
-        raise ValueError(f"Gram weights must be int or Fraction, not {type(x).__name__}")
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _stirling_unsigned(n: int) -> list[int]:

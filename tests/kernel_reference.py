@@ -10,7 +10,8 @@ type that `gbmoments.partitions.uncolored_cycles` must agree with, and
 cycle, which looks pairs up in dicts; both read the reference's own
 `noncrossing_hat`, a stack over the left points, and share no code with
 the package's hat matcher `partitions._hat_successors`; `color_class` is
-the relabel that re-sorts the chosen pairs through `PairPartition.of`.
+the relabel that re-sorts the chosen pairs through `PairPartition.of`,
+which the one-pass `PairPartition.split` must reproduce class by class.
 `pair_layout_ok`, `colors_ok` and `broken_layout_ok` are the sort-based
 validity checks of `PairPartition`, `ColoredPairPartition` and
 `BrokenPairPartition` that the one-pass `partitions._check_layout` and
@@ -18,9 +19,11 @@ validity checks of `PairPartition`, `ColoredPairPartition` and
 reject the same inputs.
 `gram_matrix` is the all-products Gram assembly that
 `gbmoments.broken.gram_matrix` must agree with; `ldl_pivots` factors
-that dense matrix with one diagonal-max LDL^T, as
-`gbmoments.qproduct.gram_psd_check` did before it factored block by block,
-and its smallest pivot and verdict must be what that function returns; and
+that dense matrix with one diagonal-max LDL^T over the rationals, as
+`gbmoments.qproduct.gram_psd_check` did before it factored block by block
+and by integer elimination: its smallest pivot and verdict must be what
+that function returns, and on any symmetric rational matrix its pivots and
+verdict must be those of the fraction-free `gbmoments.qproduct._pivots`; and
 `t_q_star_n` is the n^m coloring enumeration that
 `gbmoments.qproduct.t_q_star_n` must agree with.
 The dense oracle's references work on vectors given per basis key, with

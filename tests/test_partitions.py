@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -299,10 +300,50 @@ def test_color_class_relabels():
 
 
 def test_color_class_matches_resorting_reference():
-    for m in range(5):
-        for p in enumerate_colored(m, 2):
-            for color in (0, 1):
-                assert p.color_class(color) == kernel_reference.color_class(p, color)
+    # the one-pass split, and color_class as its view, against the
+    # re-sorting relabel: every two-colored partition with m <= 5, then
+    # seeded three-colored ones with up to 8 pairs
+    rng = random.Random(0)
+    cases = [p for m in range(6) for p in enumerate_colored(m, 2)]
+    for _ in range(2000):
+        m = rng.randrange(9)
+        points = rng.sample(range(1, 2 * m + 1), 2 * m)
+        colors = [rng.randrange(3) for _ in range(m)]
+        cases.append(ColoredPairPartition.of(zip(points[::2], points[1::2]), colors, 3))
+    for p in cases:
+        classes = [kernel_reference.color_class(p, color) for color in range(p.num_colors)]
+        assert p.base.split(p.colors, p.num_colors) == classes
+        assert [p.color_class(color) for color in range(p.num_colors)] == classes
+
+
+@pytest.mark.parametrize("color", [2, 7, -1, "0", True, 1.0, None])
+def test_color_class_refuses_what_is_no_color(color):
+    p = ColoredPairPartition.of([(1, 4), (2, 5), (3, 6)], [0, 1, 0])
+    with pytest.raises(ValueError):
+        p.color_class(color)
+
+
+@pytest.mark.parametrize("pair_ids", [[-1], [3], [5], [0, 0], ["0"], [True], [1.0]])
+def test_restrict_refuses_what_is_no_pair_index(pair_ids):
+    v = PairPartition(((1, 4), (2, 5), (3, 6)))
+    with pytest.raises(ValueError):
+        v.restrict(pair_ids)
+
+
+@pytest.mark.parametrize(
+    "ids, count",
+    [((0, 1), 1), ((0, -1), 2), ((0,), 2), ((0, 1, 0), 2), ((0, 1), -1), ((0, True), 2), ((0, 0), 1.0), ((), 0)],
+)
+def test_split_refuses_ids_out_of_range(ids, count):
+    v = PairPartition(((1, 3), (2, 4)))
+    with pytest.raises(ValueError):
+        v.split(ids, count)
+
+
+def test_split_of_no_pairs_has_the_classes_asked_for():
+    empty = PairPartition(())
+    assert empty.split((), 0) == []
+    assert empty.split((), 2) == [empty, empty]
 
 
 def _assert_frozen_value(obj, field, fields):

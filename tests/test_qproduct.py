@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import kernel_reference as reference
 from gbmoments import qproduct
-from gbmoments.broken import embed, empty, enumerate_broken
+from gbmoments.broken import embed, empty, enumerate_broken, left_hook
 from gbmoments.moments import (
     t_free,
     t_tensor,
@@ -345,6 +345,66 @@ def test_gram_psd_exact_verdict(by_pairs, expected):
 def test_gram_psd_rejects_float_weights():
     with pytest.raises(ValueError):
         gram_psd_check(_two_diagram_family(), lambda p: (1.0, 0.5, 1.0)[p.m])
+
+
+def test_gram_psd_refuses_a_float_in_any_block_before_asymmetry():
+    # the first block, one pair of each color, is asymmetric under the
+    # first pair's color; the second, a left leg's, holds a float
+    family = [
+        embed(ColoredPairPartition.of([(1, 2)], [0])),
+        embed(ColoredPairPartition.of([(1, 2)], [1])),
+        left_hook(0),
+    ]
+    with pytest.raises(ValueError, match="must be symmetric"):
+        gram_psd_check(family[:2], lambda p: p.colors[0])
+    with pytest.raises(ValueError, match="int or Fraction"):
+        gram_psd_check(family, lambda p: p.colors[0] if p.m == 2 else 0.5)
+
+
+RATIONALS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 10**6))
+
+
+@st.composite
+def symmetric_rational_matrices(draw):
+    """A symmetric rational matrix of size 0..10: a Gram matrix B^T B of a
+    random rational B with k <= n rows (rank-deficient when k < n), a
+    random symmetric one (mostly indefinite), c * B^T B with B over
+    {-1, 0, 1} (ties on the diagonal), or a PSD block beside a block with
+    zero diagonal, congruent by a permutation (a zero pivot with a nonzero
+    remainder).  Denominators reach 10^6."""
+    n = draw(st.integers(0, 10))
+    kind = draw(st.sampled_from(["gram", "indefinite", "ties", "zero_pivot"]))
+
+    def gram(size, entries):
+        b = [[draw(entries) for _ in range(size)] for _ in range(draw(st.integers(0, size)))]
+        return [[sum((row[i] * row[j] for row in b), Fraction(0)) for j in range(size)] for i in range(size)]
+
+    def symmetric(size, zero_diagonal):
+        a = [[Fraction(0)] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i + zero_diagonal, size):
+                a[i][j] = a[j][i] = draw(RATIONALS)
+        return a
+
+    if kind == "gram":
+        return gram(n, RATIONALS)
+    if kind == "indefinite":
+        return symmetric(n, False)
+    if kind == "ties":
+        c = draw(RATIONALS.filter(bool))
+        return [[c * x for x in row] for row in gram(n, st.integers(-1, 1))]
+    k = draw(st.integers(0, n))
+    g, h = gram(k, RATIONALS), symmetric(n - k, True)
+    a = [row + [0] * (n - k) for row in g] + [[0] * k + row for row in h]
+    order = draw(st.permutations(range(n)))
+    return [[a[i][j] for j in order] for i in order]
+
+
+@settings(deadline=None, max_examples=300)
+@given(symmetric_rational_matrices())
+def test_integer_elimination_matches_rational_ldl(a):
+    # the fraction-free pivots and verdict equal the Fraction LDL^T's
+    assert qproduct._pivots(a) == reference.ldl_pivots(a)
 
 
 def test_stirling_examples():
