@@ -33,6 +33,7 @@ from .partitions import (
     _check_permutation,
     _is_int,
     _json_pairs,
+    _ordered,
     _sorted_pairs,
     double_factorial,
 )
@@ -124,7 +125,7 @@ def broken_from_json(obj) -> BrokenPairPartition:
         raise ValueError("'per_color' must be a list with one entry per color")
     tagged, lefts, rights = [], [], []
     for a, entry in enumerate(per_color):
-        tagged += [((min(p), max(p)), a) for p in _json_pairs(entry)]
+        tagged += [(_ordered(p), a) for p in _json_pairs(entry)]
         lefts.append(_legs_from_json(entry.get("left_legs", {})))
         rights.append(_legs_from_json(entry.get("right_legs", {})))
     pairs, colors = _sorted_pairs(tagged)
@@ -168,7 +169,7 @@ def multiply(d1: BrokenPairPartition, d2: BrokenPairPartition) -> BrokenPairPart
         raise ValueError("operands must share the color set")
     shift = d1.n
     joined = tuple(r1[: len(l2)] for r1, l2 in zip(d1.right_legs, d2.left_legs))
-    pairs, colors = _join(shift, _template([*zip(d1.pairs, d1.colors)], joined), d2)
+    pairs, colors = _join(shift, _template(d1.pairs, d1.colors, joined), d2)
     lefts, rights = [], []
     for a in range(d1.num_colors):
         r1, l2 = d1.right_legs[a], d2.left_legs[a]
@@ -178,14 +179,16 @@ def multiply(d1: BrokenPairPartition, d2: BrokenPairPartition) -> BrokenPairPart
     return BrokenPairPartition(d1.n + d2.n, d1.num_colors, pairs, colors, tuple(lefts), tuple(rights))
 
 
-def _template(tagged: list, right_legs: tuple[Legs, ...]) -> tuple[list, tuple[int, ...]]:
-    """A first factor's part of each product it heads, from its (pair,
-    color) items in any order and the right legs that join: one slot per
+def _template(
+    pairs: Sequence[tuple[int, int]], colors: Sequence[int], right_legs: tuple[Legs, ...]
+) -> tuple[list, tuple[int, ...]]:
+    """A first factor's part of each product it heads, from its pairs in
+    any order with their colors and the right legs that join: one slot per
     left point, in point order, with the slots' colors.  A pair (l, r) of
     color c is the slot (l, r, c, -1); right leg k + 1 of color a at point
     p is (p, 0, a, k), whose right point the second factor fills in."""
     slots = sorted(
-        [(l, r, c, -1) for (l, r), c in tagged]
+        [(l, r, c, -1) for (l, r), c in zip(pairs, colors)]
         + [(p, 0, a, k) for a, legs in enumerate(right_legs) for k, p in enumerate(legs)]
     )
     return slots, tuple([slot[2] for slot in slots])
@@ -206,17 +209,18 @@ def _join(shift: int, template: tuple[list, tuple[int, ...]], d2: BrokenPairPart
 def involution(d: BrokenPairPartition) -> BrokenPairPartition:
     """Mirror reflection: base order reversed, left and right legs swapped
     with their numbers kept."""
-    tagged, lefts, rights = _mirror(d)
-    return BrokenPairPartition(d.n, d.num_colors, *_sorted_pairs(tagged), lefts, rights)
+    pairs, legs = _mirror(d, d.left_legs + d.right_legs)
+    k = d.num_colors
+    return BrokenPairPartition(d.n, k, *_sorted_pairs(zip(pairs, d.colors)), legs[k:], legs[:k])
 
 
-def _mirror(d: BrokenPairPartition) -> tuple[list, tuple[Legs, ...], tuple[Legs, ...]]:
-    """d*'s (pair, color) items, unsorted, and its left and right legs."""
+def _mirror(d: BrokenPairPartition, sides: tuple[Legs, ...]) -> tuple[list, tuple[Legs, ...]]:
+    """d*'s pairs, unsorted and aligned with d.colors, and the given leg
+    tuples of d mirrored: d's left legs mirrored are d*'s right legs, and
+    its right legs d*'s left legs.  The one copy of the flip k -> n + 1 - k."""
     flip = d.n + 1
-    tagged = [((flip - r, flip - l), c) for (l, r), c in zip(d.pairs, d.colors)]
-    lefts = tuple(tuple([flip - p for p in legs]) for legs in d.right_legs)
-    rights = tuple(tuple([flip - p for p in legs]) for legs in d.left_legs)
-    return tagged, lefts, rights
+    pairs = [(flip - r, flip - l) for l, r in d.pairs]
+    return pairs, tuple([tuple([flip - p for p in legs]) for legs in sides])
 
 
 def evaluate_t_hat(
@@ -243,9 +247,11 @@ def gram_blocks(
     row per index holding the products with those columns); every other
     entry, a right-legged diagram's whole row and column included, is an
     exact 0.  A leg-free product goes straight to a colored pair partition:
-    a row's `_template` is built once, and each column only fills in its
-    seam partners and appends its shifted pairs.  t is called on the same
-    diagrams in the same row-major order as when every product is formed."""
+    a row's `_template` is built once, straight from `_mirror`'s pairs of
+    d_i and its left legs (d_i*'s right legs), and each column only fills
+    in its seam partners and appends its shifted pairs.  t is called on the
+    same diagrams in the same row-major order as when every product is
+    formed."""
     if not family:
         raise ValueError("family must be nonempty")
     if 2 * max(d.n for d in family) > MAX_PRODUCT_POINTS:
@@ -258,8 +264,8 @@ def gram_blocks(
     for d, key in zip(family, keys):
         if key is not None:
             columns, rows = blocks[key]
-            tagged, _, right_legs = _mirror(d)
-            template = _template(tagged, right_legs)
+            mirrored, right_legs = _mirror(d, d.left_legs)
+            template = _template(mirrored, d.colors, right_legs)
             row = []
             for j in columns:
                 pairs, colors = _join(d.n, template, family[j])

@@ -30,7 +30,9 @@ class FrozenValue:
     """Base of the package's immutable value classes.
 
     A subclass lists its attributes in `__slots__` and sets them through
-    `_assign` only; after that, assignment and deletion raise
+    `_assign` only, which calls the slots' own setters (the member
+    descriptors' `__set__`, kept per class in `_setters`) past the refusing
+    `__setattr__`; after that, assignment and deletion raise
     AttributeError.  The default `__init__` takes one value per slot, in
     order (a wrong count raises ValueError); a subclass that validates or
     fills memo slots writes its own.  The slots not named with a leading
@@ -43,18 +45,23 @@ class FrozenValue:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _setters: tuple = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def __init__(self, *values):
         self._assign(*values)
 
     def _assign(self, *values):
         """Set the slots, in order, to values; for use in __init__."""
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        setters = self._setters
+        if len(values) != len(setters):
+            raise ValueError(f"{self.__class__.__qualname__} takes {len(setters)} values, got {len(values)}")
+        for setter, value in zip(setters, values):
+            setter(self, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -94,8 +101,9 @@ class PairPartition(FrozenValue):
 
     @classmethod
     def of(cls, pairs: Iterable[Sequence[int]]) -> "PairPartition":
-        """Build from any iterable of 2-sequences, canonicalizing order."""
-        canon = tuple(sorted((min(p), max(p)) for p in pairs))
+        """Build from any iterable of pairs of two ints, canonicalizing
+        order; any other pair raises ValueError."""
+        canon = tuple(sorted(map(_ordered, pairs)))
         return cls(canon)
 
     @property
@@ -164,9 +172,9 @@ class ColoredPairPartition(FrozenValue):
 
     @classmethod
     def of(cls, pairs, colors, num_colors: int = 2) -> "ColoredPairPartition":
-        """Build from unsorted pairs; colors given in the order of `pairs`,
-        one per pair."""
-        tagged = (((min(p), max(p)), c) for p, c in zip(pairs, colors, strict=True))
+        """Build from unsorted pairs of two ints; colors given in the order
+        of `pairs`, one per pair."""
+        tagged = ((_ordered(p), c) for p, c in zip(pairs, colors, strict=True))
         canon, canon_colors = _sorted_pairs(tagged)
         return cls(PairPartition(canon), canon_colors, num_colors)
 
@@ -236,6 +244,18 @@ def _check_permutation(perm: Sequence[int]):
         raise ValueError("not a permutation of ints in one-line notation")
 
 
+def _ordered(pair) -> tuple[int, int]:
+    """The pair (l, r), l <= r, of two ints (not bools) in either order;
+    anything else, a triple or a lone int included, raises ValueError."""
+    try:
+        a, b = pair
+    except (TypeError, ValueError):
+        raise ValueError(f"each pair must be two integers, got {pair!r}") from None
+    if not (_is_int(a) and _is_int(b)):
+        raise ValueError(f"each pair must be two integers, got {pair!r}")
+    return (a, b) if a < b else (b, a)
+
+
 def _sorted_pairs(tagged: Iterable) -> tuple[tuple, tuple]:
     """(pairs, colors) of the (pair, color) items, sorted by left point."""
     return tuple(zip(*sorted(tagged))) or ((), ())
@@ -275,14 +295,12 @@ def pair_partition_from_json(obj) -> PairPartition:
     return PairPartition.of(_json_pairs(obj))
 
 
-def _json_pairs(obj) -> list[list[int]]:
-    """The "pairs" list of a JSON object: each pair two integers, not bools."""
+def _json_pairs(obj) -> list:
+    """The "pairs" list of a JSON object, each pair checked by `_ordered`
+    where it is read."""
     pairs = obj.get("pairs") if isinstance(obj, dict) else None
     if not isinstance(pairs, list):
         raise ValueError("a partition must be an object with a 'pairs' list")
-    for pair in pairs:
-        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
-            raise ValueError(f"each pair must be a list of two integers, got {pair!r}")
     return pairs
 
 
@@ -377,13 +395,24 @@ def crossings(
     v: PairPartition,
 ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """All ordered pairs of pairs ((l1,r1),(l2,r2)) with l1 < l2 < r1 < r2,
-    in lexicographic order, as combinations of the sorted pairs come."""
+    in lexicographic order: `_crossing_indices` read as pairs."""
+    pairs = v.pairs
+    return [(pairs[j], pairs[k]) for j, k in _crossing_indices(pairs)]
+
+
+def _crossing_indices(pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The crossings (j, k), j < k, l_j < l_k < r_j < r_k, of pairs sorted
+    by left point, in lexicographic order: the one crossing walk.  Pair j
+    meets no pair k from the first one with l_k > r_j on, so its scan stops
+    there."""
     out = []
-    for p1, p2 in itertools.combinations(v.pairs, 2):
-        l1, r1 = p1
-        l2, r2 = p2
-        if l1 < l2 < r1 < r2:
-            out.append((p1, p2))
+    for j, (_, r1) in enumerate(pairs):
+        for k in range(j + 1, len(pairs)):
+            l2, r2 = pairs[k]
+            if l2 > r1:
+                break
+            if r2 > r1:
+                out.append((j, k))
     return out
 
 

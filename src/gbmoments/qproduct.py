@@ -22,9 +22,9 @@ from .partitions import (
     ColoredPairPartition,
     FrozenValue,
     PairPartition,
+    _crossing_indices,
     _is_int,
     _walk_cycles,
-    crossings,
     read_scalar,
 )
 
@@ -78,20 +78,18 @@ class QMatrix(FrozenValue):
         return self.entries[i][j]
 
 
-def _crossing_index_pairs(v: PairPartition) -> list[tuple[int, int]]:
-    index = {pair: j for j, pair in enumerate(v.pairs)}
-    return [(index[p1], index[p2]) for p1, p2 in crossings(v)]
-
-
 def q_product_eval(
     ts: Sequence[UncoloredTFunction], q: QMatrix, p: ColoredPairPartition
 ) -> Scalar:
-    """Crossing product times the per-color component weights."""
+    """Crossing product times the per-color component weights: the
+    factors q[c(j), c(k)] in the order `_crossing_indices` walks the
+    crossings, then the classes' weights in color order."""
     if len(ts) != p.num_colors or q.size != p.num_colors:
         raise ValueError("need one component weight per color and a matching matrix")
     value: Scalar = Fraction(1)
-    for (j1, j2) in _crossing_index_pairs(p.base):
-        value *= q.at(p.colors[j1], p.colors[j2])
+    colors, rows = p.colors, q.entries
+    for j1, j2 in _crossing_indices(p.base.pairs):
+        value *= rows[colors[j1]][colors[j2]]
     for t, v in zip(ts, p.base.split(p.colors, p.num_colors)):
         value *= t(v)
     return value
@@ -149,7 +147,7 @@ def t_q_star_n(
     for _ in range(v.m):
         residues.append([res + (r,) for res in residues[-1] for r in range(k)
                          if res.count(r) < sizes[r]])
-    cross, rows = _crossing_index_pairs(v), q_base.entries
+    cross, rows = _crossing_indices(v.pairs), q_base.entries
     total: Scalar = Fraction(0)
     for ids, blocks in kernels:
         if not residues[blocks]:
@@ -190,7 +188,10 @@ def clt_error_bound(m: int, n: int) -> Fraction:
     colors, the law the limit averages over.  An injective coloring, of
     probability perm(n, m) / n^m, has one-pair classes of weight 1, so its
     term is the limit's term; any other term differs from the limit's by at
-    most 2, as |t| <= 1 and |q_ij| <= 1."""
+    most 2, as |t| <= 1 and |q_ij| <= 1.  ValueError unless m >= 0 and
+    n >= 1 are ints (not bools)."""
+    if not (_is_int(m) and _is_int(n) and m >= 0 and n >= 1):
+        raise ValueError(f"need integers m >= 0 and n >= 1, got m={m!r}, n={n!r}")
     return 2 * (1 - Fraction(math.perm(n, m), n**m))
 
 

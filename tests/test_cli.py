@@ -1,7 +1,9 @@
 import ast
+import copy
 import hashlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import gbmoments
-from gbmoments import broken, cli, fock, partitions, qproduct
+from gbmoments import broken, cli, cyclegraph, fock, moments, partitions, qproduct
 from gbmoments import words as W
 from gbmoments.cli import dispatch, fmt_scalar
 from fractions import Fraction
@@ -721,16 +723,23 @@ def test_no_assert_statements_in_src():
         assert not asserts, f"{path.name}: assert on lines {asserts}"
 
 
+def _value_classes(base):
+    """Every class below base, at any depth."""
+    return [cls for sub in base.__subclasses__() for cls in (sub, *_value_classes(sub))]
+
+
 def test_value_classes_share_one_path():
-    # FrozenValue alone defines equality and hashing, and its _assign alone
-    # sets slots past the refusing __setattr__
+    # FrozenValue alone defines equality and hashing, its _assign alone
+    # sets slots past the refusing __setattr__, and only FrozenValue reads
+    # the slot setters it keeps per class
     for path in Path(gbmoments.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
-        allowed = set()
+        allowed, inside = set(), set()
         for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
             methods = {f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)}
             if cls.name == "FrozenValue":
                 allowed = {id(node) for node in ast.walk(methods["_assign"])}
+                inside = {id(node) for node in ast.walk(cls)}
                 continue
             # `__hash__ = None` and the like count too
             names = set(methods) | {
@@ -747,6 +756,36 @@ def test_value_classes_share_one_path():
             and id(node) not in allowed
         ]
         assert not setattrs, f"{path.name}: object.__setattr__ on lines {setattrs}"
+        setters = [
+            node.lineno
+            for node in ast.walk(tree)
+            if "_setters" in (getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "value", None))
+            and id(node) not in inside
+        ]
+        assert not setters, f"{path.name}: _setters read outside FrozenValue on lines {setters}"
+    # every value class, through FrozenValue's setters: a wrong value count
+    # is refused before any slot is set, the right one sets each slot in
+    # order, and pickle and copy give an equal value
+    half = Fraction(1, 2)
+    p = partitions.ColoredPairPartition.of([(1, 3), (2, 4)], [1, 1])
+    form = broken.standard_form(p)
+    samples = [p.base, p, broken.embed(p), form, *form.factors, qproduct.QMatrix.constant(2, half),
+               moments.ThomaParameter(alpha=(half,), beta=(half,)), cyclegraph.profile(p),
+               cyclegraph.build_graph(p)]
+    classes = _value_classes(partitions.FrozenValue)
+    assert sorted(type(x).__name__ for x in samples) == sorted(cls.__name__ for cls in classes)
+    for x in samples:
+        cls, slots = type(x), type(x).__slots__
+        for count in (len(slots) - 1, len(slots) + 1):
+            bare = cls.__new__(cls)
+            with pytest.raises(ValueError, match="values"):
+                bare._assign(*[None] * count)
+            assert not any(hasattr(bare, name) for name in slots)
+        bare = cls.__new__(cls)
+        bare._assign(*[getattr(x, name) for name in slots])
+        assert [getattr(bare, name) for name in slots] == [getattr(x, name) for name in slots]
+        for twin in (bare, pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert type(twin) is cls and twin == x and hash(twin) == hash(x)
 
 
 def test_cli_imports_without_numpy():

@@ -11,6 +11,7 @@ from gbmoments.partitions import (
     CapacityError,
     ColoredPairPartition,
     PairPartition,
+    _crossing_indices,
     crossings,
     double_factorial,
     enumerate_colored,
@@ -41,6 +42,15 @@ def brute_force_crossings(v):
             if p1[0] < p2[0] < p1[1] < p2[1]:
                 out.append((p1, p2))
     return sorted(out)
+
+
+def brute_force_crossing_indices(v):
+    """Every (j, k) with pair j crossing pair k from the left, every
+    ordered pair of indices compared, sorted."""
+    return sorted(
+        (j, k) for j, (l1, r1) in enumerate(v.pairs) for k, (l2, r2) in enumerate(v.pairs)
+        if l1 < l2 < r1 < r2
+    )
 
 
 @st.composite
@@ -220,6 +230,15 @@ def test_crossings_examples():
     v = PairPartition.of([(1, 4), (2, 5), (3, 6)])
     assert len(crossings(v)) == 3
     assert crossings(v) == brute_force_crossings(v)
+    assert _crossing_indices(v.pairs) == [(0, 1), (0, 2), (1, 2)]
+    # the walk's index form, and crossings as its view, at every partition
+    # with m <= 6: a scan that stops before the first pair opening past r_j
+    # misses a crossing, and one that goes on finds none more
+    for m in range(7):
+        for v in enumerate_pair_partitions(m):
+            indices = brute_force_crossing_indices(v)
+            assert _crossing_indices(v.pairs) == indices
+            assert crossings(v) == brute_force_crossings(v) == [(v.pairs[j], v.pairs[k]) for j, k in indices]
 
 
 def test_noncrossing_hat_examples():
@@ -338,6 +357,38 @@ def test_split_refuses_ids_out_of_range(ids, count):
     v = PairPartition(((1, 3), (2, 4)))
     with pytest.raises(ValueError):
         v.split(ids, count)
+
+
+BAD_PAIRS = [
+    [(1, 2, 2), (3, 4)],
+    [(1,), (2, 3, 4)],
+    [(1, 2), (3,)],
+    [(1, 2), 3],
+    [(1, 2), ()],
+    [(1, True), (2, 3)],
+    [(1, 2.0), (3, 4)],
+    [("1", "2"), (3, 4)],
+    ["12", (3, 4)],
+    [(1, None), (3, 4)],
+]
+
+
+@pytest.mark.parametrize("pairs", BAD_PAIRS)
+def test_of_refuses_pairs_that_are_not_two_ints(pairs):
+    # before, min/max collapsed a triple to its ends: ((1, 2), (3, 4))
+    with pytest.raises(ValueError, match="two integers"):
+        PairPartition.of(pairs)
+    with pytest.raises(ValueError, match="two integers"):
+        ColoredPairPartition.of(pairs, [0] * len(pairs))
+
+
+def test_of_takes_pairs_of_two_ints_in_either_order():
+    v = PairPartition(((1, 4), (2, 3)))
+    assert PairPartition.of([[4, 1], (2, 3)]) == PairPartition.of(iter([(3, 2), [1, 4]])) == v
+    assert ColoredPairPartition.of([[3, 2], (4, 1)], [1, 0]) == ColoredPairPartition(v, (0, 1))
+    # a pair of one point twice is two ints, which the layout check refuses
+    with pytest.raises(ValueError, match="bad pair"):
+        PairPartition.of([(1, 1), (2, 3)])
 
 
 def test_split_of_no_pairs_has_the_classes_asked_for():

@@ -62,6 +62,53 @@ def test_q_product_examples():
     assert q_product_eval([ones, ones], q, p) == Fraction(1, 3)
 
 
+def _crossing_product_reference(q, p, class_weights):
+    """q.at over the crossings as `crossings` lists them, in that order,
+    then the class weights in color order."""
+    index = {pair: j for j, pair in enumerate(p.base.pairs)}
+    value = Fraction(1)
+    for p1, p2 in crossings(p.base):
+        value *= q.at(p.colors[index[p1]], p.colors[index[p2]])
+    for weight in class_weights:
+        value *= weight
+    return value
+
+
+def _bits(x):
+    return (type(x), x.hex() if isinstance(x, float) else x)
+
+
+def test_q_product_multiplies_the_crossing_walk_in_order():
+    # every two-colored partition with m <= 5 and seeded three-colored ones
+    # with m <= 7, under a rational matrix with distinct entries and a float
+    # one whose products must agree to the bit: the crossings are checked
+    # against every pair of pairs compared, and q_product_eval against the
+    # factors multiplied in crossing order, then the class weights
+    rng = random.Random(28)
+    matrices = {
+        2: (QMatrix.of([["1/2", "-1/3"], ["-1/3", "3/7"]]), QMatrix.of([[0.9, -0.35], [-0.35, 0.55]])),
+        3: (QMatrix.of([["1/2", "-1/3", "2/5"], ["-1/3", "3/7", "-5/6"], ["2/5", "-5/6", "1/9"]]),
+            QMatrix.of([[0.9, -0.35, 0.2], [-0.35, 0.5, 0.75], [0.2, 0.75, -0.6]])),
+    }
+    cases = [p for m in range(6) for p in enumerate_colored(m, 2)]
+    for _ in range(1500):
+        m = rng.randrange(8)
+        points = rng.sample(range(1, 2 * m + 1), 2 * m)
+        cases.append(ColoredPairPartition.of(zip(points[::2], points[1::2]), [rng.randrange(3) for _ in range(m)], 3))
+    weights = [tn_uncolored_handle(3), tn_uncolored_handle(-2), t_free]
+    for p in cases:
+        pairs = p.base.pairs
+        assert crossings(p.base) == sorted(
+            (a, b) for a in pairs for b in pairs if a[0] < b[0] < a[1] < b[1]
+        )
+        ts = weights[: p.num_colors]
+        # classes by the re-sorting relabel
+        class_weights = [t(reference.color_class(p, color)) for color, t in enumerate(ts)]
+        for q in matrices[p.num_colors]:
+            expected = _crossing_product_reference(q, p, class_weights)
+            assert _bits(q_product_eval(ts, q, p)) == _bits(expected), p
+
+
 def test_q_product_all_ones_is_tensor():
     q1 = QMatrix.constant(2, 1)
     comp = tn_uncolored_handle(2)
@@ -146,6 +193,23 @@ def test_clt_error_within_collision_bound():
             if bound:
                 ratio = max(ratio, error / bound)
     assert 0 < ratio < 1
+
+
+@pytest.mark.parametrize(
+    "m, n", [(2, 0), (2, -1), (-1, 3), (True, 3), (2, True), (2.0, 3), (2, 3.0), ("2", 3), (None, 3)]
+)
+def test_clt_error_bound_refuses_what_is_no_size(m, n):
+    # before, n = 0 raised ZeroDivisionError and m = -1 math's own error
+    with pytest.raises(ValueError, match="integers"):
+        clt_error_bound(m, n)
+
+
+def test_clt_error_bound_edges():
+    # no pair, or one color for one pair, is always injective; one color for
+    # two pairs never is; perm(2, 3) = 0
+    assert clt_error_bound(0, 1) == clt_error_bound(1, 1) == 0
+    assert clt_error_bound(2, 1) == clt_error_bound(3, 2) == 2
+    assert clt_error_bound(2, 4) == 2 * (1 - Fraction(12, 16))
 
 
 def test_clt_mixed_matrix_monotone():
