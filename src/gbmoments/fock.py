@@ -4,19 +4,23 @@ The dense oracle realizes the symmetrized Fock-like space explicitly at the
 rectangular parameter alpha_i = 1/N (N in {2,3}).  A basis key holds the
 two equal-length value tuples of the underlying bi-invariant space together
 with the per-color tensor words; read per color, a key is a row of
-(value, index) columns followed by an unbound tail of values.  A
+(value, index) columns followed by an unbound tail of values, and an orbit
+stores each column as the int index * COLUMN_BASE + value.  A
 symmetrized vector is constant on each orbit of keys under the per-color
 symmetric groups, which permute the columns and fix the tails, so a
 `State` keeps one integer total per orbit (the amplitude sum of its keys)
 and one exact scale; on totals the symmetrization projector, which spreads
 a total evenly over the orbit's keys, is the identity.  An operator adds
 each orbit's total, weighed, to its image orbits; no key is ever listed.
+A state built by an operator carries its word lengths, so the next one
+reads its level without a scan.
 The lambda oracle propagates single "elementary" states through the
-canonical word of a colored pair partition in one depth-first walk, right
-to left, that branches over the value of each dominant creator and drops a
-branch at the first dominant annihilator whose values disagree.  It reads
-dominance off the word's levels alone, not from `cyclegraph`; the word
-fixes the scale, and an assignment only decides whether the state survives.
+canonical word of a colored pair partition in one depth-first walk over an
+explicit stack, right to left, that branches over the value of each
+dominant creator and drops a branch at the first dominant annihilator whose
+values disagree.  It reads dominance off the word's levels alone, not from
+`cyclegraph`; the word fixes the scale, and an assignment only decides
+whether the state survives.
 Negative N is covered by the purely combinatorial weight sum together with
 the exclusion, commutation, and finite-padding identities.  That sum is
 the loop sum rho_N(w) = N^-P(w) sum over the compatible matchings M of
@@ -36,20 +40,22 @@ from math import lcm
 
 from . import words as W
 from .cyclegraph import BarFrame, bar_frame
-from .partitions import CapacityError, ColoredPairPartition
+from .partitions import CapacityError, ColoredPairPartition, _is_int
 
 DENSE_MAX_LEVEL = 4
 DENSE_MAX_N = 3
 LAMBDA_MAX_LEVEL = 5
 # open paths, summed over the states of one point, that the loop scan may hold
 SCAN_MAX_PATHS = 200_000
+# a column is the int index * COLUMN_BASE + value; values stay below the base
+COLUMN_BASE = DENSE_MAX_N + 1
 
 # key: (x, y, word_minus, word_plus); len(x) == len(y) == max(word lengths)
 StateKey = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 # orbit of keys: (sorted minus columns, x tail, sorted plus columns, y tail),
 # a column being a (value, index) pair of zip(x, word_minus) or zip(y, word_plus)
-Column = tuple[int, int]
-Orbit = tuple[tuple[Column, ...], tuple[int, ...], tuple[Column, ...], tuple[int, ...]]
+# encoded as index * COLUMN_BASE + value, so the columns of one index are a run
+Orbit = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 VACUUM: Orbit = ((), (), (), ())
 
@@ -59,22 +65,30 @@ class State:
     is the integer total of the orbit's keys, each of which carries the
     exact amplitude num / den * amps[orbit] / |orbit|.  Operators do integer
     work per orbit and fold their factors into num / den, which becomes a
-    Fraction only when read; len() is the number of orbits.  No oracle reads
-    a single key, so the per-key view (every key with its amplitude) is
-    left to the tests' reference `expand`."""
+    Fraction only when read; len() is the number of orbits.  `levels` is
+    the word lengths (n_0, n_1) that every orbit shares, carried by the
+    states `apply_letter` builds; a state built by hand leaves it None, and
+    its orbits are scanned.  No oracle reads a single key, so the per-key
+    view (every key with its amplitude) is left to the tests' reference
+    `expand`."""
 
-    __slots__ = ("num", "den", "amps")
+    __slots__ = ("num", "den", "amps", "levels")
 
-    def __init__(self, num: int, den: int, amps: dict[Orbit, int]):
+    def __init__(self, num: int, den: int, amps: dict[Orbit, int], levels: tuple[int, int] | None = None):
         self.num = num
         self.den = den
         self.amps = amps
+        self.levels = levels
 
     def __len__(self) -> int:
         return len(self.amps)
 
 
 def check_dense_params(n: int):
+    """ValueError unless N is an int >= 2 (not a bool); CapacityError above
+    `DENSE_MAX_N`."""
+    if not _is_int(n):
+        raise ValueError(f"N must be an int, got {n!r}")
     if n < 2:
         raise ValueError("the Fock-space oracles require N >= 2 (signed case unsupported)")
     if n > DENSE_MAX_N:
@@ -82,7 +96,7 @@ def check_dense_params(n: int):
 
 
 def vacuum_state() -> State:
-    return State(1, 1, {VACUUM: 1})
+    return State(1, 1, {VACUUM: 1}, (0, 0))
 
 
 def sym_project(raw: dict[StateKey, int | Fraction]) -> State:
@@ -92,7 +106,8 @@ def sym_project(raw: dict[StateKey, int | Fraction]) -> State:
     zip(y[:n+], w+), and the tails x[n-:], y[n+:] stay fixed.  P(v) spreads
     each orbit's amplitude sum evenly over its keys, so as a State it is the
     nonzero orbit sums.  Raises ValueError for a key whose value tuple is
-    shorter than its word."""
+    shorter than its word, or whose column value lies outside
+    0..COLUMN_BASE - 1, where its column would not decode."""
     common = lcm(*(Fraction(amp).denominator for amp in raw.values()))
     totals: dict[Orbit, int] = defaultdict(int)
     for key, amp in raw.items():
@@ -100,77 +115,104 @@ def sym_project(raw: dict[StateKey, int | Fraction]) -> State:
         nm, np_ = len(wm), len(wp)
         if len(x) < nm or len(y) < np_:
             raise ValueError(f"value tuples of {key} are shorter than its words")
-        orbit = (tuple(sorted(zip(x, wm))), x[nm:], tuple(sorted(zip(y, wp))), y[np_:])
+        if not all(0 <= v < COLUMN_BASE for v in x[:nm] + y[:np_]):
+            raise ValueError(f"column values of {key} must lie in 0..{COLUMN_BASE - 1}")
+        orbit = (_columns(x, wm), x[nm:], _columns(y, wp), y[np_:])
         totals[orbit] += int(amp * common)
     return State(1, common, {orbit: total for orbit, total in totals.items() if total})
 
 
+def _columns(values: tuple[int, ...], word: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(i * COLUMN_BASE + v for v, i in zip(values, word)))
+
+
 def apply_letter(state: State, letter: W.Letter, n: int) -> State:
     """One creation or annihilation operator on a symmetrized state, exactly,
-    one orbit total at a time; per color b an orbit is its sorted columns,
-    its tail, and the other color's columns and tail.  The orbits of a state
-    reached from the vacuum share their word lengths n_b and n_other, so the
-    level, the branch and the scale are settled once per letter (ValueError
-    for a state whose orbits do not share them).
+    one orbit total at a time; color b's columns and tail are the orbit
+    slots 2b and 2b + 1, the other color's the remaining two.  The orbits
+    of a state share their word lengths n_b and n_other, so the level, the
+    branch and the scale are settled once per letter, from the levels the
+    state carries or, for a hand-built one, from a scan of its orbits
+    (ValueError for a state whose orbits do not share them).
 
-    A creator of index i appends the column (z, i) to each key, for every z
-    in 1..N when dominant (n_b >= n_other: both value tuples grow by z) and
-    with z the first tail value otherwise; each image orbit gains the total,
-    and the scale the factor n_b + 1.  An annihilator of index i removes the
-    last column c = (v, i) from the keys that end in it, a share
-    mult(c) / n_b of the orbit.  Subordinate (n_b <= n_other), v becomes the
-    first tail value; dominant, v must equal the other tail's last value,
-    which leaves with it, and the amplitude is divided by N.  The scale is
+    A creator of index i inserts the column (z, i) into each key, for every
+    z in 1..N when dominant (n_b >= n_other: both value tuples grow by z)
+    and with z the first tail value otherwise; each image orbit gains the
+    total, and the scale the factor n_b + 1.  An annihilator of index i
+    removes the last column c = (v, i) from the keys that end in it, a
+    share mult(c) / n_b of the orbit; the columns of index i are a run of
+    the sorted columns.  Subordinate (n_b <= n_other), v becomes the first
+    tail value; dominant, v must equal the other tail's last value, which
+    leaves with it, and the amplitude is divided by N.  The scale is
     divided by N * n_b and a subordinate image multiplied by N, to stay on
     integers."""
-    b, i = letter.b, letter.i
-    levels = {(len(orbit[2 * b]), len(orbit[2 - 2 * b])) for orbit in state.amps}
-    if len(levels) > 1:
-        raise ValueError("the orbits of a state must share their word lengths")
-    nb, nother = next(iter(levels), (0, 0))
+    b, i, kind = letter
+    levels = state.levels
+    if levels is None:
+        levels = _scanned_levels(state)
+    nb, nother = levels[b], levels[1 - b]
+    own, other = 2 * b, 2 - 2 * b
+    key = i * COLUMN_BASE
     num, den = state.num, state.den
     totals: dict[Orbit, int] = defaultdict(int)
-    if letter.k == W.CREATE:
+    if kind == W.CREATE:
         if max(nb + 1, nother) > DENSE_MAX_LEVEL:
             raise CapacityError(f"word drives a level above {DENSE_MAX_LEVEL}")
         num *= nb + 1
         for orbit, total in state.amps.items():
-            cols, tail, other, other_tail = _from_color(b, orbit)
+            cols, tail, other_cols, other_tail = orbit[own], orbit[own + 1], orbit[other], orbit[other + 1]
             if nb >= nother:
                 for z in range(1, n + 1):
-                    totals[_from_color(b, (_inserted(cols, (z, i)), tail, other, other_tail + (z,)))] += total
+                    new, grown = _inserted(cols, key + z), other_tail + (z,)
+                    totals[(new, tail, other_cols, grown) if b == 0 else (other_cols, grown, new, tail)] += total
             else:
-                totals[_from_color(b, (_inserted(cols, (tail[0], i)), tail[1:], other, other_tail))] += total
+                new, rest = _inserted(cols, key + tail[0]), tail[1:]
+                totals[(new, rest, other_cols, other_tail) if b == 0 else (other_cols, other_tail, new, rest)] += total
+        nb += 1
     elif nb:
         # adjoint of creation: on an already-symmetrized state only the
         # last word factor is removed; the k-sum of the textbook formula
         # is recovered by the surrounding symmetrization average
         den *= n * nb
         for orbit, total in state.amps.items():
-            cols, tail, other, other_tail = _from_color(b, orbit)
-            for j, column in enumerate(cols):
-                if column[1] != i or (j and cols[j - 1] == column):
+            cols, tail, other_cols, other_tail = orbit[own], orbit[own + 1], orbit[other], orbit[other + 1]
+            if nb > nother:
+                # only the column whose value is the other tail's last can go
+                column = key + other_tail[-1]
+                j = bisect_left(cols, column)
+                if j == nb or cols[j] != column:
                     continue
-                rest = cols[:j] + cols[j + 1:]
-                if nb <= nother:
-                    image = (rest, (column[0],) + tail, other, other_tail)
-                    weight = total * cols.count(column) * n
-                elif column[0] == other_tail[-1]:
-                    image = (rest, tail, other, other_tail[:-1])
-                    weight = total * cols.count(column)
-                else:
-                    continue
-                totals[_from_color(b, image)] += weight
-    # orbits of opposite totals can cancel, and the projector drops them
-    return State(num, den, {orbit: total for orbit, total in totals.items() if total})
+                mult = bisect_right(cols, column, j) - j
+                rest, shrunk = cols[:j] + cols[j + 1:], other_tail[:-1]
+                totals[(rest, tail, other_cols, shrunk) if b == 0 else (other_cols, shrunk, rest, tail)] += total * mult
+                continue
+            j, stop = bisect_left(cols, key), bisect_left(cols, key + COLUMN_BASE)
+            while j < stop:
+                column = cols[j]
+                mult = bisect_right(cols, column, j, stop) - j
+                rest, freed = cols[:j] + cols[j + 1:], (column - key,) + tail
+                totals[(rest, freed, other_cols, other_tail) if b == 0 else (other_cols, other_tail, rest, freed)] += (
+                    total * mult * n
+                )
+                j += mult
+        nb -= 1
+    amps = dict(totals)
+    if 0 in amps.values():
+        # orbits of opposite totals cancelled, and the projector drops them
+        amps = {orbit: total for orbit, total in amps.items() if total}
+    return State(num, den, amps, (nb, nother) if b == 0 else (nother, nb))
 
 
-def _from_color(b: int, orbit: Orbit) -> Orbit:
-    """The orbit with color b's columns and tail first; its own inverse."""
-    return orbit if b == 0 else (orbit[2], orbit[3], orbit[0], orbit[1])
+def _scanned_levels(state: State) -> tuple[int, int]:
+    """The word lengths (n_0, n_1) of a hand-built state's orbits, (0, 0)
+    for no orbit; ValueError when they differ."""
+    levels = {(len(orbit[0]), len(orbit[2])) for orbit in state.amps}
+    if len(levels) > 1:
+        raise ValueError("the orbits of a state must share their word lengths")
+    return next(iter(levels), (0, 0))
 
 
-def _inserted(columns: tuple[Column, ...], column: Column) -> tuple[Column, ...]:
+def _inserted(columns: tuple[int, ...], column: int) -> tuple[int, ...]:
     k = bisect(columns, column)
     return columns[:k] + (column,) + columns[k:]
 
@@ -211,57 +253,71 @@ def vacuum_expectation_lambda(p: ColoredPairPartition, n: int) -> Fraction:
 def _surviving_scales(word: W.Word, n: int) -> list[tuple[int, int]]:
     """Elementary-state propagation right to left through the word, for
     every value assignment to the dominant creators in one depth-first
-    walk: a branch splits at a dominant creator, one branch per value, and
-    ends at the first dominant annihilator whose values disagree, so
-    assignments share the walk of their common prefix.
+    walk over an explicit stack: a branch splits at a dominant creator, one
+    branch per value, and ends at the first dominant annihilator whose
+    values disagree, so assignments share the walk of their common prefix.
 
-    A branch's state is a scale factor, one value tuple per color (both of
-    length max(level_0, level_1)), and one index word per color; word
-    positions 1..level_b bind to the same positions of color b's tuple,
-    positions above level_b are its unbound tail.  Returns the scale
+    A state is a scale factor, one value tuple per color (both of length
+    max(level_0, level_1)), and one index word per color; word positions
+    1..level_b bind to the same positions of color b's tuple, positions
+    above level_b are its unbound tail.  The index words do not depend on
+    the values, so one pass over the word reads, per letter, its color b,
+    the level n_b before it, whether it is dominant and, for an
+    annihilator, the position of its index in color b's word; a branch
+    carries only its scale and its value tuples.  Returns the scale
     (numerator, denominator) of every surviving branch."""
+    steps: list[tuple[int, int, bool, int | None]] = []
+    words: tuple[list[int], list[int]] = ([], [])
+    for let in reversed(word):
+        b = let.b
+        nb, nother = len(words[b]), len(words[1 - b])
+        if let.k == W.CREATE:
+            if max(nb + 1, nother) > LAMBDA_MAX_LEVEL:
+                raise CapacityError(f"word drives a level above {LAMBDA_MAX_LEVEL}")
+            words[b].append(let.i)
+            steps.append((b, nb, nb >= nother, None))
+        else:
+            pos = words[b].index(let.i)
+            del words[b][pos]
+            steps.append((b, nb, nb > nother, pos))
+    if words[0] or words[1]:
+        raise RuntimeError("the word must return to the vacuum")
     found: list[tuple[int, int]] = []
-    letters = [(let.b, let.i, let.k == W.CREATE) for let in word]
-
-    def walk(k: int, tuples: list[list[int]], words: list[list[int]], num: int, den: int):
-        while k:
-            b, i, creator = letters[k - 1]
-            nb, nother = len(words[b]), len(words[1 - b])
-            if creator:
-                if max(nb + 1, nother) > LAMBDA_MAX_LEVEL:
-                    raise CapacityError(f"word drives a level above {LAMBDA_MAX_LEVEL}")
+    # each entry: steps taken, value tuples of colors 0 and 1, scale
+    stack = [(0, [], [], 1, 1)]
+    while stack:
+        k, x, y, num, den = stack.pop()
+        tuples = (x, y)
+        while k < len(steps):
+            b, nb, dominant, pos = steps[k]
+            k += 1
+            if pos is None:
                 num *= nb + 1
-                words[b].append(i)
-                k -= 1
-                if nb >= nother:
-                    # values 1..N-1 branch off; this walk goes on with N
+                if dominant:
+                    # values 1..N-1 branch off; this branch goes on with N
                     for z in range(1, n):
-                        walk(k, [tuples[0] + [z], tuples[1] + [z]], [words[0][:], words[1][:]], num, den)
-                    tuples[0].append(n)
-                    tuples[1].append(n)
+                        stack.append((k, x + [z], y + [z], num, den))
+                    x.append(n)
+                    y.append(n)
+                continue
+            bound_value = tuples[b][pos]
+            if dominant:
+                # level drops, the weak side's top tail entry must match
+                # the value bound to this index
+                if tuples[1 - b][-1] != bound_value:
+                    break
+                den *= n * nb
+                del tuples[b][pos]
+                del tuples[1 - b][-1]
             else:
-                pos = words[b].index(i)
-                bound_value = tuples[b][pos]
-                if nb > nother:
-                    # dominant: level drops, the weak side's top tail entry
-                    # must match the value bound to this index
-                    if tuples[1 - b][-1] != bound_value:
-                        return
-                    den *= n * nb
-                    del tuples[b][pos]
-                    del tuples[1 - b][-1]
-                else:
-                    # subordinate: freed value becomes the bottom of b's tail
-                    den *= nb
-                    del tuples[b][pos]
-                    tuples[b].insert(nb - 1, bound_value)
-                del words[b][pos]
-                k -= 1
-        if words[0] or words[1] or tuples[0] or tuples[1]:
-            raise RuntimeError("the word must return to the vacuum")
-        found.append((num, den))
-
-    walk(len(word), [[], []], [[], []], 1, 1)
+                # freed value becomes the bottom of b's tail
+                den *= nb
+                del tuples[b][pos]
+                tuples[b].insert(nb - 1, bound_value)
+        else:
+            if x or y:
+                raise RuntimeError("the word must return to the vacuum")
+            found.append((num, den))
     return found
 
 
@@ -305,7 +361,10 @@ def _loop_sum(w: W.Word, n: int) -> Fraction:
     end`, sorted; so the ends that carry one label are a run found by
     bisection, and a state hashes as a tuple of ints.  Raises
     CapacityError once the states being built hold more than
-    `SCAN_MAX_PATHS` paths in all, before the next letter is read."""
+    `SCAN_MAX_PATHS` paths in all, before the next letter is read.  N must
+    be a nonzero int (not a bool), else ValueError."""
+    if not _is_int(n):
+        raise ValueError(f"N must be an int, got {n!r}")
     if n == 0:
         raise ValueError("N must be nonzero")
     if not W.compatible_count(w):

@@ -132,7 +132,10 @@ def t_q_star_n(
     once its crossings' class pairs (a, b) and class weights; a term is the
     product of q_base[res[a], res[b]] and them, in q_product_eval's order.
     A kernel with a class of weight 0 has only zero terms, so it is skipped.
+    ValueError unless n >= 1 is an int (not a bool).
     """
+    if not _is_int(n):
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 1 or q_base.size < 1:
         raise ValueError("n and the matrix size must be positive")
     if v.m > MAX_ENUM_PAIRS:

@@ -28,7 +28,8 @@ verdict must be those of the fraction-free `gbmoments.qproduct._pivots`; and
 `gbmoments.qproduct.t_q_star_n` must agree with.
 The dense oracle's references work on vectors given per basis key, with
 one exact amplitude each: `expand` lists every key of each orbit of a
-`gbmoments.fock.State`, counting each orbit's size from the column
+`gbmoments.fock.State`, decoding each int column into its (value,
+index) pair with `divmod`, counting each orbit's size from the column
 orderings it lists and asserting the orbit invariants, so it reads no
 code of the oracle under test; `apply_letter` is the per-key operator
 that `gbmoments.fock.apply_letter` applies a whole orbit at a time (every key
@@ -56,7 +57,7 @@ from gbmoments.broken import (
 )
 from gbmoments import words as W
 from gbmoments.cyclegraph import ColorProfile, CycleGraphAnalysis
-from gbmoments.fock import DENSE_MAX_LEVEL, LAMBDA_MAX_LEVEL, State, StateKey
+from gbmoments.fock import COLUMN_BASE, DENSE_MAX_LEVEL, LAMBDA_MAX_LEVEL, State, StateKey
 from gbmoments.partitions import (
     CapacityError,
     ColorArityError,
@@ -440,9 +441,11 @@ def expand(state: State, from_vacuum: bool = True) -> dict[StateKey, Fraction]:
     of arbitrary keys need not."""
     out: dict[StateKey, Fraction] = {}
     for orbit, total in state.amps.items():
-        minus, x_tail, plus, y_tail = orbit
         assert type(total) is int and total, f"{orbit} has total {total!r}"
-        assert list(minus) == sorted(minus) and list(plus) == sorted(plus), f"{orbit} has unsorted columns"
+        assert all(list(cols) == sorted(cols) for cols in orbit[::2]), f"{orbit} has unsorted columns"
+        # a column is the int index * COLUMN_BASE + value
+        minus, plus = ([divmod(column, COLUMN_BASE)[::-1] for column in cols] for cols in orbit[::2])
+        x_tail, y_tail = orbit[1::2]
         if from_vacuum:
             level = max(len(minus), len(plus))
             assert len(minus) + len(x_tail) == len(plus) + len(y_tail) == level, f"{orbit} is off its level"

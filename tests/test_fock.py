@@ -16,6 +16,7 @@ import kernel_reference as reference
 from gbmoments import fock
 from gbmoments import words as W
 from gbmoments.fock import (
+    COLUMN_BASE,
     DENSE_MAX_LEVEL,
     State,
     apply_letter,
@@ -197,6 +198,25 @@ def test_dense_oracle_guards():
         vacuum_expectation_dense(deep, 2)
 
 
+@pytest.mark.parametrize("n", [2.0, 3.0, -2.0, True, False, Fraction(2), "2", None])
+def test_oracles_refuse_n_that_is_no_int(monkeypatch, n):
+    # before, 2.0 raised TypeError from range or from the scan, and True
+    # was read as N = 1; now each refuses before any work
+    for name in ("apply_word", "_surviving_scales", "word_frame"):
+        monkeypatch.setattr(fock, name, lambda *args: pytest.fail("worked on a non-int N"))
+    w = W.word([W.annihilate(0, 1), W.create(0, 1)])
+    p = ColoredPairPartition.of([(1, 2)], [0])
+    for call in (
+        lambda: fock.check_dense_params(n),
+        lambda: vacuum_expectation_dense(w, n),
+        lambda: vacuum_expectation_lambda(p, n),
+        lambda: rho_n_combinatorial(w, n),
+        lambda: commutation_check((), (), 1, 1, n),
+    ):
+        with pytest.raises(ValueError, match="N must be an int"):
+            call()
+
+
 def test_dense_oracle_vanishes_before_the_level_guard():
     # the color-1 annihilator kills the vacuum first: no partition is
     # compatible, so the oracle's 0 stands although five creators follow
@@ -226,9 +246,14 @@ def test_dense_oracle_refuses_the_level_before_building_it(monkeypatch):
     assert max(map(len, built)) == DENSE_MAX_LEVEL
 
 
+def column(value, index):
+    """An orbit column, the int that encodes (value, index)."""
+    return index * COLUMN_BASE + value
+
+
 def test_apply_letter_drops_orbits_that_cancel():
     # both orbits lose their column to the same image, with opposite totals
-    state = State(1, 1, {(((1, 1),), (), (), (1,)): 1, (((2, 1),), (), (), (2,)): -1})
+    state = State(1, 1, {((column(1, 1),), (), (), (1,)): 1, ((column(2, 1),), (), (), (2,)): -1})
     reference.expand(state)
     after = apply_letter(state, W.annihilate(0, 1), 2)
     assert len(after) == 0
@@ -238,13 +263,13 @@ def test_apply_letter_drops_orbits_that_cancel():
 def test_apply_letter_refuses_mixed_word_lengths():
     # only a hand-built state can mix word lengths; the check raises, so
     # python -O keeps it
-    mixed = State(1, 1, {(((1, 1),), (), (), (1,)): 1, ((), (), (), ()): 1})
+    mixed = State(1, 1, {((column(1, 1),), (), (), (1,)): 1, ((), (), (), ()): 1})
     for letter in (W.create(0, 1), W.annihilate(0, 1), W.annihilate(1, 1)):
         with pytest.raises(ValueError, match="word lengths"):
             apply_letter(mixed, letter, 2)
     script = """
 from gbmoments import fock, words as W
-mixed = fock.State(1, 1, {(((1, 1),), (), (), (1,)): 1, ((), (), (), ()): 1})
+mixed = fock.State(1, 1, {((1 * fock.COLUMN_BASE + 1,), (), (), (1,)): 1, ((), (), (), ()): 1})
 try:
     fock.apply_letter(mixed, W.create(1, 1), 2)
 except ValueError as exc:
@@ -288,6 +313,42 @@ def test_dense_matches_combinatorial_on_general_words():
     for _ in range(40):
         w = tuple(rng.choice(letters) for _ in range(rng.randrange(7)))
         assert vacuum_expectation_dense(w, 2) == rho_n_combinatorial(w, 2)
+
+
+@st.composite
+def built_words(draw):
+    """A word of at most 4 pairs in two colors on indices 1 and 2, so that
+    an orbit can hold one column twice: the left point of each pair of a
+    random pair partition is an annihilator, its right point the creator of
+    the same color and index.  Its generating partition is compatible with
+    it, and every t_N with N >= 2 is positive, so its moment is nonzero."""
+    m = draw(st.integers(0, 4))
+    points = draw(st.permutations(range(2 * m)))
+    letters = [None] * (2 * m)
+    for j in range(m):
+        l, r = sorted(points[2 * j : 2 * j + 2])
+        b, i = draw(st.integers(0, 1)), draw(st.integers(1, 2))
+        letters[l], letters[r] = W.annihilate(b, i), W.create(b, i)
+    return tuple(letters)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(built_words(), min_size=3, max_size=6), st.randoms(use_true_random=False))
+def test_dense_matches_combinatorial_on_balanced_words(words, rng):
+    # random letters mostly make words that both sides send to 0; here all
+    # but one word are built from a partition, and the last is a shuffle of
+    # one of them, which may vanish, so most cases compare nonzero values
+    shuffled = list(rng.choice(words))
+    rng.shuffle(shuffled)
+    cases = nonzero = 0
+    for k, w in enumerate(words + [tuple(shuffled)]):
+        for n in (2, 3):
+            value = vacuum_expectation_dense(w, n)
+            assert value == rho_n_combinatorial(w, n), (w, n)
+            assert value or k == len(words), (w, n)
+            cases += 1
+            nonzero += value != 0
+    assert 2 * nonzero > cases
 
 
 def test_lambda_oracle_examples(twelve_point):
@@ -423,6 +484,47 @@ def test_intermediate_states_stay_valid():
         assert len(reference.expand(state)) >= len(state) > 0
 
 
+def test_dense_oracle_applies_each_letter_through_the_module(monkeypatch):
+    # the traced run wraps fock.apply_letter in the module and reads len()
+    # of each result (fock.apply_letter.calls, fock.state.peak_keys), so the
+    # oracle must look it up there once per letter applied, and len() must
+    # count orbits
+    results = []
+    apply = fock.apply_letter
+
+    def recording(state, letter, n):
+        results.append(apply(state, letter, n))
+        return results[-1]
+
+    monkeypatch.setattr(fock, "apply_letter", recording)
+    peak = 0
+    for p in (p for m in range(1, 5) for p in enumerate_colored(m, 2)):
+        w = W.canonical_word(p)
+        results.clear()
+        assert vacuum_expectation_dense(w, 3) == t_n(3, p)
+        assert len(results) == len(w) and all(len(after) == len(after.amps) > 0 for after in results)
+        peak = max(peak, *map(len, results))
+    assert peak == 81
+    # a state that vanishes stops the word: one letter applied of six
+    results.clear()
+    assert vacuum_expectation_dense(W.word([W.create(0, 1)] * 5 + [W.annihilate(1, 1)]), 2) == 0
+    assert len(results) == 1 and len(results[0]) == 0
+
+
+def test_carried_levels_are_the_scanned_levels():
+    # apply_letter settles the level from the levels a state carries; on
+    # every oracle step they are the word lengths of each of its orbits
+    for state, letter, n, after in oracle_steps():
+        for s in (state, after):
+            assert s.levels is not None
+            assert all((len(orbit[0]), len(orbit[2])) == s.levels for orbit in s.amps), (letter, n)
+    # a hand-built state carries none, and its scanned levels are used
+    hand_built = State(1, 1, {((column(1, 1),), (), (), (1,)): 1})
+    assert hand_built.levels is None
+    after = apply_letter(hand_built, W.create(1, 2), 2)
+    assert after.levels == (1, 1) and len(after) == 1
+
+
 def test_reference_expand_rejects_invalid_states():
     # the per-key reference checks every orbit it lists, so each state the
     # oracle tests compare is checked too
@@ -430,17 +532,17 @@ def test_reference_expand_rejects_invalid_states():
     expand(sym_project({((2, 1), (1, 2), (5, 6), ()): Fraction(1)}))
     # orbits list their columns sorted
     with pytest.raises(AssertionError, match="unsorted columns"):
-        expand(State(1, 1, {(((2, 5), (1, 6)), (), (), (1, 2)): 1}))
+        expand(State(1, 1, {((column(1, 6), column(2, 5)), (), (), (1, 2)): 1}))
     # an orbit of total 0 is dropped by the projector
     zero = sym_project({((1,), (1,), (5,), ()): Fraction(2, 3)})
-    zero.amps[(((2, 5),), (), (), (2,))] = 0
+    zero.amps[((column(2, 5),), (), (), (2,))] = 0
     with pytest.raises(AssertionError, match="has total 0"):
         expand(zero)
     # the value tuples match the level and are permutations of each other
     with pytest.raises(AssertionError, match="off its level"):
-        expand(State(1, 1, {(((1, 5),), (), (), (1, 2)): 1}))
+        expand(State(1, 1, {((column(1, 5),), (), (), (1, 2)): 1}))
     with pytest.raises(AssertionError, match="unequal value multisets"):
-        expand(State(1, 1, {(((1, 5), (2, 6)), (), (), (1, 1)): 1}))
+        expand(State(1, 1, {((column(1, 5), column(2, 6)), (), (), (1, 1)): 1}))
 
 
 def test_symmetrization_idempotent():
@@ -545,6 +647,16 @@ def test_sym_project_rejects_short_value_tuples():
         sym_project({((1,), (1, 2), (5, 6), ()): Fraction(1)})
     with pytest.raises(ValueError, match="shorter"):
         sym_project({((1, 2), (1,), (), (5, 6)): Fraction(1)})
+
+
+def test_sym_project_rejects_values_a_column_cannot_hold():
+    # a column is index * COLUMN_BASE + value, so a value outside
+    # 0..COLUMN_BASE - 1 would decode as another index's column
+    for value in (COLUMN_BASE, -1):
+        with pytest.raises(ValueError, match="column values"):
+            sym_project({((value,), (value,), (1,), ()): Fraction(1)})
+    # a tail value is no column, so any value may stay there
+    assert len(sym_project({((1, COLUMN_BASE), (1, COLUMN_BASE), (1,), ()): Fraction(1)})) == 1
 
 
 def test_creation_annihilation_adjoint():

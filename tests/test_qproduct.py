@@ -149,6 +149,16 @@ def test_t_q_star_n_examples():
         assert t_q_star_n(t_free, q, n, CROSSING) == HALF * (1 - Fraction(1, n))
 
 
+@pytest.mark.parametrize("n", [2.0, True, False, Fraction(2), "2", None])
+def test_t_q_star_n_refuses_n_that_is_no_int(n):
+    # before, n = 2.0 raised TypeError from math.perm and n = True was read
+    # as 1; the weight refuses to be called, so no term is summed first
+    with pytest.raises(ValueError, match="n must be an int"):
+        t_q_star_n(_refuse, QMatrix.constant(2, HALF), n, CROSSING)
+    with pytest.raises(ValueError, match="n must be an int"):
+        clt_error_curve(t_free, QMatrix.constant(2, HALF), CROSSING, [2, n])
+
+
 def test_t_q_star_n_at_base_size():
     q = QMatrix.of([[1, -HALF], [-HALF, Fraction(1, 4)]])
     got = t_q_star_n(t_free, q, 2, CROSSING)
