@@ -38,6 +38,7 @@ from .broken import (
     evaluate_t_hat,
     gram_blocks,
     gram_matrix,
+    gram_psd_check,
     involution,
     left_hook,
     multiply,
@@ -69,7 +70,6 @@ from .qproduct import (
     QMatrix,
     clt_error_bound,
     clt_error_curve,
-    gram_psd_check,
     q_product_eval,
     stirling_check,
     t_q_limit,

@@ -235,9 +235,8 @@ def evaluate_t_hat(
 def gram_blocks(
     family: Sequence[BrokenPairPartition],
     t: Callable[[ColoredPairPartition], object],
-) -> tuple[list[tuple[list[int], list[list]]], bool]:
-    """The nonzero blocks of the Gram matrix t_hat(d_i* . d_j) over the
-    family, and whether some diagram has right legs.
+) -> list[tuple[list[int], list[list]]]:
+    """The nonzero blocks of the Gram matrix t_hat(d_i* . d_j) over the family.
 
     d_i* . d_j is leg-free exactly when d_i* has no left legs, d_j has no
     right legs and d_i*'s right-leg count equals d_j's left-leg count in
@@ -271,7 +270,7 @@ def gram_blocks(
                 pairs, colors = _join(d.n, template, family[j])
                 row.append(t(ColoredPairPartition(PairPartition(pairs), colors, d.num_colors)))
             rows.append(row)
-    return list(blocks.values()), None in keys
+    return list(blocks.values())
 
 
 def gram_matrix(
@@ -280,14 +279,80 @@ def gram_matrix(
 ) -> list[list]:
     """The matrix t_hat(d_i* . d_j) over the given family: the dense view
     of `gram_blocks`, with t called in the same order."""
-    blocks, _ = gram_blocks(family, t)
-    zero = Fraction(0)
-    out = [[zero] * len(family) for _ in family]
-    for columns, rows in blocks:
+    out = [[Fraction(0)] * len(family) for _ in family]
+    for columns, rows in gram_blocks(family, t):
         for i, row in zip(columns, rows):
             for j, x in zip(columns, row):
                 out[i][j] = x
     return out
+
+
+def gram_psd_check(
+    family: Sequence[BrokenPairPartition], t: Callable[[ColoredPairPartition], object]
+) -> tuple[Fraction, bool]:
+    """Exact positive-semidefiniteness of the Gram matrix t_hat(d_i* d_j),
+    decided one `gram_blocks` block at a time by `_pivots`: integer
+    elimination pivoting on the block's largest remaining diagonal entry d.
+    Once d <= 0, the block is PSD iff d == 0 and nothing nonzero remains in
+    it.  A weight that is not an int or Fraction, in any block, raises
+    ValueError before an asymmetric block does.  Returns (smallest pivot,
+    verdict), the same pair as one LDL^T on the dense matrix: its pivots
+    within a block are the block's own, it takes every positive one and
+    ends at the largest non-positive pivot any block ends at, a
+    right-legged diagram's zero row ending at 0."""
+    blocks = gram_blocks(family, t)
+    for x in (x for _, rows in blocks for row in rows for x in row):
+        if not isinstance(x, (int, Fraction)):
+            raise ValueError(f"Gram weights must be int or Fraction, not {type(x).__name__}")
+    for _, a in blocks:
+        if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
+            raise ValueError("gram matrix must be symmetric")
+    right_legged = any(any(d.right_legs) for d in family)
+    positive, ends, ok = [], [Fraction(0)] if right_legged else [], True
+    for _, a in blocks:
+        pivots, block_ok = _pivots(a)
+        ok = ok and block_ok
+        if pivots[-1] <= 0:
+            ends.append(pivots.pop())
+        positive += pivots
+    if ends:
+        positive.append(max(ends))
+    return min(positive), ok
+
+
+def _pivots(block: Sequence[Sequence[int | Fraction]]) -> tuple[list[Fraction], bool]:
+    """The pivots of a symmetric rational matrix's LDL^T, largest remaining
+    diagonal entry first (the first such row on ties), up to and
+    including the first one <= 0, and whether the matrix is PSD.
+
+    Fraction-free (Bareiss, Math. Comp. 22 (1968) 565): the matrix is
+    scaled by the lcm s of its denominators, and step k replaces each
+    remaining entry by (d_k a_ij - a_ip a_pj) // d_(k-1), an exact division
+    with d_0 = 1, where d_k is the k-th pivot entry.  Entry a_ij is then
+    d_k * s times the rational Schur complement's, so the diagonal maxima
+    agree (every d_k taken is > 0), and the rational pivot is
+    d_k / (d_(k-1) * s)."""
+    s = math.lcm(*[x.denominator for row in block for x in row])
+    a = [[x.numerator * (s // x.denominator) for x in row] for row in block]
+    rest = list(range(len(a)))
+    pivots = []
+    prev = 1
+    while rest:
+        p = max(rest, key=lambda i: a[i][i])
+        d = a[p][p]
+        pivots.append(Fraction(d, prev * s))
+        if d <= 0:
+            return pivots, d == 0 and not any(a[i][j] for i in rest for j in rest)
+        rest.remove(p)
+        row = a[p]
+        # the update keeps the matrix symmetric: compute j >= i, mirror the rest
+        for n, i in enumerate(rest):
+            target, f = a[i], row[i]
+            for j in rest[n:]:
+                target[j] = a[j][i] = (d * target[j] - f * row[j]) // prev
+        prev = d
+    return pivots, True
+
 
 
 # ---------------------------------------------------------------------------

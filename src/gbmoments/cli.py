@@ -301,7 +301,7 @@ def cmd_pd_check(args) -> tuple[dict, dict, list[dict]]:
         handle = lambda p: uncolored(p.base)
     else:
         handle = _t_handle_from_args(args)
-    min_pivot, ok = qproduct.gram_psd_check(family, handle)
+    min_pivot, ok = broken.gram_psd_check(family, handle)
     results = {"family_size": len(family), "min_pivot": fmt_scalar(min_pivot)}
     checks = [_check("psd", True, ok)]
     inputs = {"max_points": args.max_points, "colors": args.colors, "t": args.t}
@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     weight = p.add_mutually_exclusive_group()
     weight.add_argument("--t", choices=["tn", "thoma"], help="default: tn")
     weight.add_argument("--q12", type=read_scalar,
-                        help="use the coupling-matrix product of two t_N copies instead")
+                        help="in place of --t, two t_N copies coupled by q12; write -1/2 as --q12=-1/2")
     _add_thoma_flags(p)
     p.set_defaults(func=cmd_pd_check)
 
@@ -395,7 +395,7 @@ def dispatch(argv: list[str]) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return CAPACITY_EXIT
-    except (ColorArityError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ColorArityError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     elapsed = time.perf_counter() - start

@@ -29,7 +29,7 @@ vertex cycles, each cycle's paths counted by the same peak flags;
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .partitions import (
     ColorArityError,
@@ -182,12 +182,11 @@ def bar_frame(color: Sequence[int], annihilator: Sequence[bool]) -> BarFrame:
     return BarFrame(color, dominant, z, succ, peak, paths)
 
 
-def loop_counter(frame: BarFrame) -> Callable[[Iterable[tuple[int, int]]], list[int]]:
+def loop_counter(frame: BarFrame, pairs: Iterable[tuple[int, int]]) -> list[int]:
     """The per-cycle counts of maximal increasing paths of the graph made of
-    the frame's bar arcs and the arcs of a matching of its points, as a
-    function of the matching's pairs (l, r), each an annihilator l and a
-    creator r of its color; one entry per cycle, so its length is the
-    cycle count.
+    the frame's bar arcs and the arcs of a matching of its points, given by
+    the matching's pairs (l, r), each an annihilator l and a creator r of
+    its color; one entry per cycle, so its length is the cycle count.
 
     A cycle alternates pair and bar arcs, so it is walked once on the m
     points pair arcs leave, each step a pair arc and then a bar arc; a
@@ -195,31 +194,26 @@ def loop_counter(frame: BarFrame) -> Callable[[Iterable[tuple[int, int]]], list[
     (see `BarFrame`).
     """
     color, succ, peak = frame.color, frame.succ, frame.peak
-    size = len(succ)
-
-    def path_counts(pairs: Iterable[tuple[int, int]]) -> list[int]:
-        # step[u] is the point the pair arc leaving u enters
-        step = [0] * size
-        for l, r in pairs:
-            if color[l]:
-                step[l] = r
-            else:
-                step[r] = l
-        # walk each cycle once from its first point, zeroing the steps it
-        # takes; the enumeration reads the zeroed entries and skips them
-        counts = []
-        for j, t in enumerate(step):
-            if t:
-                k = 0
-                while t:
-                    step[j] = 0
-                    k += peak[t]
-                    j = succ[t]
-                    t = step[j]
-                counts.append(k)
-        return counts
-
-    return path_counts
+    # step[u] is the point the pair arc leaving u enters
+    step = [0] * len(succ)
+    for l, r in pairs:
+        if color[l]:
+            step[l] = r
+        else:
+            step[r] = l
+    # walk each cycle once from its first point, zeroing the steps it
+    # takes; the enumeration reads the zeroed entries and skips them
+    counts = []
+    for j, t in enumerate(step):
+        if t:
+            k = 0
+            while t:
+                step[j] = 0
+                k += peak[t]
+                j = succ[t]
+                t = step[j]
+            counts.append(k)
+    return counts
 
 
 def point_roles(

@@ -40,7 +40,7 @@ from math import lcm
 
 from . import words as W
 from .cyclegraph import BarFrame, bar_frame
-from .partitions import CapacityError, ColoredPairPartition, _is_int
+from .partitions import CapacityError, ColoredPairPartition, _check_n
 
 DENSE_MAX_LEVEL = 4
 DENSE_MAX_N = 3
@@ -87,8 +87,7 @@ class State:
 def check_dense_params(n: int):
     """ValueError unless N is an int >= 2 (not a bool); CapacityError above
     `DENSE_MAX_N`."""
-    if not _is_int(n):
-        raise ValueError(f"N must be an int, got {n!r}")
+    _check_n(n)
     if n < 2:
         raise ValueError("the Fock-space oracles require N >= 2 (signed case unsupported)")
     if n > DENSE_MAX_N:
@@ -363,10 +362,7 @@ def _loop_sum(w: W.Word, n: int) -> Fraction:
     CapacityError once the states being built hold more than
     `SCAN_MAX_PATHS` paths in all, before the next letter is read.  N must
     be a nonzero int (not a bool), else ValueError."""
-    if not _is_int(n):
-        raise ValueError(f"N must be an int, got {n!r}")
-    if n == 0:
-        raise ValueError("N must be nonzero")
+    _check_n(n)
     if not W.compatible_count(w):
         return Fraction(0)
     frame = word_frame(w)

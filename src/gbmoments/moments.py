@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Sequence
 from . import words as W
 from .cyclegraph import _require_two_colors, bar_frame, loop_counter, point_roles
 from .partitions import ColoredPairPartition, FrozenValue, PairPartition
-from .partitions import _check_permutation, _walk_cycles
+from .partitions import _check_n, _check_permutation, _walk_cycles
 
 Scalar = Fraction | float
 TFunction = Callable[[ColoredPairPartition], Scalar]
@@ -70,12 +70,12 @@ class ThomaParameter(FrozenValue):
 FREE = ThomaParameter()
 
 
-@lru_cache(maxsize=64)
+# typed, so that 2.0 and True reach _check_n and never share the entries of 2 and 1
+@lru_cache(maxsize=64, typed=True)
 def thoma_n(n: int) -> ThomaParameter:
     """The rectangular parameter: alpha_i = 1/N (i <= N) for N > 0, or
     beta_i = 1/|N| (i <= |N|) for N < 0."""
-    if n == 0:
-        raise ValueError("N must be nonzero")
+    _check_n(n)
     if n > 0:
         return ThomaParameter(alpha=(Fraction(1, n),) * n)
     return ThomaParameter(beta=(Fraction(1, -n),) * (-n))
@@ -166,8 +166,7 @@ def _graph_exponent(
     frame of the pairs' points, and the per-cycle path counts of its bar
     arcs joined with the pairs' arcs.  The exponent of t_N is
     sum((k - 1) * c): paths - cycles."""
-    frame = bar_frame(*point_roles(pairs, colors))
-    counts = loop_counter(frame)(pairs)
+    counts = loop_counter(bar_frame(*point_roles(pairs, colors)), pairs)
     return tuple(sorted((k, counts.count(k)) for k in set(counts)))
 
 
@@ -180,8 +179,7 @@ def tn_exponent(p: ColoredPairPartition) -> int:
 
 def t_n(n: int, p: ColoredPairPartition) -> Fraction:
     """(1/N)^(paths - cycles); equals t_colored at the rectangular parameter."""
-    if n == 0:
-        raise ValueError("N must be nonzero")
+    _check_n(n)
     # the exponent is never negative, so n ** e is an exact int
     return Fraction(1, n ** tn_exponent(p))
 

@@ -290,6 +290,14 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_n(n) -> None:
+    """ValueError unless N is a nonzero int (bools and other int subclasses refused)."""
+    if type(n) is not int:
+        raise ValueError(f"N must be an int, got {n!r}")
+    if n == 0:
+        raise ValueError("N must be nonzero")
+
+
 def pair_partition_from_json(obj) -> PairPartition:
     """Read {"pairs": [[l, r], ...]}; any other shape raises ValueError."""
     return PairPartition.of(_json_pairs(obj))

@@ -14,7 +14,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .broken import BrokenPairPartition, gram_blocks
+# bench/tracing.py BOUNDARIES and bench/workloads.py call the Gram check by this name
+from .broken import gram_psd_check  # noqa: F401
 from .moments import Scalar, TFunction, UncoloredTFunction
 from .partitions import (
     MAX_ENUM_PAIRS,
@@ -22,6 +23,7 @@ from .partitions import (
     ColoredPairPartition,
     FrozenValue,
     PairPartition,
+    _check_n,
     _crossing_indices,
     _is_int,
     _walk_cycles,
@@ -198,72 +200,6 @@ def clt_error_bound(m: int, n: int) -> Fraction:
     return 2 * (1 - Fraction(math.perm(n, m), n**m))
 
 
-def gram_psd_check(
-    family: Sequence[BrokenPairPartition], t: TFunction
-) -> tuple[Fraction, bool]:
-    """Exact positive-semidefiniteness of the Gram matrix t_hat(d_i* d_j),
-    decided one `gram_blocks` block at a time by `_pivots`: integer
-    elimination pivoting on the block's largest remaining diagonal entry d.
-    Once d <= 0, the block is PSD iff d == 0 and nothing nonzero remains in
-    it.  A weight that is not an int or Fraction, in any block, raises
-    ValueError before an asymmetric block does.  Returns (smallest pivot,
-    verdict), the same pair as one LDL^T on the dense matrix: its pivots
-    within a block are the block's own, it takes every positive one and
-    ends at the largest non-positive pivot any block ends at, a
-    right-legged diagram's zero row ending at 0."""
-    blocks, right_legged = gram_blocks(family, t)
-    for x in (x for _, rows in blocks for row in rows for x in row):
-        if not isinstance(x, (int, Fraction)):
-            raise ValueError(f"Gram weights must be int or Fraction, not {type(x).__name__}")
-    for _, a in blocks:
-        if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
-            raise ValueError("gram matrix must be symmetric")
-    positive, ends, ok = [], [Fraction(0)] if right_legged else [], True
-    for _, a in blocks:
-        pivots, block_ok = _pivots(a)
-        ok = ok and block_ok
-        if pivots[-1] <= 0:
-            ends.append(pivots.pop())
-        positive += pivots
-    if ends:
-        positive.append(max(ends))
-    return min(positive), ok
-
-
-def _pivots(block: Sequence[Sequence[int | Fraction]]) -> tuple[list[Fraction], bool]:
-    """The pivots of a symmetric rational matrix's LDL^T, largest remaining
-    diagonal entry first (the first such row on ties), up to and
-    including the first one <= 0, and whether the matrix is PSD.
-
-    Fraction-free (Bareiss, Math. Comp. 22 (1968) 565): the matrix is
-    scaled by the lcm s of its denominators, and step k replaces each
-    remaining entry by (d_k a_ij - a_ip a_pj) // d_(k-1), an exact division
-    with d_0 = 1, where d_k is the k-th pivot entry.  Entry a_ij is then
-    d_k * s times the rational Schur complement's, so the diagonal maxima
-    agree (every d_k taken is > 0), and the rational pivot is
-    d_k / (d_(k-1) * s)."""
-    s = math.lcm(*[x.denominator for row in block for x in row])
-    a = [[x.numerator * (s // x.denominator) for x in row] for row in block]
-    rest = list(range(len(a)))
-    pivots = []
-    prev = 1
-    while rest:
-        p = max(rest, key=lambda i: a[i][i])
-        d = a[p][p]
-        pivots.append(Fraction(d, prev * s))
-        if d <= 0:
-            return pivots, d == 0 and not any(a[i][j] for i in rest for j in rest)
-        rest.remove(p)
-        row = a[p]
-        # the update keeps the matrix symmetric: compute j >= i, mirror the rest
-        for n, i in enumerate(rest):
-            target, f = a[i], row[i]
-            for j in rest[n:]:
-                target[j] = a[j][i] = (d * target[j] - f * row[j]) // prev
-        prev = d
-    return pivots, True
-
-
 def _stirling_unsigned(n: int) -> list[int]:
     """Row n of the unsigned cycle-count triangle: coefficients of
     x(x+1)...(x+n-1)."""
@@ -280,7 +216,8 @@ def _stirling_unsigned(n: int) -> list[int]:
 def stirling_check(n: int) -> tuple[int, bool]:
     """Sum of N^(cycle count) over all permutations of 1..|N|+1, computed by
     enumeration and through the rising-factorial identity; both must agree
-    and vanish for negative N."""
+    and vanish.  ValueError unless N is a negative int (not a bool)."""
+    _check_n(n)
     if n >= 0:
         raise ValueError("the cancellation holds for negative N")
     if -n > 7:

@@ -20,10 +20,10 @@ reject the same inputs.
 `gram_matrix` is the all-products Gram assembly that
 `gbmoments.broken.gram_matrix` must agree with; `ldl_pivots` factors
 that dense matrix with one diagonal-max LDL^T over the rationals, as
-`gbmoments.qproduct.gram_psd_check` did before it factored block by block
+`gbmoments.broken.gram_psd_check` did before it factored block by block
 and by integer elimination: its smallest pivot and verdict must be what
 that function returns, and on any symmetric rational matrix its pivots and
-verdict must be those of the fraction-free `gbmoments.qproduct._pivots`; and
+verdict must be those of the fraction-free `gbmoments.broken._pivots`; and
 `t_q_star_n` is the n^m coloring enumeration that
 `gbmoments.qproduct.t_q_star_n` must agree with.
 The dense oracle's references work on vectors given per basis key, with

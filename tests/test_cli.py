@@ -422,6 +422,13 @@ def test_pd_check_q_product(capsys):
     assert code == 0
 
 
+def test_pd_check_takes_a_negative_fraction_q12_in_the_equals_form(capsys):
+    # argparse reads a separate -1/2 as an option, so it needs the = form
+    code, report = run(capsys, ["pd-check", "--max-points", "3", "--colors", "2", "--N", "2", "--q12=-1/2"])
+    assert code == 0
+    assert report["pass"] and report["inputs"]["q12"] == "-1/2"
+
+
 @pytest.mark.parametrize(
     "name, options",
     [

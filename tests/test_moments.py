@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import kernel_reference as reference
-from gbmoments import cli, moments
+from gbmoments import cli, fock, moments
 from gbmoments import words as W
 from gbmoments.moments import (
     ThomaParameter,
@@ -29,11 +29,12 @@ from gbmoments.partitions import (
     ColorArityError,
     ColoredPairPartition,
     PairPartition,
+    _check_n,
     crossings,
     enumerate_colored,
     enumerate_pair_partitions,
 )
-from gbmoments.qproduct import QMatrix, q_product_eval
+from gbmoments.qproduct import QMatrix, q_product_eval, stirling_check
 
 HALF = Fraction(1, 2)
 
@@ -65,6 +66,30 @@ def test_thoma_n():
     assert thoma_n(-2).beta == (HALF, HALF)
     with pytest.raises(ValueError):
         thoma_n(0)
+
+
+@pytest.mark.parametrize("n", [2.0, True, False, "2", None, Fraction(2)])
+def test_every_n_entry_point_refuses_n_that_is_no_int(monkeypatch, n):
+    # before, 2.0 raised TypeError, True was read as N = 1 and Fraction(2)
+    # as N = 2; now the one check refuses each before any work
+    thoma_n(2), thoma_n(1)  # a cached int entry must not answer for 2.0 or True
+    for name in ("tn_exponent", "ThomaParameter"):
+        monkeypatch.setattr(moments, name, lambda *args, **kw: pytest.fail("worked on a non-int N"))
+    monkeypatch.setattr(fock, "word_frame", lambda *args: pytest.fail("worked on a non-int N"))
+    p = ColoredPairPartition.of([(1, 2)], [0])
+    w = W.word([W.annihilate(0, 1), W.create(0, 1)])
+    for call in (
+        lambda: _check_n(n),
+        lambda: fock.check_dense_params(n),
+        lambda: fock._loop_sum(w, n),
+        lambda: thoma_n(n),
+        lambda: t_n(n, p),
+        lambda: tn_handle(n)(p),
+        lambda: tn_uncolored_handle(n),
+        lambda: stirling_check(n),
+    ):
+        with pytest.raises(ValueError, match="N must be an int"):
+            call()
 
 
 def test_thoma_character_examples():

@@ -1,14 +1,16 @@
+import ast
 import functools
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernel_reference as reference
-from gbmoments import qproduct
+from gbmoments import broken, qproduct
 from gbmoments.broken import embed, empty, enumerate_broken, left_hook
 from gbmoments.moments import (
     t_free,
@@ -478,7 +480,24 @@ def symmetric_rational_matrices(draw):
 @given(symmetric_rational_matrices())
 def test_integer_elimination_matches_rational_ldl(a):
     # the fraction-free pivots and verdict equal the Fraction LDL^T's
-    assert qproduct._pivots(a) == reference.ldl_pivots(a)
+    assert broken._pivots(a) == reference.ldl_pivots(a)
+
+
+def test_gram_path_lives_in_broken():
+    # blocks, elimination and verdict live in broken; qproduct holds only the
+    # verdict's name, the one the benchmark traces
+    assert qproduct.gram_psd_check is broken.gram_psd_check
+    tree = ast.parse(Path(qproduct.__file__).read_text())
+    from_broken = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if node.module == "broken" or alias.name == "broken"
+    ]
+    assert from_broken == ["gram_psd_check"]
+    defined = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert not [name for name in defined if name.startswith("gram_") or name == "_pivots"]
 
 
 def test_stirling_examples():
