@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 # bench/tracing.py BOUNDARIES and bench/workloads.py call the Gram check by this name
@@ -46,6 +47,10 @@ class QMatrix(FrozenValue):
         for row in entries:
             if len(row) != k:
                 raise ValueError("matrix must be square")
+            # the exact product in q_product_eval tells ints by type, so no bool gets in
+            for x in row:
+                if not (isinstance(x, (float, Fraction)) or _is_int(x)):
+                    raise ValueError(f"a coupling entry must be an int, a Fraction or a float, got {x!r}")
         for i in range(k):
             for j in range(k):
                 if entries[i][j] != entries[j][i]:
@@ -67,7 +72,10 @@ class QMatrix(FrozenValue):
 
     @classmethod
     def constant(cls, size: int, q: Scalar) -> "QMatrix":
-        """The matrix with every entry equal to q."""
+        """The matrix with every entry equal to q, read by `read_scalar`; a
+        bool raises ValueError, as in `of`."""
+        if isinstance(q, bool):
+            raise ValueError(f"bad coupling entry {q!r}")
         q = read_scalar(q)
         return cls(((q,) * size,) * size)
 
@@ -80,21 +88,58 @@ class QMatrix(FrozenValue):
         return self.entries[i][j]
 
 
+def _exact_product(factors: list) -> Scalar:
+    """The product of the factors in order.  When each is an int or a
+    Fraction, the numerators and denominators are multiplied as ints and
+    one Fraction is built from them; otherwise Fraction(1) is multiplied by
+    each factor in turn, so a float result is rounded as that ordered
+    product is."""
+    num = den = 1
+    for x in factors:
+        kind = type(x)
+        if kind is Fraction:
+            num *= x.numerator
+            den *= x.denominator
+        elif kind is int:
+            num *= x
+        else:
+            return math.prod(factors, start=Fraction(1))
+    return Fraction(num, den)
+
+
+# one object per distinct class, so that the layouts, which share most of
+# their classes, hold no copies of them
+_class_of = lru_cache(maxsize=4096)(PairPartition)
+
+
+# a Gram check weighs the same few partitions many times over; bounded as
+# moments._graph_exponent is, for callers that stream distinct partitions
+@lru_cache(maxsize=4096)
+def _q_layout(
+    pairs: tuple[tuple[int, int], ...], colors: tuple[int, ...], num_colors: int
+) -> tuple[tuple[tuple[int, int], ...], tuple[PairPartition, ...]]:
+    """The color ids (colors[j], colors[k]) of each crossing (j, k), in the
+    order `_crossing_indices` walks them, and the classes of
+    `PairPartition.split` by color, read through `_class_of`; all built and
+    checked on a miss.  The key comes from a ColoredPairPartition, which
+    has checked it."""
+    links = tuple((colors[j], colors[k]) for j, k in _crossing_indices(pairs))
+    classes = PairPartition(pairs).split(colors, num_colors)
+    return links, tuple(_class_of(v.pairs) for v in classes)
+
+
 def q_product_eval(
     ts: Sequence[UncoloredTFunction], q: QMatrix, p: ColoredPairPartition
 ) -> Scalar:
     """Crossing product times the per-color component weights: the
     factors q[c(j), c(k)] in the order `_crossing_indices` walks the
-    crossings, then the classes' weights in color order."""
+    crossings, then the classes' weights in color order, multiplied by
+    `_exact_product`.  The crossings and classes come from `_q_layout`."""
     if len(ts) != p.num_colors or q.size != p.num_colors:
         raise ValueError("need one component weight per color and a matching matrix")
-    value: Scalar = Fraction(1)
-    colors, rows = p.colors, q.entries
-    for j1, j2 in _crossing_indices(p.base.pairs):
-        value *= rows[colors[j1]][colors[j2]]
-    for t, v in zip(ts, p.base.split(p.colors, p.num_colors)):
-        value *= t(v)
-    return value
+    links, classes = _q_layout(p.base.pairs, p.colors, p.num_colors)
+    rows = q.entries
+    return _exact_product([rows[a][b] for a, b in links] + [t(v) for t, v in zip(ts, classes)])
 
 
 def q_product_handle(ts: Sequence[UncoloredTFunction], q: QMatrix) -> TFunction:
@@ -162,7 +207,7 @@ def t_q_star_n(
         if not all(weights):
             continue
         for res in residues[blocks]:
-            term = math.prod([rows[res[a]][res[b]] for a, b in links] + weights, start=Fraction(1))
+            term = _exact_product([rows[res[a]][res[b]] for a, b in links] + weights)
             if term:
                 count = math.prod(math.perm(sizes[r], res.count(r)) for r in set(res))
                 total += Fraction(count, n**v.m) * term

@@ -429,6 +429,17 @@ def test_pd_check_takes_a_negative_fraction_q12_in_the_equals_form(capsys):
     assert report["pass"] and report["inputs"]["q12"] == "-1/2"
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("q12", ["1/2", "-1/2"])
+def test_pd_check_q_product_at_five_points(capsys, q12):
+    # 164,015 products of 1,571 diagrams, of which 32,055 are distinct: the
+    # q-product's layout memo hits on most of them and misses on many
+    code, report = run(capsys, ["pd-check", "--max-points", "5", "--colors", "2", "--N", "2", f"--q12={q12}"])
+    assert code == 0
+    assert report["pass"] and report["checks"][0]["name"] == "psd"
+    assert report["results"] == {"family_size": 1571, "min_pivot": "0"}
+
+
 @pytest.mark.parametrize(
     "name, options",
     [

@@ -13,12 +13,14 @@ import kernel_reference as reference
 from gbmoments import broken, qproduct
 from gbmoments.broken import embed, empty, enumerate_broken, left_hook
 from gbmoments.moments import (
+    ThomaParameter,
     t_free,
     t_tensor,
     t_uncolored,
     thoma_n,
     tn_handle,
     tn_uncolored_handle,
+    uncolored_handle,
 )
 from gbmoments.partitions import (
     CapacityError,
@@ -53,6 +55,22 @@ def test_qmatrix_validation():
     for malformed in ([[1, [2]], [[2], 1]], 5, [[True]], [["1/0"]]):
         with pytest.raises(ValueError):
             QMatrix.of(malformed)
+
+
+@pytest.mark.parametrize("entry", ["1/2", None, True, False, [1]])
+def test_qmatrix_refuses_entries_of_other_types(entry):
+    # before, a string or None raised TypeError from the range check and a
+    # bool was taken as an int
+    with pytest.raises(ValueError, match="coupling entry"):
+        QMatrix(((entry,),))
+    if isinstance(entry, bool):
+        with pytest.raises(ValueError, match="coupling entry"):
+            QMatrix.constant(2, entry)
+
+
+def test_qmatrix_takes_ints_fractions_and_floats():
+    for entry in (1, -1, 0, HALF, -0.5):
+        assert QMatrix(((entry,),)).at(0, 0) == entry
 
 
 def test_q_product_examples():
@@ -109,6 +127,100 @@ def test_q_product_multiplies_the_crossing_walk_in_order():
         for q in matrices[p.num_colors]:
             expected = _crossing_product_reference(q, p, class_weights)
             assert _bits(q_product_eval(ts, q, p)) == _bits(expected), p
+
+
+FLOAT_WEIGHT = uncolored_handle(ThomaParameter(alpha=(0.6, 0.3)))
+
+
+def test_q_layout_memos_are_bounded():
+    for memo in (qproduct._q_layout, qproduct._class_of):
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.maxsize <= 4096
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_q_product_from_the_memo_equals_the_first_evaluation(k):
+    # a cache hit gives the same type and float bits as the miss before it,
+    # for a rational and a float matrix and for rational and float weights
+    rng = random.Random(k)
+    rational = QMatrix(tuple(tuple(Fraction(1 + min(i, j), 2 + max(i, j)) * (-1) ** (i + j)
+                                   for j in range(k)) for i in range(k)))
+    inexact = QMatrix(tuple(tuple(float(x) for x in row) for row in rational.entries))
+    cases = [ColoredPairPartition.of([(1, 3), (2, 5), (4, 6)], [0, 1, k - 1], k)]
+    for _ in range(20):
+        m = rng.randrange(1, 6)
+        points = rng.sample(range(1, 2 * m + 1), 2 * m)
+        cases.append(ColoredPairPartition.of(zip(points[::2], points[1::2]), [rng.randrange(k) for _ in range(m)], k))
+    for ts in ([tn_uncolored_handle(2)] * k, [FLOAT_WEIGHT] * k):
+        for q in (rational, inexact):
+            for p in cases:
+                qproduct._q_layout.cache_clear()
+                first = q_product_eval(ts, q, p)
+                second = q_product_eval(ts, q, p)
+                info = qproduct._q_layout.cache_info()
+                assert (info.misses, info.hits) == (1, 1)
+                classes = [t(reference.color_class(p, color)) for color, t in enumerate(ts)]
+                expected = _crossing_product_reference(q, p, classes)
+                assert _bits(first) == _bits(second) == _bits(expected), p
+
+
+def test_q_layout_keys_on_the_color_count():
+    # the same pairs and colors under one and under two colors have one
+    # class and two, so they must not share an entry
+    qproduct._q_layout.cache_clear()
+    one = ColoredPairPartition(CROSSING, (0, 0), 1)
+    two = ColoredPairPartition(CROSSING, (0, 0), 2)
+    ones = lambda v: Fraction(1)
+    assert q_product_eval([ones], QMatrix(((HALF,),)), one) == HALF
+    assert q_product_eval([ones, lambda v: Fraction(v.m + 2)], QMatrix.constant(2, HALF), two) == 1
+    assert qproduct._q_layout.cache_info().misses == 2
+    assert len(qproduct._q_layout(CROSSING.pairs, (0, 0), 1)[1]) == 1
+    assert len(qproduct._q_layout(CROSSING.pairs, (0, 0), 2)[1]) == 2
+    # equal classes of two entries are one object
+    _, (first, _) = qproduct._q_layout(((1, 2), (3, 4)), (0, 1), 2)
+    _, (_, second) = qproduct._q_layout(((1, 2), (3, 4)), (1, 0), 2)
+    assert first == second == PairPartition.of([(1, 2)]) and first is second
+
+
+def test_q_product_refuses_a_mismatch_before_the_memo():
+    p = ColoredPairPartition.of([(1, 3), (2, 4)], [0, 1])
+    before = qproduct._q_layout.cache_info()
+    for ts, q in (([t_free], QMatrix.constant(2, HALF)),
+                  ([t_free] * 3, QMatrix.constant(2, HALF)),
+                  ([t_free] * 2, QMatrix.constant(3, HALF))):
+        with pytest.raises(ValueError, match="one component weight per color"):
+            q_product_eval(ts, q, p)
+    assert qproduct._q_layout.cache_info() == before
+
+
+def test_exact_product_of_ints_is_a_fraction():
+    p = ColoredPairPartition.of([(1, 3), (2, 4)], [0, 1])
+    got = q_product_eval([lambda v: 1] * 2, QMatrix(((1, 1), (1, 1))), p)
+    assert got == 1 and type(got) is Fraction
+    got = q_product_eval([lambda v: 1] * 2, QMatrix(((1, -1), (-1, 1))), p)
+    assert got == -1 and type(got) is Fraction
+
+
+def test_exact_product_with_a_zero_class_weight_is_zero():
+    q = QMatrix.of([["1/2", "-1/3"], ["-1/3", "3/7"]])
+    for p in enumerate_colored(3, 2):
+        got = q_product_eval([lambda v: Fraction(0), tn_uncolored_handle(2)], q, p)
+        assert got == 0 and type(got) is Fraction
+
+
+def test_float_class_weights_with_a_rational_matrix_keep_the_ordered_product():
+    # Fraction(1) times each crossing entry, then each float class weight,
+    # in that order, as before the product was taken over ints
+    qs = {2: QMatrix.of([["1/2", "-1/3"], ["-1/3", "3/7"]]),
+          3: QMatrix.of([["1/2", "-1/3", "2/5"], ["-1/3", "3/7", "-5/6"], ["2/5", "-5/6", "1/9"]])}
+    weights = [FLOAT_WEIGHT, tn_uncolored_handle(3), uncolored_handle(ThomaParameter(beta=(0.7,)))]
+    cases = [p for m in range(5) for p in enumerate_colored(m, 2)]
+    cases += [p for m in range(4) for p in enumerate_colored(m, 3)]
+    for p in cases:
+        ts = weights[: p.num_colors]
+        classes = [t(reference.color_class(p, color)) for color, t in enumerate(ts)]
+        expected = _crossing_product_reference(qs[p.num_colors], p, classes)
+        assert _bits(q_product_eval(ts, qs[p.num_colors], p)) == _bits(expected), p
 
 
 def test_q_product_all_ones_is_tensor():
