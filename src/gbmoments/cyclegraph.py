@@ -10,13 +10,16 @@ moment formulas.
 
 Everything but the partition's own arcs is fixed by the colors and the
 annihilator/creator roles of the points (left points are annihilators),
-so `bar_frame` computes it from those alone, once per word for all the
-partitions compatible with it (the word-level sum `fock._loop_sum` scans
-its Z and path count), and refuses roles that no partition pairs off.  The frame keeps the colors, dominance and Z, which the `graph`
-report reads, and the bar successors and peaks, which the cycle walk
-reads.  `loop_counter` walks the cycles a partition's arcs close with a
-frame's bar arcs and returns each cycle's count of maximal increasing
-paths: the one cycle statistic behind every moment weight (`moments.t_n`,
+so `bar_frame` computes it from those alone, in one sweep over the points,
+once per word for all the partitions compatible with it (the word-level
+sum `fock._loop_sum` scans its Z and path count), and refuses roles that
+no partition pairs off.  The frame keeps the colors, dominance and Z,
+which the `graph` report reads, and the bar successors and peaks, which
+the cycle walk reads.  `point_roles` reads a partition's point roles and
+the steps of its pair arcs in one pass over its pairs, and `loop_counter`
+follows those steps and the frame's bar arcs around the cycles and
+returns each cycle's count of maximal increasing paths: the one cycle
+statistic behind every moment weight (`moments.t_n`,
 `moments.t_colored`, and `moments.t_uncolored` through the constant
 coloring).  The reports build the rest on demand:
 `profile` builds the per-color span counts and reads r from them, with no
@@ -29,7 +32,7 @@ vertex cycles, each cycle's paths counted by the same peak flags;
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .partitions import (
     ColorArityError,
@@ -88,6 +91,8 @@ class BarFrame(NamedTuple):
     these points.  `loop_counter` and `build_graph` both count a cycle's
     paths as the peak flags of its vertices.
 
+    `bar_frame` fills every field in one sweep over the points: a bar pair
+    closes at its right end, and its arc, succ and peak are set there.
     Only reports read the bar pairs, their colors and arcs and the
     classification; `build_graph` derives them from z, color and dominant.
     """
@@ -100,109 +105,99 @@ class BarFrame(NamedTuple):
     paths: int
 
 
-def _ranks(color: Sequence[int], annihilator: Sequence[bool]) -> tuple[list[int], list[bool]]:
-    """Each point's own-color count r and dominance, from one running count
-    per color: r[k] counts the pairs of k's color open at k, k's own
-    included, and k is dominant iff that exceeds the other color's open
-    pairs.  The running counts also check that the points pair off: no
-    count may drop below 0 and both must end at 0, else ValueError."""
-    n = len(color) - 1
-    r = [0] * (n + 1)
-    dominant = [False] * (n + 1)
-    open_pairs = [0, 0]
-    for k in range(1, n + 1):
-        c = color[k]
-        if annihilator[k]:
-            open_pairs[c] = rk = open_pairs[c] + 1
-        else:
-            rk = open_pairs[c]
-            if not rk:
-                raise ValueError("a creator must close an open annihilator of its color")
-            open_pairs[c] = rk - 1
-        r[k] = rk
-        dominant[k] = rk > open_pairs[1 - c]
-    if open_pairs != [0, 0]:
-        raise ValueError("every annihilator must be closed by a creator of its color")
-    return r, dominant
-
-
 def bar_frame(color: Sequence[int], annihilator: Sequence[bool]) -> BarFrame:
     """The frame of points 1..n with the given colors in {0, 1} and roles
     (index 0 unused).  Points that no colored pair partition pairs off,
     each pair an annihilator left of a creator of its color, raise
     ValueError.
 
-    Three passes: one running count per color gives r and dominance, one
-    sweep gives Z, and one pass over Z checks it and the bar arcs and
-    fills succ, peak and paths; a violated invariant of the construction
-    raises RuntimeError.
+    One left-to-right sweep.  It keeps one running count of open pairs per
+    color: r[k] counts the pairs of k's color open at k, k's own included,
+    and k is dominant iff that exceeds the other color's open pairs.  No
+    count may drop below 0, and at each point the open pairs may not
+    outnumber the points left to close them, so at n both counts are 0:
+    else ValueError.  It also keeps the last point seen with every r-value
+    in 1..n/2 (the bound keeps r there): a point that looks left takes it,
+    and the bar pair closes there.  Its checks (the partner exists and
+    looks right, one bar color for both ends, one pair arc in and out of
+    each end) and, after the sweep, one bar pair per two points are
+    invariants of the construction, and a violated one raises
+    RuntimeError.  The checks at a point read no later point, and points
+    that pass the counts so far begin roles that some partition pairs off,
+    so invalid roles raise ValueError before any of them could fail.
     """
     n = len(color) - 1
-    points = range(1, n + 1)
-    r, dominant = _ranks(color, annihilator)
-
-    # one sweep keeping the last point seen with every r-value in 1..m: a
-    # point that looks left takes it, and it, if it looks right, takes the
-    # point; z[k] == 0 means k found no partner on its side
+    dominant = [False] * (n + 1)
     z = [0] * (n + 1)
-    last = [0] * (n // 2 + 1)
-    for k in points:
-        rk = r[k]
-        if annihilator[k] != dominant[k]:
-            j = z[k] = last[rk]
-            if j and annihilator[j] == dominant[j]:
-                z[j] = k
-        last[rk] = k
-
-    # pair arcs leave color-1 annihilators and color-0 creators and enter the
-    # other points, so each vertex has in- and out-degree 1 iff every bar
-    # arc leaves one of the other points and enters one of those
     succ = [0] * (n + 1)
     peak = [0] * (n + 1)
-    paths = 0
-    for k in points:
-        zk = z[k]
-        if z[zk] != k:
+    # last[r]: the last point seen with r-value r
+    last = [0] * (n // 2 + 1)
+    opened = [0, 0]
+    paths = bars = 0
+    for k in range(1, n + 1):
+        c = color[k]
+        a = annihilator[k]
+        # only an annihilator raises the open pairs, so only it can break the bound
+        if a:
+            opened[c] = rk = opened[c] + 1
+            if opened[0] + opened[1] > n - k:
+                raise ValueError("every annihilator must be closed by a creator of its color")
+        else:
+            rk = opened[c]
+            if not rk:
+                raise ValueError("a creator must close an open annihilator of its color")
+            opened[c] = rk - 1
+        dominant[k] = dk = rk > opened[1 - c]
+        j = last[rk]
+        last[rk] = k
+        # dominant annihilators and subordinate creators look right
+        if a == dk:
+            continue
+        if not j or annihilator[j] != dominant[j]:
             raise RuntimeError("z must be a fixed-point-free involution")
-        if k < zk:
-            # a bar pair keeps the color of subordinate endpoints and flips dominant ones
-            c = color[k] ^ dominant[k]
-            if c != color[zk] ^ dominant[zk]:
-                raise RuntimeError("bar coloring must not depend on the endpoint")
-            u, v = _oriented((k, zk), c)
-            # a pair arc leaves u iff color[u] == annihilator[u] (1 == True)
-            if color[u] == annihilator[u]:
-                raise RuntimeError("every vertex must have out-degree 1")
-            if color[v] != annihilator[v]:
-                raise RuntimeError("every vertex must have in-degree 1")
-            succ[u] = v
-            if not annihilator[zk]:
-                peak[u] = 1
-                paths += 1
+        z[j] = k
+        z[k] = j
+        # a bar pair keeps the color of subordinate endpoints and flips dominant ones
+        bc = c ^ dk
+        if bc != color[j] ^ dominant[j]:
+            raise RuntimeError("bar coloring must not depend on the endpoint")
+        # color 1 keeps the arc (j, k), color 0 reverses it; a pair arc
+        # leaves u iff color[u] == annihilator[u] (1 == True), so each
+        # vertex has in- and out-degree 1 iff every bar arc leaves one of
+        # the other points and enters one of those
+        u, v = (j, k) if bc else (k, j)
+        if color[u] == annihilator[u]:
+            raise RuntimeError("every vertex must have out-degree 1")
+        if color[v] != annihilator[v]:
+            raise RuntimeError("every vertex must have in-degree 1")
+        succ[u] = v
+        # a bar pair holds a peak iff its right end is a creator
+        if not a:
+            peak[u] = 1
+            paths += 1
+        bars += 1
+    if 2 * bars != n:
+        raise RuntimeError("z must be a fixed-point-free involution")
     return BarFrame(color, dominant, z, succ, peak, paths)
 
 
-def loop_counter(frame: BarFrame, pairs: Iterable[tuple[int, int]]) -> list[int]:
+def loop_counter(frame: BarFrame, step: list[int]) -> list[int]:
     """The per-cycle counts of maximal increasing paths of the graph made of
     the frame's bar arcs and the arcs of a matching of its points, given by
-    the matching's pairs (l, r), each an annihilator l and a creator r of
-    its color; one entry per cycle, so its length is the cycle count.
+    its pair steps: step[u] is the point the pair arc leaving u enters, 0
+    at the points pair arcs enter, as `point_roles` fills them.  One entry
+    per cycle, so its length is the cycle count.
 
     A cycle alternates pair and bar arcs, so it is walked once on the m
     points pair arcs leave, each step a pair arc and then a bar arc; a
     cycle's path count is the number of its bar arcs that carry a peak
-    (see `BarFrame`).
+    (see `BarFrame`).  The walk zeroes the steps it takes, so it uses
+    step up.
     """
-    color, succ, peak = frame.color, frame.succ, frame.peak
-    # step[u] is the point the pair arc leaving u enters
-    step = [0] * len(succ)
-    for l, r in pairs:
-        if color[l]:
-            step[l] = r
-        else:
-            step[r] = l
-    # walk each cycle once from its first point, zeroing the steps it
-    # takes; the enumeration reads the zeroed entries and skips them
+    succ, peak = frame.succ, frame.peak
+    # walk each cycle once from its first point; the enumeration reads the
+    # zeroed entries and skips them
     counts = []
     for j, t in enumerate(step):
         if t:
@@ -218,15 +213,23 @@ def loop_counter(frame: BarFrame, pairs: Iterable[tuple[int, int]]) -> list[int]
 
 def point_roles(
     pairs: Sequence[tuple[int, int]], colors: Sequence[int]
-) -> tuple[list[int], list[bool]]:
-    """Point-indexed colors and annihilator flags (index 0 unused) of the
-    points of a colored pair partition: left points are annihilators."""
+) -> tuple[list[int], list[bool], list[int]]:
+    """Point-indexed colors, annihilator flags and pair steps (index 0
+    unused) of the points of a colored pair partition, in one pass over its
+    pairs: left points are annihilators, and the arc of a pair (l, r) runs
+    from l to r for color 1 and from r to l for color 0, so step[l] = r or
+    step[r] = l (see `loop_counter`)."""
     color = [0] * (2 * len(pairs) + 1)
     annihilator = [False] * (2 * len(pairs) + 1)
+    step = [0] * (2 * len(pairs) + 1)
     for (l, r), c in zip(pairs, colors):
         color[l] = color[r] = c
         annihilator[l] = True
-    return color, annihilator
+        if c:
+            step[l] = r
+        else:
+            step[r] = l
+    return color, annihilator, step
 
 
 def profile(p: ColoredPairPartition) -> ColorProfile:
@@ -239,7 +242,7 @@ def profile(p: ColoredPairPartition) -> ColorProfile:
         diff[c][left] += 1
         diff[c][right + 1] -= 1
     counts = (tuple(accumulate(diff[0])), tuple(accumulate(diff[1])))
-    color, _ = point_roles(p.base.pairs, p.colors)
+    color, _, _ = point_roles(p.base.pairs, p.colors)
     return ColorProfile(counts, tuple(counts[color[k]][k] for k in range(1, p.size + 1)))
 
 
@@ -324,7 +327,8 @@ def build_graph(p: ColoredPairPartition) -> CycleGraphAnalysis:
     bar frame of p's points plus p's own arcs.  Only here are the frame's
     report views (classification, Z, bar pairs, colors, arcs) derived."""
     _require_two_colors(p)
-    frame = bar_frame(*point_roles(p.base.pairs, p.colors))
+    color, annihilator, _ = point_roles(p.base.pairs, p.colors)
+    frame = bar_frame(color, annihilator)
     arcs_pairs = tuple(
         _oriented(pair, c) for pair, c in zip(p.base.pairs, p.colors)
     )

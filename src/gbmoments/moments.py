@@ -166,8 +166,11 @@ def _graph_exponent(
     frame of the pairs' points, and the per-cycle path counts of its bar
     arcs joined with the pairs' arcs.  The exponent of t_N is
     sum((k - 1) * c): paths - cycles."""
-    counts = loop_counter(bar_frame(*point_roles(pairs, colors)), pairs)
-    return tuple(sorted((k, counts.count(k)) for k in set(counts)))
+    color, annihilator, step = point_roles(pairs, colors)
+    gamma: dict[int, int] = {}
+    for k in loop_counter(bar_frame(color, annihilator), step):
+        gamma[k] = gamma.get(k, 0) + 1
+    return tuple(sorted(gamma.items()))
 
 
 def tn_exponent(p: ColoredPairPartition) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 MAX_ENUM_PAIRS = 8
@@ -124,9 +125,10 @@ class PairPartition(FrozenValue):
         """Every class of pairs at once: class b holds the pairs j with
         ids[j] == b, in their order here, points relabeled
         order-preservingly to 1..2s.  One pass over the points numbers each
-        point within its class; each class is built through the validating
-        constructor.  ValueError unless count is an int >= 0 and ids holds
-        one int in [0, count) per pair."""
+        point within its class; each class comes from `_class_of`, so equal
+        classes are one object, built and checked by the validating
+        constructor on a miss.  ValueError unless count is an int >= 0 and
+        ids holds one int in [0, count) per pair."""
         if not (type(count) is int and count >= 0):
             raise ValueError(f"the class count must be an integer >= 0, got {count!r}")
         _check_ids(ids, self.m, count)
@@ -142,7 +144,7 @@ class PairPartition(FrozenValue):
         classes: list[list[tuple[int, int]]] = [[] for _ in range(count)]
         for (l, r), b in zip(self.pairs, ids):
             classes[b].append((label[l], label[r]))
-        return [PairPartition(tuple(pairs)) for pairs in classes]
+        return [_class_of(tuple(pairs)) for pairs in classes]
 
     def restrict(self, pair_ids: Iterable[int]) -> "PairPartition":
         """The subpartition on the pairs with the given distinct indices in
@@ -156,6 +158,13 @@ class PairPartition(FrozenValue):
 
     def to_json(self) -> dict:
         return {"m": self.m, "pairs": [list(p) for p in self.pairs]}
+
+
+# the classes of `PairPartition.split`, one object per distinct class: the
+# weight path splits many partitions into few classes, and the q-product's
+# memoized layouts share them; keyed only by the int pairs split builds, and
+# bounded as moments._graph_exponent is
+_class_of = lru_cache(maxsize=4096)(PairPartition)
 
 
 class ColoredPairPartition(FrozenValue):
@@ -203,13 +212,19 @@ class ColoredPairPartition(FrozenValue):
 def _check_layout(pairs: Sequence[tuple[int, int]], n: int, singles: Sequence[int] = ()):
     """Raise ValueError unless the pairs (l, r), left points strictly
     increasing and 1 <= l < r <= n, and the single points together use each
-    point of 1..n exactly once.  A point must be an int, not a bool."""
+    point of 1..n exactly once.  A point must be an int, not a bool, and the
+    pairs a tuple of 2-tuples, so that the value holding them hashes."""
+    if type(pairs) is not tuple:
+        raise ValueError(f"the pairs must be a tuple, got {type(pairs).__name__}")
     # the count is checked first, so a huge n allocates nothing
     if type(n) is not int or 2 * len(pairs) + len(singles) != n:
         raise ValueError(f"pairs and single points must use each point of 1..{n} once")
     free = [True] * (n + 1)
     last = 0
-    for l, r in pairs:
+    for pair in pairs:
+        if type(pair) is not tuple or len(pair) != 2:
+            raise ValueError(f"each pair must be a tuple (l, r), got {pair!r}")
+        l, r = pair
         if not (type(l) is int and type(r) is int and last < l < r <= n and free[l] and free[r]):
             raise ValueError(f"bad pair ({l!r},{r!r}): need unused integer points, sorted by l, l < r <= {n}")
         free[l] = free[r] = False
@@ -222,7 +237,10 @@ def _check_layout(pairs: Sequence[tuple[int, int]], n: int, singles: Sequence[in
 
 def _check_colors(colors: Sequence[int], m: int, num_colors: int):
     """Raise ValueError unless num_colors is an int >= 1 and there is one
-    color per pair, each an int in [0, num_colors); bools are refused."""
+    color per pair, each an int in [0, num_colors), in a tuple, so that the
+    value holding them hashes; bools are refused."""
+    if type(colors) is not tuple:
+        raise ValueError(f"the colors must be a tuple, got {type(colors).__name__}")
     if not (type(num_colors) is int and num_colors >= 1):
         raise ValueError(f"num_colors must be an integer >= 1, got {num_colors!r}")
     _check_ids(colors, m, num_colors)

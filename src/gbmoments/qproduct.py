@@ -25,6 +25,7 @@ from .partitions import (
     FrozenValue,
     PairPartition,
     _check_n,
+    _class_of,  # noqa: F401  the class memo under _q_layout, read here as qproduct._class_of
     _crossing_indices,
     _is_int,
     _walk_cycles,
@@ -107,11 +108,6 @@ def _exact_product(factors: list) -> Scalar:
     return Fraction(num, den)
 
 
-# one object per distinct class, so that the layouts, which share most of
-# their classes, hold no copies of them
-_class_of = lru_cache(maxsize=4096)(PairPartition)
-
-
 # a Gram check weighs the same few partitions many times over; bounded as
 # moments._graph_exponent is, for callers that stream distinct partitions
 @lru_cache(maxsize=4096)
@@ -120,12 +116,12 @@ def _q_layout(
 ) -> tuple[tuple[tuple[int, int], ...], tuple[PairPartition, ...]]:
     """The color ids (colors[j], colors[k]) of each crossing (j, k), in the
     order `_crossing_indices` walks them, and the classes of
-    `PairPartition.split` by color, read through `_class_of`; all built and
-    checked on a miss.  The key comes from a ColoredPairPartition, which
-    has checked it."""
+    `PairPartition.split` by color, which come from `partitions._class_of`
+    and so are shared with every other entry; all built and checked on a
+    miss.  The key comes from a ColoredPairPartition, which has checked
+    it."""
     links = tuple((colors[j], colors[k]) for j, k in _crossing_indices(pairs))
-    classes = PairPartition(pairs).split(colors, num_colors)
-    return links, tuple(_class_of(v.pairs) for v in classes)
+    return links, tuple(PairPartition(pairs).split(colors, num_colors))
 
 
 def q_product_eval(

@@ -4,7 +4,11 @@ differential tests.
 These are the direct, unoptimized transcriptions of the definitions that
 `gbmoments.cyclegraph.build_graph` replaced with one O(n) pass: every step
 recomputes what it needs from the partition and checks its invariants with
-plain asserts.  `cycle_type_via_permutation` is the permutation-based cycle
+plain asserts.  `bar_frame` and its `_ranks` are the three-pass frame
+(one running count per color, one sweep for Z, one checked pass over Z)
+that the one sweep `gbmoments.cyclegraph.bar_frame` replaced: on every
+role sequence the two must give equal frames or raise the same exception
+type.  `cycle_type_via_permutation` is the permutation-based cycle
 type that `gbmoments.partitions.uncolored_cycles` must agree with, and
 `uncolored_cycles` here is the hat-based walk it must reproduce cycle by
 cycle, which looks pairs up in dicts; both read the reference's own
@@ -48,6 +52,7 @@ import itertools
 from collections import defaultdict
 from fractions import Fraction
 from math import factorial
+from typing import Sequence
 
 from gbmoments.broken import (
     MAX_PRODUCT_POINTS,
@@ -56,7 +61,7 @@ from gbmoments.broken import (
     multiply,
 )
 from gbmoments import words as W
-from gbmoments.cyclegraph import ColorProfile, CycleGraphAnalysis
+from gbmoments.cyclegraph import BarFrame, ColorProfile, CycleGraphAnalysis
 from gbmoments.fock import COLUMN_BASE, DENSE_MAX_LEVEL, LAMBDA_MAX_LEVEL, State, StateKey
 from gbmoments.partitions import (
     CapacityError,
@@ -235,6 +240,88 @@ def build_graph(p: ColoredPairPartition) -> CycleGraphAnalysis:
         tuple(sorted(cls.items())), tuple(sorted(z.items())), bar_pp, bar_colors, arcs_pairs, arcs_bar,
         tuple(cycles), path_counts
     )
+
+
+def _ranks(color: Sequence[int], annihilator: Sequence[bool]) -> tuple[list[int], list[bool]]:
+    """Each point's own-color count r and dominance, from one running count
+    per color: r[k] counts the pairs of k's color open at k, k's own
+    included, and k is dominant iff that exceeds the other color's open
+    pairs.  The running counts also check that the points pair off: no
+    count may drop below 0 and both must end at 0, else ValueError."""
+    n = len(color) - 1
+    r = [0] * (n + 1)
+    dominant = [False] * (n + 1)
+    open_pairs = [0, 0]
+    for k in range(1, n + 1):
+        c = color[k]
+        if annihilator[k]:
+            open_pairs[c] = rk = open_pairs[c] + 1
+        else:
+            rk = open_pairs[c]
+            if not rk:
+                raise ValueError("a creator must close an open annihilator of its color")
+            open_pairs[c] = rk - 1
+        r[k] = rk
+        dominant[k] = rk > open_pairs[1 - c]
+    if open_pairs != [0, 0]:
+        raise ValueError("every annihilator must be closed by a creator of its color")
+    return r, dominant
+
+
+def bar_frame(color: Sequence[int], annihilator: Sequence[bool]) -> BarFrame:
+    """The frame of points 1..n with the given colors in {0, 1} and roles
+    (index 0 unused).  Points that no colored pair partition pairs off,
+    each pair an annihilator left of a creator of its color, raise
+    ValueError.
+
+    Three passes: one running count per color gives r and dominance, one
+    sweep gives Z, and one pass over Z checks it and the bar arcs and
+    fills succ, peak and paths; a violated invariant of the construction
+    raises RuntimeError.
+    """
+    n = len(color) - 1
+    points = range(1, n + 1)
+    r, dominant = _ranks(color, annihilator)
+
+    # one sweep keeping the last point seen with every r-value in 1..m: a
+    # point that looks left takes it, and it, if it looks right, takes the
+    # point; z[k] == 0 means k found no partner on its side
+    z = [0] * (n + 1)
+    last = [0] * (n // 2 + 1)
+    for k in points:
+        rk = r[k]
+        if annihilator[k] != dominant[k]:
+            j = z[k] = last[rk]
+            if j and annihilator[j] == dominant[j]:
+                z[j] = k
+        last[rk] = k
+
+    # pair arcs leave color-1 annihilators and color-0 creators and enter the
+    # other points, so each vertex has in- and out-degree 1 iff every bar
+    # arc leaves one of the other points and enters one of those
+    succ = [0] * (n + 1)
+    peak = [0] * (n + 1)
+    paths = 0
+    for k in points:
+        zk = z[k]
+        if z[zk] != k:
+            raise RuntimeError("z must be a fixed-point-free involution")
+        if k < zk:
+            # a bar pair keeps the color of subordinate endpoints and flips dominant ones
+            c = color[k] ^ dominant[k]
+            if c != color[zk] ^ dominant[zk]:
+                raise RuntimeError("bar coloring must not depend on the endpoint")
+            u, v = _oriented((k, zk), c)
+            # a pair arc leaves u iff color[u] == annihilator[u] (1 == True)
+            if color[u] == annihilator[u]:
+                raise RuntimeError("every vertex must have out-degree 1")
+            if color[v] != annihilator[v]:
+                raise RuntimeError("every vertex must have in-degree 1")
+            succ[u] = v
+            if not annihilator[zk]:
+                peak[u] = 1
+                paths += 1
+    return BarFrame(color, dominant, z, succ, peak, paths)
 
 
 def cycle_type_via_permutation(v: PairPartition) -> dict[int, int]:

@@ -117,24 +117,34 @@ def all_two_colored(max_m):
         yield from enumerate_colored(m, 2)
 
 
+def _frame_or_error(frame_of, color, annihilator):
+    # any exception, so that an IndexError on one side shows as a difference
+    try:
+        return frame_of(color, annihilator)
+    except Exception as exc:
+        return type(exc)
+
+
 def test_bar_frame_accepts_exactly_the_roles_some_partition_pairs_off():
-    # every color/role sequence of <= 7 points (21,845); the valid ones are
-    # read off the colored partitions themselves
+    # every color/role sequence of <= 8 points (87,381); the valid ones are
+    # read off the colored partitions themselves.  On each, the one sweep
+    # gives the three-pass reference's frame or raises its exception type
     valid = {
-        tuple(map(tuple, point_roles(p.base.pairs, p.colors)))
-        for p in all_two_colored(3)
+        tuple(map(tuple, point_roles(p.base.pairs, p.colors)[:2]))
+        for p in all_two_colored(4)
     } | {((0,), (False,))}
     accepted = 0
-    for n in range(8):
+    for n in range(9):
         for points in itertools.product(((0, False), (0, True), (1, False), (1, True)), repeat=n):
             color = (0,) + tuple(c for c, _ in points)
             annihilator = (False,) + tuple(a for _, a in points)
+            got = _frame_or_error(bar_frame, color, annihilator)
+            assert got == _frame_or_error(reference.bar_frame, color, annihilator), (color, annihilator)
             if (color, annihilator) in valid:
-                assert bar_frame(color, annihilator).color == color
+                assert got.color == color
                 accepted += 1
             else:
-                with pytest.raises(ValueError):
-                    bar_frame(color, annihilator)
+                assert got is ValueError, (color, annihilator)
     assert accepted == len(valid)
 
 
@@ -321,6 +331,14 @@ def _cached_gamma(p):
 def test_cached_gamma_matches_independent_walks_exhaustive(m):
     for p in enumerate_colored(m, 2):
         assert _cached_gamma(p) == build_graph(p).gamma == reference.build_graph(p).gamma
+
+
+@settings(deadline=None)
+@given(two_colored(min_m=0, max_m=12))
+def test_sweep_frame_and_gamma_match_the_reference_random(p):
+    color, annihilator, _ = point_roles(p.base.pairs, p.colors)
+    assert bar_frame(color, annihilator) == reference.bar_frame(color, annihilator)
+    assert moments._graph_exponent(p.base.pairs, p.colors) == tuple(sorted(build_graph(p).gamma.items()))
 
 
 @settings(deadline=None)

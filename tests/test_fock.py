@@ -877,27 +877,33 @@ def test_word_frame_is_every_compatible_partitions_frame():
 
 def test_frame_invariants_survive_optimize():
     # python -O strips assert statements; the frame's checks must still
-    # raise.  Only the pairing check fails on an input (a lone creator);
-    # Z and the bar coloring are reached by faking the ranks, the degree
-    # checks by misorienting the bar arcs.
+    # raise.  Only the pairing check fails on an input (a lone creator).
+    # The others are reached through roles that answer differently when the
+    # sweep reads a point again to close its bar pair: answers[k][i] is the
+    # i-th read of point k, the last answer repeating.  On the pair (1, 2)
+    # of color 0, point 1 is read for the partner check (annihilator), the
+    # bar coloring (color) and the out-degree check (both), and point 2 for
+    # the in-degree check.
     script = """
 from gbmoments import cyclegraph
-def message(*args):
+class Reads:
+    def __init__(self, *answers):
+        self.answers, self.reads = answers, [0] * len(answers)
+    def __len__(self):
+        return len(self.answers)
+    def __getitem__(self, k):
+        i, self.reads[k] = self.reads[k], self.reads[k] + 1
+        return self.answers[k][min(i, len(self.answers[k]) - 1)]
+def message(color, annihilator):
     try:
-        cyclegraph.bar_frame(*args)
+        cyclegraph.bar_frame(Reads(*color), Reads(*annihilator))
     except (ValueError, RuntimeError) as exc:
         return f"{type(exc).__name__}: {exc}"
-print(message([0, 0], [False, False]))
-ranks = cyclegraph._ranks
-cyclegraph._ranks = lambda color, annihilator: ([0, 1, 1], [False, False, False])
-print(message([0, 0, 0], [False, True, False]))
-cyclegraph._ranks = lambda color, annihilator: ([0, 1, 2, 1, 1], [False, True, False, False, False])
-print(message([0, 0, 0, 0, 0], [False, True, False, True, False]))
-cyclegraph._ranks = ranks
-cyclegraph._oriented = lambda pair, c: (pair[1], pair[0]) if c else pair
-print(message([0, 0, 0], [False, True, False]))
-cyclegraph._oriented = lambda pair, c: (pair[0], pair[0])
-print(message([0, 0, 0], [False, True, False]))
+print(message([[0], [0]], [[False], [False]]))
+print(message([[0], [0], [0]], [[False], [True, False], [False]]))
+print(message([[0], [0, 1], [0]], [[False], [True], [False]]))
+print(message([[0], [0], [0]], [[False], [True, True, False], [False]]))
+print(message([[0], [0], [0]], [[False], [True], [False, True]]))
 """
     src = str(Path(fock.__file__).parents[1])
     proc = subprocess.run(

@@ -27,8 +27,9 @@ from gbmoments.broken import (
     StandardForm,
     standard_form,
 )
+from gbmoments import partitions
 from gbmoments.cyclegraph import ColorProfile, CycleGraphAnalysis, build_graph, profile
-from gbmoments.moments import ThomaParameter, thoma_character
+from gbmoments.moments import ThomaParameter, t_free, t_n, thoma_character
 from gbmoments.qproduct import QMatrix
 
 import kernel_reference
@@ -389,6 +390,42 @@ def test_of_takes_pairs_of_two_ints_in_either_order():
     # a pair of one point twice is two ints, which the layout check refuses
     with pytest.raises(ValueError, match="bad pair"):
         PairPartition.of([(1, 1), (2, 3)])
+
+
+def test_split_builds_one_object_per_equal_class():
+    # the classes come from the bounded memo partitions._class_of, so equal
+    # classes are one object: of one split made twice, and of different
+    # partitions
+    v = PairPartition(((1, 4), (2, 5), (3, 6)))
+    first = v.split((0, 1, 0), 2)
+    assert first == [PairPartition(((1, 3), (2, 4))), PairPartition(((1, 2),))]
+    assert all(a is b for a, b in zip(first, v.split((0, 1, 0), 2)))
+    assert PairPartition(((1, 3), (2, 4))).split((0, 0), 1)[0] is first[0]
+    assert ColoredPairPartition(v, (0, 1, 0)).color_class(1) is first[1]
+    assert v.restrict([1]) is first[1]
+    info = partitions._class_of.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 4096
+
+
+def test_constructors_refuse_lists_which_do_not_hash():
+    # a list of pairs, a list pair or a list of colors was accepted, and
+    # then hash(p), the weights' memo keys and the q-product's raised
+    # TypeError: unhashable type: 'list'
+    with pytest.raises(ValueError, match="tuple"):
+        PairPartition([(1, 2)])
+    with pytest.raises(ValueError, match="tuple"):
+        PairPartition(((1, 4), [2, 3]))
+    with pytest.raises(ValueError, match="tuple"):
+        ColoredPairPartition(PairPartition.of([(1, 3), (2, 4)]), [0, 1], 2)
+    # the shared layout and color checks hold broken diagrams to tuples too
+    with pytest.raises(ValueError, match="tuple"):
+        BrokenPairPartition(2, 1, [(1, 2)], (0,), ((),), ((),))
+    # `of` still canonicalizes any iterable into tuples, which hash
+    p = ColoredPairPartition.of([[1, 3], [2, 4]], [0, 1])
+    assert p == ColoredPairPartition(PairPartition(((1, 3), (2, 4))), (0, 1), 2)
+    assert hash(p) == hash(ColoredPairPartition(PairPartition(((1, 3), (2, 4))), (0, 1), 2))
+    assert t_n(2, p) == 1
+    assert t_free(PairPartition.of([[1, 2]])) == 1
 
 
 def test_split_of_no_pairs_has_the_classes_asked_for():
