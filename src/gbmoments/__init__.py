@@ -59,11 +59,9 @@ from .words import (
 )
 from .fock import (
     commutation_check,
-    exclusion_check,
     rho_n_combinatorial,
     vacuum_expectation_dense,
     vacuum_expectation_lambda,
-    wlim_creator_pair_bound,
     wlim_identity_check,
 )
 from .qproduct import (

@@ -16,9 +16,13 @@ A state built by an operator carries its word lengths, so the next one
 reads its level without a scan.
 The lambda oracle propagates single "elementary" states through the
 canonical word of a colored pair partition in one depth-first walk over an
-explicit stack, right to left, that branches over the value of each
-dominant creator and drops a branch at the first dominant annihilator whose
-values disagree.  It reads dominance off the word's levels alone, not from
+explicit stack, right to left, that branches over value classes: a
+dominant creator takes each of the d values its state holds, or one fresh
+label that stands for the N - d others and weighs N - d.  The walk compares
+values only for equality, so assignments that a permutation of 1..N maps
+into each other survive or die together, and the class walk is exact.  A
+branch is dropped at the first dominant annihilator whose values disagree.
+The walk reads dominance off the word's levels alone, not from
 `cyclegraph`; the word fixes the scale, and an assignment only decides
 whether the state survives.
 Negative N is covered by the purely combinatorial weight sum together with
@@ -129,10 +133,10 @@ def apply_letter(state: State, letter: W.Letter, n: int) -> State:
     """One creation or annihilation operator on a symmetrized state, exactly,
     one orbit total at a time; color b's columns and tail are the orbit
     slots 2b and 2b + 1, the other color's the remaining two.  The orbits
-    of a state share their word lengths n_b and n_other, so the level, the
-    branch and the scale are settled once per letter, from the levels the
-    state carries or, for a hand-built one, from a scan of its orbits
-    (ValueError for a state whose orbits do not share them).
+    of a state share their word lengths n_b and n_other, so the kind, the
+    level, the dominance and the scale are settled once per letter, from
+    the levels the state carries or, for a hand-built one, from a scan of
+    its orbits (ValueError for a state whose orbits do not share them).
 
     A creator of index i inserts the column (z, i) into each key, for every
     z in 1..N when dominant (n_b >= n_other: both value tuples grow by z)
@@ -153,29 +157,38 @@ def apply_letter(state: State, letter: W.Letter, n: int) -> State:
     own, other = 2 * b, 2 - 2 * b
     key = i * COLUMN_BASE
     num, den = state.num, state.den
-    totals: dict[Orbit, int] = defaultdict(int)
+    amps = state.amps
+    totals: dict[Orbit, int] = {}
+    get = totals.get
     if kind == W.CREATE:
         if max(nb + 1, nother) > DENSE_MAX_LEVEL:
             raise CapacityError(f"word drives a level above {DENSE_MAX_LEVEL}")
         num *= nb + 1
-        for orbit, total in state.amps.items():
-            cols, tail, other_cols, other_tail = orbit[own], orbit[own + 1], orbit[other], orbit[other + 1]
-            if nb >= nother:
-                for z in range(1, n + 1):
-                    new, grown = _inserted(cols, key + z), other_tail + (z,)
-                    totals[(new, tail, other_cols, grown) if b == 0 else (other_cols, grown, new, tail)] += total
-            else:
+        if nb >= nother:
+            # the N columns a dominant creator may insert, each with the
+            # value both tails grow by
+            grown_by = [(key + z, (z,)) for z in range(1, n + 1)]
+            for orbit, total in amps.items():
+                cols, tail, other_cols, other_tail = orbit[own], orbit[own + 1], orbit[other], orbit[other + 1]
+                for column, z in grown_by:
+                    new, grown = _inserted(cols, column), other_tail + z
+                    image = (new, tail, other_cols, grown) if b == 0 else (other_cols, grown, new, tail)
+                    totals[image] = get(image, 0) + total
+        else:
+            for orbit, total in amps.items():
+                cols, tail, other_cols, other_tail = orbit[own], orbit[own + 1], orbit[other], orbit[other + 1]
                 new, rest = _inserted(cols, key + tail[0]), tail[1:]
-                totals[(new, rest, other_cols, other_tail) if b == 0 else (other_cols, other_tail, new, rest)] += total
+                image = (new, rest, other_cols, other_tail) if b == 0 else (other_cols, other_tail, new, rest)
+                totals[image] = get(image, 0) + total
         nb += 1
     elif nb:
         # adjoint of creation: on an already-symmetrized state only the
         # last word factor is removed; the k-sum of the textbook formula
         # is recovered by the surrounding symmetrization average
         den *= n * nb
-        for orbit, total in state.amps.items():
-            cols, tail, other_cols, other_tail = orbit[own], orbit[own + 1], orbit[other], orbit[other + 1]
-            if nb > nother:
+        if nb > nother:
+            for orbit, total in amps.items():
+                cols, tail, other_cols, other_tail = orbit[own], orbit[own + 1], orbit[other], orbit[other + 1]
                 # only the column whose value is the other tail's last can go
                 column = key + other_tail[-1]
                 j = bisect_left(cols, column)
@@ -183,23 +196,24 @@ def apply_letter(state: State, letter: W.Letter, n: int) -> State:
                     continue
                 mult = bisect_right(cols, column, j) - j
                 rest, shrunk = cols[:j] + cols[j + 1:], other_tail[:-1]
-                totals[(rest, tail, other_cols, shrunk) if b == 0 else (other_cols, shrunk, rest, tail)] += total * mult
-                continue
-            j, stop = bisect_left(cols, key), bisect_left(cols, key + COLUMN_BASE)
-            while j < stop:
-                column = cols[j]
-                mult = bisect_right(cols, column, j, stop) - j
-                rest, freed = cols[:j] + cols[j + 1:], (column - key,) + tail
-                totals[(rest, freed, other_cols, other_tail) if b == 0 else (other_cols, other_tail, rest, freed)] += (
-                    total * mult * n
-                )
-                j += mult
+                image = (rest, tail, other_cols, shrunk) if b == 0 else (other_cols, shrunk, rest, tail)
+                totals[image] = get(image, 0) + total * mult
+        else:
+            for orbit, total in amps.items():
+                cols, tail, other_cols, other_tail = orbit[own], orbit[own + 1], orbit[other], orbit[other + 1]
+                j, stop = bisect_left(cols, key), bisect_left(cols, key + COLUMN_BASE)
+                while j < stop:
+                    column = cols[j]
+                    mult = bisect_right(cols, column, j, stop) - j
+                    rest, freed = cols[:j] + cols[j + 1:], (column - key,) + tail
+                    image = (rest, freed, other_cols, other_tail) if b == 0 else (other_cols, other_tail, rest, freed)
+                    totals[image] = get(image, 0) + total * mult * n
+                    j += mult
         nb -= 1
-    amps = dict(totals)
-    if 0 in amps.values():
+    if 0 in totals.values():
         # orbits of opposite totals cancelled, and the projector drops them
-        amps = {orbit: total for orbit, total in amps.items() if total}
-    return State(num, den, amps, (nb, nother) if b == 0 else (nother, nb))
+        totals = {orbit: total for orbit, total in totals.items() if total}
+    return State(num, den, totals, (nb, nother) if b == 0 else (nother, nb))
 
 
 def _scanned_levels(state: State) -> tuple[int, int]:
@@ -237,24 +251,30 @@ def vacuum_expectation_lambda(p: ColoredPairPartition, n: int) -> Fraction:
     """<vacuum, A vacuum> for the canonical word of p, via elementary-state
     propagation over the value assignments to the dominant creators (those
     whose color's level is at least the other's when they act, read off the
-    word), all in one depth-first walk.  The levels, and with them the
-    scale, are fixed by the word; an assignment only decides whether the
-    state survives, so the sum is the survivor count times that one scale."""
+    word), all in one depth-first walk over value classes.  The walk
+    compares values only for equality, so the assignments of one orbit of
+    S_N, which permutes the values, survive or die together: a dominant
+    creator branches over the d values its state holds and one fresh value
+    standing for the N - d others, and each survivor counts the assignments
+    it stands for.  The levels, and with them the scale, are fixed by the
+    word; an assignment only decides whether the state survives, so the sum
+    is the number of surviving assignments times that one scale."""
     check_dense_params(n)
-    scales = _surviving_scales(W.canonical_word(p), n)
-    if not scales:
+    found = _surviving_scales(W.canonical_word(p), n)
+    if not found:
         return Fraction(0)
-    if any(scale != scales[0] for scale in scales):
+    if len(found) > 1:
         raise RuntimeError("every surviving assignment must carry the scale of the word")
-    return Fraction(len(scales) * scales[0][0], scales[0][1])
+    ((num, den), count), = found.items()
+    return Fraction(count * num, den)
 
 
-def _surviving_scales(word: W.Word, n: int) -> list[tuple[int, int]]:
+def _surviving_scales(word: W.Word, n: int) -> dict[tuple[int, int], int]:
     """Elementary-state propagation right to left through the word, for
-    every value assignment to the dominant creators in one depth-first
-    walk over an explicit stack: a branch splits at a dominant creator, one
-    branch per value, and ends at the first dominant annihilator whose
-    values disagree, so assignments share the walk of their common prefix.
+    every value assignment to the dominant creators, by value class, in one
+    depth-first walk over an explicit stack: a branch splits at a dominant
+    creator and ends at the first dominant annihilator whose values
+    disagree, so assignments share the walk of their common prefix.
 
     A state is a scale factor, one value tuple per color (both of length
     max(level_0, level_1)), and one index word per color; word positions
@@ -263,8 +283,19 @@ def _surviving_scales(word: W.Word, n: int) -> list[tuple[int, int]]:
     the values, so one pass over the word reads, per letter, its color b,
     the level n_b before it, whether it is dominant and, for an
     annihilator, the position of its index in color b's word; a branch
-    carries only its scale and its value tuples.  Returns the scale
-    (numerator, denominator) of every surviving branch."""
+    carries only its scale, its value tuples and the number of assignments
+    it stands for.
+
+    The steps compare values only for equality, and both tuples always
+    hold the same values, so a branch's fate depends on which values are
+    equal, not on what they are.  A dominant creator therefore branches
+    over the d distinct values the state holds, once each, and over one
+    fresh label that no held value carries, standing for the N - d values
+    absent from the state, whose branches differ only by a renaming; the
+    fresh branch is dropped when N - d <= 0.  A label is the step at which
+    it was made fresh, so no two labels clash.  Returns, per scale
+    (numerator, denominator) of a surviving branch, the number of
+    assignments that survive with it."""
     steps: list[tuple[int, int, bool, int | None]] = []
     words: tuple[list[int], list[int]] = ([], [])
     for let in reversed(word):
@@ -281,11 +312,12 @@ def _surviving_scales(word: W.Word, n: int) -> list[tuple[int, int]]:
             steps.append((b, nb, nb > nother, pos))
     if words[0] or words[1]:
         raise RuntimeError("the word must return to the vacuum")
-    found: list[tuple[int, int]] = []
-    # each entry: steps taken, value tuples of colors 0 and 1, scale
-    stack = [(0, [], [], 1, 1)]
+    found: dict[tuple[int, int], int] = {}
+    # each entry: steps taken, value tuples of colors 0 and 1, scale, and
+    # the number of assignments the branch stands for
+    stack = [(0, [], [], 1, 1, 1)]
     while stack:
-        k, x, y, num, den = stack.pop()
+        k, x, y, num, den, count = stack.pop()
         tuples = (x, y)
         while k < len(steps):
             b, nb, dominant, pos = steps[k]
@@ -293,11 +325,16 @@ def _surviving_scales(word: W.Word, n: int) -> list[tuple[int, int]]:
             if pos is None:
                 num *= nb + 1
                 if dominant:
-                    # values 1..N-1 branch off; this branch goes on with N
-                    for z in range(1, n):
-                        stack.append((k, x + [z], y + [z], num, den))
-                    x.append(n)
-                    y.append(n)
+                    # each held value branches off; this branch goes on
+                    # with the fresh label k, for the N - d absent values
+                    held = set(x)
+                    for z in held:
+                        stack.append((k, x + [z], y + [z], num, den, count))
+                    if n <= len(held):
+                        break
+                    count *= n - len(held)
+                    x.append(k)
+                    y.append(k)
                 continue
             bound_value = tuples[b][pos]
             if dominant:
@@ -316,7 +353,8 @@ def _surviving_scales(word: W.Word, n: int) -> list[tuple[int, int]]:
         else:
             if x or y:
                 raise RuntimeError("the word must return to the vacuum")
-            found.append((num, den))
+            scale = (num, den)
+            found[scale] = found.get(scale, 0) + count
     return found
 
 
@@ -460,26 +498,6 @@ def one_color_words(max_len: int, num_indices: int, color: int = 1):
             yield W.word(combo)
 
 
-def exclusion_check(
-    n: int, max_len: int = 6, num_indices: int = 2, color: int = 1
-) -> dict:
-    """For every generated word whose profile exceeds |N| somewhere, verify
-    that the squared word has vanishing moment.  N must be negative."""
-    if n >= 0:
-        raise ValueError("exclusion principle applies to negative N")
-    checked = 0
-    failures = []
-    for w in one_color_words(max_len, num_indices, color):
-        prof = W.word_profile(w)
-        if not any(v > -n for v in prof.values()):
-            continue
-        value = _loop_sum(W.adjoint(w) + w, n)
-        checked += 1
-        if value != 0:
-            failures.append((w, value))
-    return {"checked": checked, "failures": failures, "all_zero": not failures}
-
-
 def commutation_check(
     a_word: W.Word, b_word: W.Word, b: int, i: int, n: int
 ) -> tuple[Fraction, Fraction, bool]:
@@ -534,20 +552,3 @@ def wlim_identity_check(
     lhs = _loop_sum(full, n)
     rhs = Fraction(weight, n**2) * _loop_sum(b_star + a_word, n)
     return lhs, rhs, lhs == rhs
-
-
-def wlim_creator_pair_bound(
-    a_word: W.Word, b_word: W.Word, b: int, i: int, n: int, pad: int, r: int
-) -> tuple[Fraction, Fraction, bool]:
-    """Decay bound for the doubled-creator padding variant:
-    |rho(B* pads a* a* pads* A)| <= C |N|^(1-r) with C the number of
-    compatible partitions, valid once pad + |w_b| - |w_-b| > 2r."""
-    a_word, b_star = W.word(a_word), W.adjoint(W.word(b_word))
-    full = _padded(a_word, b_star, b, pad, W.word((W.create(b, i), W.create(b, i))))
-    weight_b, weight_other, _ = _profile_weights(a_word, b, i)
-    if pad + weight_b - weight_other <= 2 * r:
-        raise ValueError("padding size below the bound's threshold")
-    value = _loop_sum(full, n)
-    count = W.compatible_count(full)
-    bound = Fraction(count * abs(n), abs(n) ** r)
-    return value, bound, abs(value) <= bound

@@ -34,16 +34,22 @@ Word = tuple[Letter, ...]
 
 
 def word(letters: Iterable[Letter]) -> Word:
-    """The letters as a word; ValueError for a kind not 'a' or 'a*', or a
+    """The letters as a word; ValueError for an item that is no Letter
+    (such as a plain tuple, a string or None), a kind not 'a' or 'a*', or a
     color id or basis index that is not an int in range (bools refused)."""
     w = tuple(letters)
-    for let in w:
-        if let.k not in (ANNIHILATE, CREATE):
-            raise ValueError(f"letter kind must be 'a' or 'a*', got {let.k!r}")
-        if type(let.b) is not int or let.b not in (0, 1):
-            raise ValueError("color id must be 0 or 1")
-        if type(let.i) is not int or let.i < 1:
-            raise ValueError("basis index must be an int >= 1")
+    try:
+        for let in w:
+            if let.k not in (ANNIHILATE, CREATE):
+                raise ValueError(f"letter kind must be 'a' or 'a*', got {let.k!r}")
+            if type(let.b) is not int or let.b not in (0, 1):
+                raise ValueError("color id must be 0 or 1")
+            if type(let.i) is not int or let.i < 1:
+                raise ValueError("basis index must be an int >= 1")
+    except AttributeError:
+        # an item without the fields b, i and k; caught around the loop, so
+        # a word of Letters pays nothing for the check
+        raise ValueError(f"a word's letters must be Letter(b, i, k), got {let!r}") from None
     return w
 
 

@@ -44,6 +44,10 @@ value assignment to the dominant creators, and `vacuum_expectation_lambda`
 runs it once per assignment, which `gbmoments.fock`'s one depth-first walk
 must agree with.  `point_color` and `maximal_monotone_paths` are direct
 readings of a partition and a cycle that only the tests use.
+`exclusion_check` (the exclusion principle on squared one-color words at
+negative N) and `wlim_creator_pair_bound` (the decay bound of the
+doubled-creator padding variant) are identity sweeps over
+`gbmoments.fock.rho_n_combinatorial` that only the tests run.
 """
 
 from __future__ import annotations
@@ -62,7 +66,17 @@ from gbmoments.broken import (
 )
 from gbmoments import words as W
 from gbmoments.cyclegraph import BarFrame, ColorProfile, CycleGraphAnalysis
-from gbmoments.fock import COLUMN_BASE, DENSE_MAX_LEVEL, LAMBDA_MAX_LEVEL, State, StateKey
+from gbmoments.fock import (
+    COLUMN_BASE,
+    DENSE_MAX_LEVEL,
+    LAMBDA_MAX_LEVEL,
+    State,
+    StateKey,
+    _padded,
+    _profile_weights,
+    one_color_words,
+    rho_n_combinatorial,
+)
 from gbmoments.partitions import (
     CapacityError,
     ColorArityError,
@@ -650,3 +664,37 @@ def propagate(
             del words[b][pos]
     assert not (words[0] or words[1] or tuples[0] or tuples[1]), "the word must return to the vacuum"
     return num, den
+
+
+def exclusion_check(n: int, max_len: int = 6, num_indices: int = 2, color: int = 1) -> dict:
+    """For every generated word whose profile exceeds |N| somewhere, verify
+    that the squared word has vanishing moment.  N must be negative."""
+    if n >= 0:
+        raise ValueError("exclusion principle applies to negative N")
+    checked = 0
+    failures = []
+    for w in one_color_words(max_len, num_indices, color):
+        if not any(v > -n for v in W.word_profile(w).values()):
+            continue
+        value = rho_n_combinatorial(W.adjoint(w) + w, n)
+        checked += 1
+        if value != 0:
+            failures.append((w, value))
+    return {"checked": checked, "failures": failures, "all_zero": not failures}
+
+
+def wlim_creator_pair_bound(
+    a_word: W.Word, b_word: W.Word, b: int, i: int, n: int, pad: int, r: int
+) -> tuple[Fraction, Fraction, bool]:
+    """Decay bound for the doubled-creator padding variant:
+    |rho(B* pads a* a* pads* A)| <= C |N|^(1-r) with C the number of
+    compatible partitions, valid once pad + |w_b| - |w_-b| > 2r."""
+    a_word, b_star = W.word(a_word), W.adjoint(W.word(b_word))
+    full = _padded(a_word, b_star, b, pad, W.word((W.create(b, i), W.create(b, i))))
+    weight_b, weight_other, _ = _profile_weights(a_word, b, i)
+    if pad + weight_b - weight_other <= 2 * r:
+        raise ValueError("padding size below the bound's threshold")
+    value = rho_n_combinatorial(full, n)
+    count = W.compatible_count(full)
+    bound = Fraction(count * abs(n), abs(n) ** r)
+    return value, bound, abs(value) <= bound

