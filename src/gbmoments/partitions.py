@@ -115,12 +115,6 @@ class PairPartition(FrozenValue):
     def size(self) -> int:
         return 2 * len(self.pairs)
 
-    def left_points(self) -> frozenset[int]:
-        return frozenset(l for l, _ in self.pairs)
-
-    def right_points(self) -> frozenset[int]:
-        return frozenset(r for _, r in self.pairs)
-
     def split(self, ids: Sequence[int], count: int) -> list["PairPartition"]:
         """Every class of pairs at once: class b holds the pairs j with
         ids[j] == b, in their order here, points relabeled

@@ -35,21 +35,19 @@ Word = tuple[Letter, ...]
 
 def word(letters: Iterable[Letter]) -> Word:
     """The letters as a word; ValueError for an item that is no Letter
-    (such as a plain tuple, a string or None), a kind not 'a' or 'a*', or a
-    color id or basis index that is not an int in range (bools refused)."""
+    (such as a plain tuple, a string, None or another record with the
+    fields b, i and k), a kind not 'a' or 'a*', or a color id or basis
+    index that is not an int in range (bools refused)."""
     w = tuple(letters)
-    try:
-        for let in w:
-            if let.k not in (ANNIHILATE, CREATE):
-                raise ValueError(f"letter kind must be 'a' or 'a*', got {let.k!r}")
-            if type(let.b) is not int or let.b not in (0, 1):
-                raise ValueError("color id must be 0 or 1")
-            if type(let.i) is not int or let.i < 1:
-                raise ValueError("basis index must be an int >= 1")
-    except AttributeError:
-        # an item without the fields b, i and k; caught around the loop, so
-        # a word of Letters pays nothing for the check
-        raise ValueError(f"a word's letters must be Letter(b, i, k), got {let!r}") from None
+    for let in w:
+        if type(let) is not Letter:
+            raise ValueError(f"a word's letters must be Letter(b, i, k), got {let!r}")
+        if let.k not in (ANNIHILATE, CREATE):
+            raise ValueError(f"letter kind must be 'a' or 'a*', got {let.k!r}")
+        if type(let.b) is not int or let.b not in (0, 1):
+            raise ValueError("color id must be 0 or 1")
+        if type(let.i) is not int or let.i < 1:
+            raise ValueError("basis index must be an int >= 1")
     return w
 
 

@@ -42,8 +42,9 @@ literal |G|-fold group average that `gbmoments.fock.sym_project` computes
 by orbit sums.  `propagate` is one elementary-state propagation for one
 value assignment to the dominant creators, and `vacuum_expectation_lambda`
 runs it once per assignment, which `gbmoments.fock`'s one depth-first walk
-must agree with.  `point_color` and `maximal_monotone_paths` are direct
-readings of a partition and a cycle that only the tests use.
+must agree with.  `left_points`, `right_points`, `point_color` and
+`maximal_monotone_paths` are direct readings of a partition and a cycle
+that only the tests use.
 `exclusion_check` (the exclusion principle on squared one-color words at
 negative N) and `wlim_creator_pair_bound` (the decay bound of the
 doubled-creator padding variant) are identity sweeps over
@@ -89,10 +90,18 @@ D = "D"
 S = "S"
 
 
+def left_points(v: PairPartition) -> frozenset[int]:
+    return frozenset(l for l, _ in v.pairs)
+
+
+def right_points(v: PairPartition) -> frozenset[int]:
+    return frozenset(r for _, r in v.pairs)
+
+
 def noncrossing_hat(v: PairPartition) -> PairPartition:
     """The unique noncrossing pair partition with the same left points as v:
     left points open, right points close the most recently opened point."""
-    lefts = v.left_points()
+    lefts = left_points(v)
     stack: list[int] = []
     pairs = []
     for k in range(1, v.size + 1):
@@ -144,7 +153,7 @@ def z_map(p: ColoredPairPartition) -> dict[int, int]:
     """Nearest point of equal r-value on the prescribed side."""
     prof = profile(p)
     cls = classify(p)
-    lefts = p.base.left_points()
+    lefts = left_points(p.base)
     n = p.size
     z = {}
     for k in range(1, n + 1):
@@ -608,7 +617,7 @@ def vacuum_expectation_lambda(p: ColoredPairPartition, n: int) -> Fraction:
     to the dominant creators: the survivor count times the word's scale."""
     word = W.canonical_word(p)
     cls = classify(p)
-    rights = p.base.right_points()
+    rights = right_points(p.base)
     dominant_creators = [k for k in range(1, p.size + 1) if k in rights and cls[k] == D]
     found = []
     for values in itertools.product(range(1, n + 1), repeat=len(dominant_creators)):

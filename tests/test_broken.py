@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import kernel_reference as reference
-from gbmoments import broken
+from gbmoments import broken, partitions
 from gbmoments.broken import (
     BrokenPairPartition,
     LeftHookRun,
@@ -280,6 +280,34 @@ def test_gram_matrix_multiplies_only_matching_blocks(monkeypatch, args, products
     blocks = Counter(tuple(map(len, d.left_legs)) for d in family if not any(d.right_legs))
     assert sum(size**2 for size in blocks.values()) == products
     assert len(calls) == products
+
+
+def test_gram_blocks_hand_equal_products_to_t_as_one_object():
+    # equal products come from the memo broken._product_of: within one call
+    # and across two, t sees one object per distinct product
+    family = enumerate_broken(3, 2)
+    seen = [[], []]
+    for calls in seen:
+        broken.gram_blocks(family, lambda p: calls.append(p) or 1)
+    first = {}
+    for p in seen[0] + seen[1]:
+        assert first.setdefault(p, p) is p
+    assert len(first) < len(seen[0])
+    assert list(map(id, seen[0])) == list(map(id, seen[1]))
+
+
+def test_gram_blocks_check_each_distinct_product_once(monkeypatch):
+    # a memo miss builds the product through the validating constructors,
+    # a hit checks nothing: 1,815 of the 5,375 products at 4 points differ
+    family = enumerate_broken(4, 2)
+    checked, products = [], []
+    check = partitions._check_layout
+    monkeypatch.setattr(partitions, "_check_layout", lambda *a: checked.append(a) or check(*a))
+    broken._product_of.cache_clear()
+    broken.gram_blocks(family, products.append)
+    assert (len(checked), len(set(products)), len(products)) == (1815, 1815, 5375)
+    info = broken._product_of.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 4096
 
 
 def test_gram_matrix_size_guard_precedes_every_product():

@@ -154,7 +154,7 @@ def test_z_map_color_side_laws():
     for p in all_two_colored(4):
         cls = classify(p)
         z = z_map(p)
-        lefts = p.base.left_points()
+        lefts = reference.left_points(p.base)
         for k in range(1, p.size + 1):
             same_color = reference.point_color(p, k) == reference.point_color(p, z[k])
             assert (cls[z[k]] == cls[k]) == same_color
@@ -182,7 +182,7 @@ def test_structural_invariants_small():
 def test_profile_steps_happen_at_own_color_endpoints():
     for p in all_two_colored(3):
         prof = profile(p)
-        lefts = p.base.left_points()
+        lefts = reference.left_points(p.base)
         for b in (0, 1):
             for k in range(1, p.size + 1):
                 if prof.p(b, k) > prof.p(b, k - 1):
@@ -209,7 +209,7 @@ def test_profile_endpoint_inequalities():
     # symmetrically nothing opens across a right point
     for p in all_two_colored(3):
         prof = profile(p)
-        lefts = p.base.left_points()
+        lefts = reference.left_points(p.base)
         for k in range(1, p.size + 1):
             c = reference.point_color(p, k)
             if k in lefts:
@@ -282,7 +282,7 @@ def test_monotone_path_endpoints_are_dominant():
     for p in all_two_colored(4):
         a = build_graph(p)
         cls = dict(a.classification)
-        lefts = p.base.left_points()
+        lefts = reference.left_points(p.base)
         for cycle in a.cycles:
             inc, dec = reference.maximal_monotone_paths(cycle)
             for run in inc:

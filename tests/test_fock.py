@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -829,10 +830,15 @@ def test_rho_n_combinatorial_refuses_malformed_letters(w, message):
         rho_n_combinatorial((W.annihilate(0, 1), W.create(0, 1)), 0)
 
 
-@pytest.mark.parametrize("item", [(0, 1, "a"), None, "a*"], ids=["tuple", "none", "string"])
+@pytest.mark.parametrize(
+    "item",
+    [(0, 1, "a"), None, "a*", SimpleNamespace(b=0, i=1, k="a*")],
+    ids=["tuple", "none", "string", "namespace"],
+)
 def test_items_that_are_no_letter_are_refused(item):
-    # the letters are read by attribute, so these raised AttributeError
-    # where the docstrings promise ValueError for a malformed letter
+    # the letters are read by attribute, so the first three raised
+    # AttributeError where the docstrings promise ValueError for a malformed
+    # letter, and a record with the fields b, i and k passed as a letter
     for w in ([item, (0, 1, "a*")], (W.annihilate(0, 1), item), [item]):
         for call in (W.word, lambda w: vacuum_expectation_dense(w, 2), lambda w: rho_n_combinatorial(w, 2)):
             with pytest.raises(ValueError, match="letters must be Letter"):

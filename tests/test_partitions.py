@@ -271,7 +271,7 @@ def test_uncolored_cycles_examples():
 def test_noncrossing_hat_properties(v):
     hat = noncrossing_hat(v)
     assert crossings(hat) == []
-    assert hat.left_points() == v.left_points()
+    assert kernel_reference.left_points(hat) == kernel_reference.left_points(v)
     assert noncrossing_hat(hat) == hat
 
 
