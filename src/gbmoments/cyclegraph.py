@@ -12,8 +12,9 @@ Everything but the partition's own arcs is fixed by the colors and the
 annihilator/creator roles of the points (left points are annihilators),
 so `bar_frame` computes it from those alone, in one sweep over the points,
 once per word for all the partitions compatible with it (the word-level
-sum `fock._loop_sum` scans its Z and path count), and refuses roles that
-no partition pairs off.  The frame keeps the colors, dominance and Z,
+sum `fock._loop_sum` passes it the colors and roles its own sweep over the
+letters read, and scans its Z and path count), and refuses roles that no
+partition pairs off.  The frame keeps the colors, dominance and Z,
 which the `graph` report reads, and the bar successors and peaks, which
 the cycle walk reads.  `point_roles` reads a partition's point roles and
 the steps of its pair arcs in one pass over its pairs, and `loop_counter`
@@ -297,14 +298,6 @@ class CycleGraphAnalysis(FrozenValue):
         for c in self.path_counts:
             out[c] = out.get(c, 0) + 1
         return out
-
-    @property
-    def total_increasing_paths(self) -> int:
-        return sum(self.path_counts)
-
-    @property
-    def num_cycles(self) -> int:
-        return len(self.cycles)
 
     def to_json(self) -> dict:
         return {

@@ -30,8 +30,11 @@ the exclusion, commutation, and finite-padding identities.  That sum is
 the loop sum rho_N(w) = N^-P(w) sum over the compatible matchings M of
 N^cycles(M u Z(w)): the bar partition Z(w) and the path count P(w) are the
 same for every partition compatible with w, so they are computed once per
-word (`word_frame`), and the sum is read off one left-to-right scan over
-the open paths of M u Z(w), which lists no matching.
+word.  One sweep over the letters (`_word_points`) reads the points'
+colors, roles and key labels and settles whether any partition is
+compatible; `bar_frame` builds the frame from those lists, and the sum is
+read off one left-to-right scan over the open paths of M u Z(w), which
+lists no matching.  `word_frame` reads the frame through the same sweep.
 """
 
 from __future__ import annotations
@@ -358,14 +361,48 @@ def _surviving_scales(word: W.Word, n: int) -> dict[tuple[int, int], int]:
     return found
 
 
+def _word_points(w: W.Word) -> tuple[list[int], list[bool], list[int]] | None:
+    """The point-indexed colors, annihilator flags and key labels (index 0
+    unused) of the word's letters, read in one sweep, or None when no
+    partition is compatible with the word: the zero test of
+    `words.compatible_count`, by one count per (color, index) key of the
+    annihilators still open.  A key's label is len(w) + 1 + the number of
+    keys seen before its first letter."""
+    size = len(w)
+    color, annihilator, label = [0], [False], [0]
+    keys: dict[tuple[int, int], int] = {}
+    # opened[key]: the annihilators of that key not yet closed
+    opened = [0] * (2 * size + 1)
+    unclosed = 0
+    create = W.CREATE
+    for b, i, kind in w:
+        key = keys.setdefault((b, i), size + 1 + len(keys))
+        if kind == create:
+            if not opened[key]:
+                return None
+            opened[key] -= 1
+            unclosed -= 1
+            annihilator.append(False)
+        else:
+            opened[key] += 1
+            unclosed += 1
+            annihilator.append(True)
+        color.append(b)
+        label.append(key)
+    return None if unclosed else (color, annihilator, label)
+
+
 def word_frame(w: W.Word) -> BarFrame:
     """The bar frame of the word's points, shared by every partition
-    compatible with it; the word must have one.  The frame indexes by color,
-    so a color outside {0, 1} raises ValueError, as `words.word()` does."""
-    color = [0] + [let.b for let in w]
-    if not set(color) <= {0, 1}:
+    compatible with it; a word with none raises ValueError.  The frame
+    indexes by color, so a color outside {0, 1} raises ValueError, as
+    `words.word()` does."""
+    if not {let.b for let in w} <= {0, 1}:
         raise ValueError("color id must be 0 or 1")
-    annihilator = [False] + [let.k == W.ANNIHILATE for let in w]
+    points = _word_points(w)
+    if points is None:
+        raise ValueError("no colored pair partition is compatible with the word")
+    color, annihilator, _ = points
     return bar_frame(color, annihilator)
 
 
@@ -388,29 +425,34 @@ def _loop_sum(w: W.Word, n: int) -> Fraction:
     """`rho_n_combinatorial` of a word already read through `words.word()`:
     the identity checks read each of their words once and sum here.
 
-    One left-to-right scan over the word's points keeps the open paths of
-    M u Z(w) for every partial matching M of the points scanned so far,
-    grouped into states with integer weights (the number of partial
-    matchings, times N per closed cycle).  An open path has two ends: a bar
-    end waiting for its point t = Z(k) > k is labeled t, an annihilator end
-    waiting for a creator is labeled by its (color, index) key.  A state
-    lists every path from both of its ends, each as `end * base + other
-    end`, sorted; so the ends that carry one label are a run found by
-    bisection, and a state hashes as a tuple of ints.  Raises
+    One sweep over the letters (`_word_points`) gives the points' colors,
+    roles and key labels and returns 0 for a word with no compatible
+    partition; only then does `bar_frame` build the frame, from those
+    lists.  One left-to-right scan over the word's points then keeps the
+    open paths of M u Z(w) for every partial matching M of the points
+    scanned so far, grouped into states with integer weights (the number
+    of partial matchings, times N per closed cycle).  An open path has two
+    ends: a bar end waiting for its point t = Z(k) > k is labeled t, an
+    annihilator end waiting for a creator is labeled by its (color, index)
+    key.  A state lists every path from both of its ends, each as `end *
+    base + other end`, sorted; so the ends that carry one label are a run
+    found by bisection, and a state hashes as a tuple of ints.  Raises
     CapacityError once the states being built hold more than
     `SCAN_MAX_PATHS` paths in all, before the next letter is read.  N must
-    be a nonzero int (not a bool), else ValueError."""
+    be a nonzero int (not a bool), else ValueError, before any other
+    work."""
     _check_n(n)
-    if not W.compatible_count(w):
+    points = _word_points(w)
+    if points is None:
         return Fraction(0)
-    frame = word_frame(w)
+    color, annihilator, label = points
+    frame = bar_frame(color, annihilator)
+    z = frame.z
     # bar labels are the points 1..len(w), key labels follow them
     base = 2 * len(w) + 1
-    keys: dict[tuple[int, int], int] = {}
     states: dict[tuple[int, ...], int] = {(): 1}
-    for k, let in enumerate(w, start=1):
-        label = keys.setdefault((let.b, let.i), len(w) + 1 + len(keys))
-        states = _scan_point(states, k, frame.z[k], label, let.k == W.CREATE, base, n)
+    for k in range(1, len(w) + 1):
+        states = _scan_point(states, k, z[k], label[k], not annihilator[k], base, n)
         if not states:
             return Fraction(0)
     return Fraction(states.get((), 0), n**frame.paths)
@@ -504,6 +546,8 @@ def commutation_check(
     """Both sides of rho(B* a a* A) = (1 + w^A_b(i)/N) rho(B* A).
 
     Requires the color-b profile weight of A to dominate the other color's.
+    The right-hand side is formed as one Fraction from the integers of
+    rho(B* A) = num / den: ((N + w) num) / (N den).
     """
     a_word, b_star = W.word(a_word), W.adjoint(W.word(b_word))
     weight_b, weight_other, weight = _profile_weights(a_word, b, i)
@@ -511,17 +555,28 @@ def commutation_check(
         raise ValueError("hypothesis violated: |w_b| < |w_-b| for the word A")
     middle = W.word((W.annihilate(b, i), W.create(b, i)))
     lhs = _loop_sum(b_star + middle + a_word, n)
-    rhs = (1 + Fraction(weight, n)) * _loop_sum(b_star + a_word, n)
+    reduced = _loop_sum(b_star + a_word, n)
+    rhs = Fraction((n + weight) * reduced.numerator, n * reduced.denominator)
     return lhs, rhs, lhs == rhs
 
 
 def _profile_weights(a_word: W.Word, b: int, i: int) -> tuple[int, int, int]:
     """|w_b| and |w_-b|, the color weights of the word A's profile (as
-    `words.profile_weight`), and its entry w_b(i), from one profile."""
-    profile = W.word_profile(a_word)
-    weight_b = sum(v for (c, _), v in profile.items() if c == b)
-    weight_other = sum(v for (c, _), v in profile.items() if c == 1 - b)
-    return weight_b, weight_other, profile.get((b, i), 0)
+    `words.profile_weight`), and its entry w_b(i), in one loop over A: a
+    creator counts +1 and an annihilator -1 towards its color's weight and
+    its (color, index) entry."""
+    weight_b = weight_other = weight = 0
+    other = 1 - b
+    create = W.CREATE
+    for let_b, let_i, kind in a_word:
+        step = 1 if kind == create else -1
+        if let_b == b:
+            weight_b += step
+            if let_i == i:
+                weight += step
+        elif let_b == other:
+            weight_other += step
+    return weight_b, weight_other, weight
 
 
 def _padded(
@@ -543,12 +598,15 @@ def wlim_identity_check(
 ) -> tuple[Fraction, Fraction, bool]:
     """Exact finite-padding identity
     rho(B* a_{2p}..a_{p+1} a* a a*_{p+1}..a*_{2p} A) = (w^A_b(i)/N^2) rho(B* A)
-    for padding size p beyond the profile threshold."""
+    for padding size p beyond the profile threshold; the right-hand side is
+    formed as one Fraction from the integers of rho(B* A) = num / den:
+    (w num) / (N^2 den)."""
     a_word, b_star = W.word(a_word), W.adjoint(W.word(b_word))
     full = _padded(a_word, b_star, b, pad, W.word((W.create(b, i), W.annihilate(b, i))))
     weight_b, weight_other, weight = _profile_weights(a_word, b, i)
     if pad + weight_b <= weight_other:
         raise ValueError("padding size below the identity's threshold")
     lhs = _loop_sum(full, n)
-    rhs = Fraction(weight, n**2) * _loop_sum(b_star + a_word, n)
+    reduced = _loop_sum(b_star + a_word, n)
+    rhs = Fraction(weight * reduced.numerator, n**2 * reduced.denominator)
     return lhs, rhs, lhs == rhs

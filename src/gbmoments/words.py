@@ -117,12 +117,19 @@ def compatible_count(w: Word) -> int:
 def canonical_word(p: ColoredPairPartition) -> Word:
     """The standard word whose only compatible structure is p itself:
     left points become annihilators, right points creators, the basis index
-    of both letters of a pair is the pair's 1-based canonical ordinal."""
+    of both letters of a pair is the pair's 1-based canonical ordinal.
+
+    A checked partition's colors are ints >= 0 and its ordinals ints >= 1,
+    so the letters are built directly, with no pass through `word()`; a
+    color outside {0, 1} (a partition of three or more colors) raises
+    ValueError, as `word()` would."""
     letters = [None] * p.size
     for j, ((l, r), c) in enumerate(zip(p.base.pairs, p.colors), start=1):
-        letters[l - 1] = annihilate(c, j)
-        letters[r - 1] = create(c, j)
-    return word(letters)
+        if c > 1:
+            raise ValueError("color id must be 0 or 1")
+        letters[l - 1] = Letter(c, j, ANNIHILATE)
+        letters[r - 1] = Letter(c, j, CREATE)
+    return tuple(letters)
 
 
 def word_to_json(w: Word) -> list[dict]:

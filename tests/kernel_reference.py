@@ -43,12 +43,22 @@ by orbit sums.  `propagate` is one elementary-state propagation for one
 value assignment to the dominant creators, and `vacuum_expectation_lambda`
 runs it once per assignment, which `gbmoments.fock`'s one depth-first walk
 must agree with.  `left_points`, `right_points`, `point_color` and
-`maximal_monotone_paths` are direct readings of a partition and a cycle
+`maximal_monotone_paths` are direct readings of a partition and a cycle,
+and `total_increasing_paths` and `num_cycles` of a `CycleGraphAnalysis`,
 that only the tests use.
 `exclusion_check` (the exclusion principle on squared one-color words at
 negative N) and `wlim_creator_pair_bound` (the decay bound of the
 doubled-creator padding variant) are identity sweeps over
 `gbmoments.fock.rho_n_combinatorial` that only the tests run.
+`loop_sum`, `word_frame`, `profile_weights`, `commutation_check` and
+`wlim_identity_check` are the word-level sums as they were before
+`gbmoments.fock._loop_sum` read each word in one sweep: the closed-form
+`words.compatible_count` first, then a frame from per-letter list
+comprehensions, built here by the three-pass `bar_frame` above, then the
+scan (the package's `_scan_point`, which that change left alone); the
+checks read A's profile from `words.word_profile` and multiply Fractions
+for the right-hand side.  On every word and N the package must give equal
+Fractions or raise the same exception type.
 """
 
 from __future__ import annotations
@@ -74,7 +84,7 @@ from gbmoments.fock import (
     State,
     StateKey,
     _padded,
-    _profile_weights,
+    _scan_point,
     one_color_words,
     rho_n_combinatorial,
 )
@@ -83,6 +93,7 @@ from gbmoments.partitions import (
     ColorArityError,
     ColoredPairPartition,
     PairPartition,
+    _check_n,
     crossings,
 )
 
@@ -110,6 +121,17 @@ def noncrossing_hat(v: PairPartition) -> PairPartition:
         else:
             pairs.append((stack.pop(), k))
     return PairPartition.of(pairs)
+
+
+def total_increasing_paths(analysis: CycleGraphAnalysis) -> int:
+    """The maximal increasing paths of the analysis' graph, over all its
+    cycles."""
+    return sum(analysis.path_counts)
+
+
+def num_cycles(analysis: CycleGraphAnalysis) -> int:
+    """The number of cycles of the analysis' graph."""
+    return len(analysis.cycles)
 
 
 def point_color(p: ColoredPairPartition, k: int) -> int:
@@ -700,10 +722,82 @@ def wlim_creator_pair_bound(
     compatible partitions, valid once pad + |w_b| - |w_-b| > 2r."""
     a_word, b_star = W.word(a_word), W.adjoint(W.word(b_word))
     full = _padded(a_word, b_star, b, pad, W.word((W.create(b, i), W.create(b, i))))
-    weight_b, weight_other, _ = _profile_weights(a_word, b, i)
+    weight_b, weight_other, _ = profile_weights(a_word, b, i)
     if pad + weight_b - weight_other <= 2 * r:
         raise ValueError("padding size below the bound's threshold")
     value = rho_n_combinatorial(full, n)
     count = W.compatible_count(full)
     bound = Fraction(count * abs(n), abs(n) ** r)
     return value, bound, abs(value) <= bound
+
+
+def word_frame(w: W.Word) -> BarFrame:
+    """The bar frame of the word's points, shared by every partition
+    compatible with it; the word must have one.  The frame indexes by color,
+    so a color outside {0, 1} raises ValueError, as `words.word()` does."""
+    color = [0] + [let.b for let in w]
+    if not set(color) <= {0, 1}:
+        raise ValueError("color id must be 0 or 1")
+    annihilator = [False] + [let.k == W.ANNIHILATE for let in w]
+    return bar_frame(color, annihilator)
+
+
+def loop_sum(w: W.Word, n: int) -> Fraction:
+    """The loop sum rho_N(w) of a word read through `words.word()`: the
+    compatible count, then the word's frame, then one scan per point."""
+    _check_n(n)
+    if not W.compatible_count(w):
+        return Fraction(0)
+    frame = word_frame(w)
+    # bar labels are the points 1..len(w), key labels follow them
+    base = 2 * len(w) + 1
+    keys: dict[tuple[int, int], int] = {}
+    states: dict[tuple[int, ...], int] = {(): 1}
+    for k, let in enumerate(w, start=1):
+        label = keys.setdefault((let.b, let.i), len(w) + 1 + len(keys))
+        states = _scan_point(states, k, frame.z[k], label, let.k == W.CREATE, base, n)
+        if not states:
+            return Fraction(0)
+    return Fraction(states.get((), 0), n**frame.paths)
+
+
+def profile_weights(a_word: W.Word, b: int, i: int) -> tuple[int, int, int]:
+    """|w_b| and |w_-b|, the color weights of the word A's profile (as
+    `words.profile_weight`), and its entry w_b(i), from one profile."""
+    profile = W.word_profile(a_word)
+    weight_b = sum(v for (c, _), v in profile.items() if c == b)
+    weight_other = sum(v for (c, _), v in profile.items() if c == 1 - b)
+    return weight_b, weight_other, profile.get((b, i), 0)
+
+
+def commutation_check(
+    a_word: W.Word, b_word: W.Word, b: int, i: int, n: int
+) -> tuple[Fraction, Fraction, bool]:
+    """Both sides of rho(B* a a* A) = (1 + w^A_b(i)/N) rho(B* A).
+
+    Requires the color-b profile weight of A to dominate the other color's.
+    """
+    a_word, b_star = W.word(a_word), W.adjoint(W.word(b_word))
+    weight_b, weight_other, weight = profile_weights(a_word, b, i)
+    if weight_b < weight_other:
+        raise ValueError("hypothesis violated: |w_b| < |w_-b| for the word A")
+    middle = W.word((W.annihilate(b, i), W.create(b, i)))
+    lhs = loop_sum(b_star + middle + a_word, n)
+    rhs = (1 + Fraction(weight, n)) * loop_sum(b_star + a_word, n)
+    return lhs, rhs, lhs == rhs
+
+
+def wlim_identity_check(
+    a_word: W.Word, b_word: W.Word, b: int, i: int, n: int, pad: int
+) -> tuple[Fraction, Fraction, bool]:
+    """Exact finite-padding identity
+    rho(B* a_{2p}..a_{p+1} a* a a*_{p+1}..a*_{2p} A) = (w^A_b(i)/N^2) rho(B* A)
+    for padding size p beyond the profile threshold."""
+    a_word, b_star = W.word(a_word), W.adjoint(W.word(b_word))
+    full = _padded(a_word, b_star, b, pad, W.word((W.create(b, i), W.annihilate(b, i))))
+    weight_b, weight_other, weight = profile_weights(a_word, b, i)
+    if pad + weight_b <= weight_other:
+        raise ValueError("padding size below the identity's threshold")
+    lhs = loop_sum(full, n)
+    rhs = Fraction(weight, n**2) * loop_sum(b_star + a_word, n)
+    return lhs, rhs, lhs == rhs

@@ -175,6 +175,21 @@ def test_canonical_word_unique_compatible():
         assert found == [p]
 
 
+def test_canonical_word_builds_checked_letters():
+    # the letters are built without words.word(), so they must be what it
+    # accepts: Letters with colors 0 or 1, ordinals >= 1 and the two kinds
+    for p in (q for m in range(5) for q in enumerate_colored(m, 2)):
+        w = W.canonical_word(p)
+        assert type(w) is tuple and W.word(w) == w, p
+    # three colors: only a partition that uses color 2 is refused
+    two_of_three = ColoredPairPartition.of([(1, 2), (3, 4)], [0, 1], 3)
+    assert W.canonical_word(two_of_three) == W.word(
+        [W.annihilate(0, 1), W.create(0, 1), W.annihilate(1, 2), W.create(1, 2)]
+    )
+    with pytest.raises(ValueError, match="color id must be 0 or 1"):
+        W.canonical_word(ColoredPairPartition.of([(1, 2), (3, 4)], [0, 2], 3))
+
+
 def test_dense_oracle_basics():
     w = W.word([W.annihilate(0, 1), W.create(0, 1)])
     assert vacuum_expectation_dense(w, 2) == 1
@@ -201,7 +216,7 @@ def test_dense_oracle_guards():
 def test_oracles_refuse_n_that_is_no_int(monkeypatch, n):
     # before, 2.0 raised TypeError from range or from the scan, and True
     # was read as N = 1; now each refuses before any work
-    for name in ("apply_word", "_surviving_scales", "word_frame"):
+    for name in ("apply_word", "_surviving_scales", "_word_points", "bar_frame"):
         monkeypatch.setattr(fock, name, lambda *args: pytest.fail("worked on a non-int N"))
     w = W.word([W.annihilate(0, 1), W.create(0, 1)])
     p = ColoredPairPartition.of([(1, 2)], [0])
@@ -211,6 +226,7 @@ def test_oracles_refuse_n_that_is_no_int(monkeypatch, n):
         lambda: vacuum_expectation_lambda(p, n),
         lambda: rho_n_combinatorial(w, n),
         lambda: commutation_check((), (), 1, 1, n),
+        lambda: wlim_identity_check((), (), 1, 1, n, 4),
     ):
         with pytest.raises(ValueError, match="N must be an int"):
             call()
@@ -917,11 +933,99 @@ def test_word_frame_is_every_compatible_partitions_frame():
         frame = fock.word_frame(w)
         for p in W.compatible_partitions(w):
             analysis = build_graph(p)
-            assert frame.paths == analysis.total_increasing_paths, (w, p)
+            assert frame.paths == reference.total_increasing_paths(analysis), (w, p)
             assert tuple(enumerate(frame.z))[1:] == analysis.z, (w, p)
             assert [c == "D" for _, c in analysis.classification] == frame.dominant[1:], (w, p)
             partitions += 1
     assert partitions > 1000
+
+
+SHORT_LETTERS = [W.Letter(b, i, k) for b in (0, 1) for i in (1, 2) for k in (W.ANNIHILATE, W.CREATE)]
+
+
+def _result_or_error(call, *args):
+    try:
+        return call(*args)
+    except (ValueError, RuntimeError, CapacityError) as exc:
+        return type(exc)
+
+
+def _scan_words(seed, count):
+    """Every word of <= 4 letters over colors {0, 1} and indices {1, 2},
+    then `count` seeded words of 6-12 letters: a balanced word with 3 to 6
+    pairs, kept, shuffled, or cut by one letter (so 5-11 letters)."""
+    out = [W.word(c) for length in range(5) for c in itertools.product(SHORT_LETTERS, repeat=length)]
+    rng = random.Random(seed)
+    for w in balanced_words(seed, 3 * count, 6):
+        if len(out) == 4681 + count:
+            break
+        if len(w) < 6:
+            continue
+        letters = list(w)
+        edit = rng.choice(("keep", "shuffle", "cut"))
+        if edit == "shuffle":
+            rng.shuffle(letters)
+        elif edit == "cut":
+            del letters[rng.randrange(len(letters))]
+        out.append(W.word(letters))
+    return out
+
+
+def test_loop_sum_matches_the_reference_scan(monkeypatch):
+    # the one-sweep read of the letters against the reference's closed-form
+    # count, frame and scan: equal Fractions or the same exception type,
+    # and a frame is built exactly for the words some partition is
+    # compatible with
+    frames = []
+
+    def spy(color, annihilator):
+        frames.append(color)
+        return cyclegraph.bar_frame(color, annihilator)
+
+    monkeypatch.setattr(fock, "bar_frame", spy)
+    words = _scan_words(3535, 2000)
+    assert len(words) == 4681 + 2000
+    nonzero = compatible = 0
+    for w in words:
+        count = W.compatible_count(w)
+        compatible += count > 0
+        for n in (-3, -2, -1, 2, 3):
+            built = len(frames)
+            got = _result_or_error(fock._loop_sum, w, n)
+            assert got == _result_or_error(reference.loop_sum, w, n), (w, n)
+            assert type(got) is Fraction, (w, n, got)
+            assert len(frames) - built == (1 if count else 0), (w, n)
+            nonzero += got != 0
+    assert compatible > 700 and nonzero > 3000
+
+
+def test_identity_checks_match_the_reference():
+    # both sides, and the verdict, of every identity check equal the
+    # reference's, which multiplies Fractions on a word_profile; a
+    # refused hypothesis or threshold raises the same exception type
+    rng = random.Random(3536)
+    checked = refused = nonzero = 0
+    for _ in range(1200):
+        a = W.word(rng.choice(SHORT_LETTERS) for _ in range(rng.randint(0, 4)))
+        # B a shuffle of A, as in the benchmark, so that B* A often balances
+        b_word = rng.sample(a, len(a)) if rng.random() < 0.7 else [rng.choice(SHORT_LETTERS)]
+        b, i, n = rng.randrange(2), rng.randint(1, 3), rng.choice((-3, -2, -1, 2, 3))
+        for name, args in (
+            ("commutation_check", (a, b_word, b, i, n)),
+            # pad 1 pads on index 2, which A or B may use (refused); i stays off it
+            ("wlim_identity_check", (a, b_word, b, 1, n, 1)),
+            ("wlim_identity_check", (a, b_word, b, min(i, 2), n, 4)),
+        ):
+            got = _result_or_error(getattr(fock, name), *args)
+            want = _result_or_error(getattr(reference, name), *args)
+            assert got == want, (name, args)
+            if isinstance(got, tuple):
+                assert all(type(side) is Fraction for side in got[:2]) and got[2], (name, args)
+                checked += 1
+                nonzero += got[1] != 0
+            else:
+                refused += 1
+    assert checked > 2000 and refused > 800 and nonzero > 300
 
 
 def test_frame_invariants_survive_optimize():

@@ -75,7 +75,8 @@ def test_every_n_entry_point_refuses_n_that_is_no_int(monkeypatch, n):
     thoma_n(2), thoma_n(1)  # a cached int entry must not answer for 2.0 or True
     for name in ("tn_exponent", "ThomaParameter"):
         monkeypatch.setattr(moments, name, lambda *args, **kw: pytest.fail("worked on a non-int N"))
-    monkeypatch.setattr(fock, "word_frame", lambda *args: pytest.fail("worked on a non-int N"))
+    for name in ("_word_points", "bar_frame"):
+        monkeypatch.setattr(fock, name, lambda *args: pytest.fail("worked on a non-int N"))
     p = ColoredPairPartition.of([(1, 2)], [0])
     w = W.word([W.annihilate(0, 1), W.create(0, 1)])
     for call in (
