@@ -17,11 +17,10 @@ from .partitions import (
     noncrossing_hat,
     uncolored_cycles,
 )
-from .cyclegraph import CycleGraphAnalysis, bar_partition, build_graph, classify, profile, z_map
+from .cyclegraph import CycleGraphAnalysis, build_graph, classify
 from .moments import (
     ThomaParameter,
     fock_moment,
-    spherical_function,
     t_colored,
     t_free,
     t_n,

@@ -32,9 +32,6 @@ from .partitions import (
     _check_colors,
     _check_layout,
     _check_permutation,
-    _is_int,
-    _json_pairs,
-    _ordered,
     _sorted_pairs,
     double_factorial,
 )
@@ -98,39 +95,6 @@ class BrokenPairPartition(FrozenValue):
 def _leg_map(legs: Legs) -> dict[str, int]:
     """{point: leg number}, keyed in point order."""
     return {str(p): legs.index(p) + 1 for p in sorted(legs)}
-
-
-def _legs_from_json(leg_map) -> Legs:
-    """Leg points in leg-number order from a {point: number} map whose
-    numbers must be a bijection onto 1..count."""
-    if not isinstance(leg_map, dict):
-        raise ValueError("leg maps must be objects")
-    by_number = {}
-    for point, num in leg_map.items():
-        if not (isinstance(point, str) and point.isdecimal() and _is_int(num)):
-            raise ValueError(f"a leg must map a point to an integer number, got {point!r}: {num!r}")
-        by_number[num] = int(point)
-    count = len(leg_map)
-    if sorted(by_number) != list(range(1, count + 1)):
-        raise ValueError("leg numbering must be a bijection onto 1..count")
-    return tuple(by_number[num] for num in range(1, count + 1))
-
-
-def broken_from_json(obj) -> BrokenPairPartition:
-    """Read {"n", "colors", "per_color": [{"pairs", "left_legs",
-    "right_legs"}, ...]}; any other shape raises ValueError."""
-    if not (isinstance(obj, dict) and _is_int(obj.get("n")) and _is_int(obj.get("colors"))):
-        raise ValueError("a broken partition must be an object with integer 'n' and 'colors'")
-    per_color = obj.get("per_color")
-    if not (isinstance(per_color, list) and len(per_color) == obj["colors"]):
-        raise ValueError("'per_color' must be a list with one entry per color")
-    tagged, lefts, rights = [], [], []
-    for a, entry in enumerate(per_color):
-        tagged += [(_ordered(p), a) for p in _json_pairs(entry)]
-        lefts.append(_legs_from_json(entry.get("left_legs", {})))
-        rights.append(_legs_from_json(entry.get("right_legs", {})))
-    pairs, colors = _sorted_pairs(tagged)
-    return BrokenPairPartition(obj["n"], obj["colors"], pairs, colors, tuple(lefts), tuple(rights))
 
 
 def empty(num_colors: int = 2) -> BrokenPairPartition:

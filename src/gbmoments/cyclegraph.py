@@ -22,17 +22,14 @@ follows those steps and the frame's bar arcs around the cycles and
 returns each cycle's count of maximal increasing paths: the one cycle
 statistic behind every moment weight (`moments.t_n`,
 `moments.t_colored`, and `moments.t_uncolored` through the constant
-coloring).  The reports build the rest on demand:
-`profile` builds the per-color span counts and reads r from them, with no
-frame, and `build_graph` the `graph` report.  It alone derives the
-classification, the bar pairs with their colors and arcs, and the full
+coloring).  `build_graph` builds the `graph` report on demand: it alone
+derives the classification, the bar pairs with their colors, and the full
 vertex cycles, each cycle's paths counted by the same peak flags;
-`classify`, `z_map` and `bar_partition` return its fields.
+`classify` returns its classification.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .partitions import (
@@ -50,29 +47,6 @@ S = "S"
 def _require_two_colors(p: ColoredPairPartition):
     if p.num_colors != 2:
         raise ColorArityError("cycle-graph analysis is defined for exactly 2 colors")
-
-
-class ColorProfile(FrozenValue):
-    """Path-count profiles of a two-colored pair partition.
-
-    counts[b][u] is the number of b-colored pairs (l, r) with l <= u <= r,
-    for u in [0, 2m+1]; r_values[k-1] is the count for k's own color.
-    """
-
-    __slots__ = ("counts", "r_values")
-    counts: tuple[tuple[int, ...], tuple[int, ...]]
-    r_values: tuple[int, ...]
-
-    def p(self, color: int, u: int) -> int:
-        return self.counts[color][u]
-
-    def r(self, k: int) -> int:
-        return self.r_values[k - 1]
-
-
-def _oriented(pair: tuple[int, int], color: int) -> tuple[int, int]:
-    # color id 1: keep (u, v); color id 0: reverse.
-    return pair if color == 1 else (pair[1], pair[0])
 
 
 class BarFrame(NamedTuple):
@@ -94,8 +68,8 @@ class BarFrame(NamedTuple):
 
     `bar_frame` fills every field in one sweep over the points: a bar pair
     closes at its right end, and its arc, succ and peak are set there.
-    Only reports read the bar pairs, their colors and arcs and the
-    classification; `build_graph` derives them from z, color and dominant.
+    Only reports read the bar pairs, their colors and the classification;
+    `build_graph` derives them from z, color and dominant.
     """
 
     color: Sequence[int]
@@ -233,20 +207,6 @@ def point_roles(
     return color, annihilator, step
 
 
-def profile(p: ColoredPairPartition) -> ColorProfile:
-    """Per-color span counts p_b(u) and the own-color count r(k): the
-    number of pairs of k's own color that span k, read from those counts."""
-    _require_two_colors(p)
-    # one difference array per color: a pair (l, r) spans the points l..r
-    diff = ([0] * (p.size + 2), [0] * (p.size + 2))
-    for (left, right), c in zip(p.base.pairs, p.colors):
-        diff[c][left] += 1
-        diff[c][right + 1] -= 1
-    counts = (tuple(accumulate(diff[0])), tuple(accumulate(diff[1])))
-    color, _, _ = point_roles(p.base.pairs, p.colors)
-    return ColorProfile(counts, tuple(counts[color[k]][k] for k in range(1, p.size + 1)))
-
-
 def classify(p: ColoredPairPartition) -> dict[int, str]:
     """Split points into dominant ('D') and subordinate ('S').
 
@@ -256,38 +216,15 @@ def classify(p: ColoredPairPartition) -> dict[int, str]:
     return dict(build_graph(p).classification)
 
 
-def z_map(p: ColoredPairPartition) -> dict[int, int]:
-    """The fixed-point-free involution pairing each point with the nearest
-    point of equal r-value on the prescribed side.
-
-    Dominant left points and subordinate right points look right;
-    dominant right points and subordinate left points look left.
-    """
-    return dict(build_graph(p).z)
-
-
-def bar_partition(p: ColoredPairPartition) -> tuple[PairPartition, tuple[int, ...]]:
-    """The pair partition {(k, Z(k))} with its induced coloring.
-
-    A bar pair keeps the color of its subordinate endpoints and flips the
-    color of dominant ones; the two endpoints always agree on the result.
-    """
-    analysis = build_graph(p)
-    return analysis.bar_pairs, analysis.bar_colors
-
-
 class CycleGraphAnalysis(FrozenValue):
     """Full analysis of the directed graph attached to a 2-colored partition."""
 
-    __slots__ = ("classification", "z", "bar_pairs", "bar_colors", "arcs_pairs", "arcs_bar",
-                 "cycles", "path_counts")
+    __slots__ = ("classification", "z", "bar_pairs", "bar_colors", "cycles", "path_counts")
     # (point, value) items in point order, as `to_json` writes them
     classification: tuple[tuple[int, str], ...]
     z: tuple[tuple[int, int], ...]
     bar_pairs: PairPartition
     bar_colors: tuple[int, ...]
-    arcs_pairs: tuple[tuple[int, int], ...]
-    arcs_bar: tuple[tuple[int, int], ...]
     cycles: tuple[tuple[int, ...], ...]
     path_counts: tuple[int, ...]
 
@@ -317,31 +254,25 @@ class CycleGraphAnalysis(FrozenValue):
 
 def build_graph(p: ColoredPairPartition) -> CycleGraphAnalysis:
     """Build the directed graph and extract its cycle/path statistics: the
-    bar frame of p's points plus p's own arcs.  Only here are the frame's
-    report views (classification, Z, bar pairs, colors, arcs) derived."""
+    bar frame of p's points plus p's own arcs, which its pair steps give.
+    Only here are the frame's report views (classification, Z, bar pairs
+    and colors) derived."""
     _require_two_colors(p)
-    color, annihilator, _ = point_roles(p.base.pairs, p.colors)
+    color, annihilator, step = point_roles(p.base.pairs, p.colors)
     frame = bar_frame(color, annihilator)
-    arcs_pairs = tuple(
-        _oriented(pair, c) for pair, c in zip(p.base.pairs, p.colors)
-    )
-    succ = list(frame.succ)
-    for u, v in arcs_pairs:
-        succ[u] = v
+    # a pair arc leaves each point no bar arc leaves
+    succ = [t or s for t, s in zip(step, frame.succ)]
     # the first cycle is the fixed point 0 that pads the point-indexed list
     cycles = tuple(_walk_cycles(succ)[1:])
     path_counts = tuple(sum(frame.peak[v] for v in cyc) for cyc in cycles)
     z = tuple(enumerate(frame.z))[1:]
     bar = tuple((k, zk) for k, zk in z if k < zk)
-    # a bar pair keeps the color of subordinate endpoints and flips dominant ones
-    bar_colors = tuple(frame.color[k] ^ frame.dominant[k] for k, _ in bar)
     return CycleGraphAnalysis(
         tuple((k, D if frame.dominant[k] else S) for k, _ in z),
         z,
         PairPartition(bar),
-        bar_colors,
-        arcs_pairs,
-        tuple(_oriented(pair, c) for pair, c in zip(bar, bar_colors)),
+        # a bar pair keeps the color of subordinate endpoints and flips dominant ones
+        tuple(frame.color[k] ^ frame.dominant[k] for k, _ in bar),
         cycles,
         path_counts,
     )

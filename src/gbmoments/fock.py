@@ -583,11 +583,11 @@ def _padded(
     a_word: W.Word, b_star: W.Word, b: int, pad: int, middle: W.Word
 ) -> W.Word:
     """B* a_{2p}..a_{p+1} middle a*_{p+1}..a*_{2p} A on the color-b padding
-    indices p+1..2p (p = pad), which A and B must not use; read through
-    `words.word()` when A, B* and middle are."""
-    used = {(let.b, let.i) for let in a_word + b_star}
+    indices p+1..2p (p = pad), which A, B and middle must not use; read
+    through `words.word()` when A, B* and middle are."""
+    used = {(let.b, let.i) for let in a_word + b_star + middle}
     if any((b, j) in used for j in range(pad + 1, 2 * pad + 1)):
-        raise ValueError("padding indices must be unused by A and B")
+        raise ValueError("padding indices must be unused by A, B and the middle letters")
     left_pad = tuple(W.annihilate(b, j) for j in range(2 * pad, pad, -1))
     right_pad = tuple(W.create(b, j) for j in range(pad + 1, 2 * pad + 1))
     return b_star + left_pad + middle + right_pad + a_word

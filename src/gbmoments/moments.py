@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from . import words as W
 from .cyclegraph import _require_two_colors, bar_frame, loop_counter, point_roles
-from .partitions import ColoredPairPartition, FrozenValue, PairPartition
-from .partitions import _check_n, _check_permutation, _walk_cycles
+from .partitions import ColoredPairPartition, FrozenValue, PairPartition, _check_n
 
 Scalar = Fraction | float
 TFunction = Callable[[ColoredPairPartition], Scalar]
@@ -111,30 +110,6 @@ def _character(tp: ThomaParameter, items: tuple[tuple[int, int], ...]) -> Scalar
             del memo[next(iter(memo))]
         memo[items] = value
     return value
-
-
-def permutation_cycle_type(perm: Sequence[int]) -> dict[int, int]:
-    """Cycle type of a permutation in 0-based one-line notation."""
-    _check_permutation(perm)
-    out: dict[int, int] = {}
-    for cycle in _walk_cycles(perm):
-        out[len(cycle)] = out.get(len(cycle), 0) + 1
-    return out
-
-
-def spherical_function(
-    tp: ThomaParameter, pi: Sequence[int], pi_prime: Sequence[int]
-) -> Scalar:
-    """Character of pi_prime * pi^-1 (permutations in one-line notation on a
-    common support)."""
-    if len(pi) != len(pi_prime):
-        raise ValueError("permutations must act on the same support")
-    _check_permutation(pi)
-    inv = [0] * len(pi)
-    for j, img in enumerate(pi):
-        inv[img] = j
-    composed = [pi_prime[inv[j]] for j in range(len(pi))]
-    return thoma_character(tp, permutation_cycle_type(composed))
 
 
 def t_uncolored(tp: ThomaParameter, v: PairPartition) -> Scalar:

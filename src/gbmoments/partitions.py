@@ -140,16 +140,6 @@ class PairPartition(FrozenValue):
             classes[b].append((label[l], label[r]))
         return [_class_of(tuple(pairs)) for pairs in classes]
 
-    def restrict(self, pair_ids: Iterable[int]) -> "PairPartition":
-        """The subpartition on the pairs with the given distinct indices in
-        [0, m) (else ValueError): class 0 of `split`."""
-        ids = [1] * self.m
-        for j in pair_ids:
-            if not (type(j) is int and 0 <= j < self.m and ids[j]):
-                raise ValueError(f"pair ids must be distinct integers in [0, {self.m}), got {j!r}")
-            ids[j] = 0
-        return self.split(ids, 2)[0]
-
     def to_json(self) -> dict:
         return {"m": self.m, "pairs": [list(p) for p in self.pairs]}
 
@@ -188,13 +178,6 @@ class ColoredPairPartition(FrozenValue):
     @property
     def size(self) -> int:
         return self.base.size
-
-    def color_class(self, color: int) -> PairPartition:
-        """The subpartition of pairs with the given color, points relabeled
-        order-preservingly to 1..2s: that class of `split`.  A color that is
-        not an int in [0, num_colors) raises ValueError."""
-        _check_ids((color,), 1, self.num_colors)
-        return self.base.split(self.colors, self.num_colors)[color]
 
     def to_json(self) -> dict:
         d = self.base.to_json()

@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .partitions import ColoredPairPartition, PairPartition, _is_int, _matchings
+from .partitions import (
+    MAX_ENUM_PARTITIONS,
+    CapacityError,
+    ColoredPairPartition,
+    PairPartition,
+    _is_int,
+    _matchings,
+)
 
 ANNIHILATE = "a"
 CREATE = "a*"
@@ -80,12 +87,17 @@ def compatible_partitions(w: Word) -> list[ColoredPairPartition]:
     A pair (l, r) with l < r requires an annihilator at l and a creator at
     r with equal colors and equal basis indices; the pair inherits that
     color.  Empty for odd length or unbalanced words, and for words that
-    start with a creator or end with an annihilator.  Letters given in any
-    other sequence than a tuple, such as a list, are read through `word`.
+    start with a creator or end with an annihilator: the closed-form
+    `compatible_count` is 0 for all of them, and no matching is searched.
+    The letters are read through `word`, and a word with more than
+    MAX_ENUM_PARTITIONS compatible partitions raises CapacityError before
+    any is listed.
     """
-    if not isinstance(w, tuple):
-        w = word(w)
-    if len(w) % 2 or w and (w[0].k == CREATE or w[-1].k == ANNIHILATE):
+    w = word(w)
+    count = compatible_count(w)
+    if count > MAX_ENUM_PARTITIONS:
+        raise CapacityError(f"compatible partitions limited to {MAX_ENUM_PARTITIONS}")
+    if not count:
         return []
     # an annihilator opens a pair that its creator closes
     opens = [None] + [(let.b, let.i, CREATE) if let.k == ANNIHILATE else None for let in w]

@@ -4,7 +4,11 @@ differential tests.
 These are the direct, unoptimized transcriptions of the definitions that
 `gbmoments.cyclegraph.build_graph` replaced with one O(n) pass: every step
 recomputes what it needs from the partition and checks its invariants with
-plain asserts.  `bar_frame` and its `_ranks` are the three-pass frame
+plain asserts.  `profile` (the per-color span counts p_b(u) and each
+point's own-color count r(k), as a plain `ColorProfile` tuple), `classify`,
+`z_map` and `bar_partition` read the definitions off those counts; the
+package keeps no profile, `z_map` or `bar_partition`, and the tests
+compare these with the fields of `build_graph`.  `bar_frame` and its `_ranks` are the three-pass frame
 (one running count per color, one sweep for Z, one checked pass over Z)
 that the one sweep `gbmoments.cyclegraph.bar_frame` replaced: on every
 role sequence the two must give equal frames or raise the same exception
@@ -13,9 +17,10 @@ type that `gbmoments.partitions.uncolored_cycles` must agree with, and
 `uncolored_cycles` here is the hat-based walk it must reproduce cycle by
 cycle, which looks pairs up in dicts; both read the reference's own
 `noncrossing_hat`, a stack over the left points, and share no code with
-the package's hat matcher `partitions._hat_successors`; `color_class` is
-the relabel that re-sorts the chosen pairs through `PairPartition.of`,
-which the one-pass `PairPartition.split` must reproduce class by class.
+the package's hat matcher `partitions._hat_successors`; `color_class` and
+`restrict` are the relabel that re-sorts the chosen pairs through
+`PairPartition.of`, which the one-pass `PairPartition.split` must
+reproduce class by class.
 `pair_layout_ok`, `colors_ok` and `broken_layout_ok` are the sort-based
 validity checks of `PairPartition`, `ColoredPairPartition` and
 `BrokenPairPartition` that the one-pass `partitions._check_layout` and
@@ -45,7 +50,10 @@ runs it once per assignment, which `gbmoments.fock`'s one depth-first walk
 must agree with.  `left_points`, `right_points`, `point_color` and
 `maximal_monotone_paths` are direct readings of a partition and a cycle,
 and `total_increasing_paths` and `num_cycles` of a `CycleGraphAnalysis`,
-that only the tests use.
+that only the tests use.  So do `permutation_cycle_type` and
+`spherical_function` (the character of pi' pi^-1), which read
+permutations through the package's `_check_permutation` and characters
+through its `thoma_character`.
 `exclusion_check` (the exclusion principle on squared one-color words at
 negative N) and `wlim_creator_pair_bound` (the decay bound of the
 doubled-creator padding variant) are identity sweeps over
@@ -67,7 +75,7 @@ import itertools
 from collections import defaultdict
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from gbmoments.broken import (
     MAX_PRODUCT_POINTS,
@@ -76,7 +84,7 @@ from gbmoments.broken import (
     multiply,
 )
 from gbmoments import words as W
-from gbmoments.cyclegraph import BarFrame, ColorProfile, CycleGraphAnalysis
+from gbmoments.cyclegraph import BarFrame, CycleGraphAnalysis
 from gbmoments.fock import (
     COLUMN_BASE,
     DENSE_MAX_LEVEL,
@@ -88,12 +96,15 @@ from gbmoments.fock import (
     one_color_words,
     rho_n_combinatorial,
 )
+from gbmoments.moments import Scalar, ThomaParameter, thoma_character
 from gbmoments.partitions import (
     CapacityError,
     ColorArityError,
     ColoredPairPartition,
     PairPartition,
     _check_n,
+    _check_permutation,
+    _walk_cycles,
     crossings,
 )
 
@@ -145,6 +156,23 @@ def point_color(p: ColoredPairPartition, k: int) -> int:
 def _require_two_colors(p: ColoredPairPartition):
     if p.num_colors != 2:
         raise ColorArityError("cycle-graph analysis is defined for exactly 2 colors")
+
+
+class ColorProfile(NamedTuple):
+    """Path-count profiles of a two-colored pair partition.
+
+    counts[b][u] is the number of b-colored pairs (l, r) with l <= u <= r,
+    for u in [0, 2m+1]; r_values[k-1] is the count for k's own color.
+    """
+
+    counts: tuple[tuple[int, ...], tuple[int, ...]]
+    r_values: tuple[int, ...]
+
+    def p(self, color: int, u: int) -> int:
+        return self.counts[color][u]
+
+    def r(self, k: int) -> int:
+        return self.r_values[k - 1]
 
 
 def profile(p: ColoredPairPartition) -> ColorProfile:
@@ -206,6 +234,30 @@ def bar_partition(p: ColoredPairPartition) -> tuple[PairPartition, tuple[int, ..
         assert c1 == c2, "bar coloring must not depend on the endpoint"
         colors.append(c1)
     return PairPartition(tuple(pairs)), tuple(colors)
+
+
+def permutation_cycle_type(perm: Sequence[int]) -> dict[int, int]:
+    """Cycle type of a permutation in 0-based one-line notation."""
+    _check_permutation(perm)
+    out: dict[int, int] = {}
+    for cycle in _walk_cycles(perm):
+        out[len(cycle)] = out.get(len(cycle), 0) + 1
+    return out
+
+
+def spherical_function(
+    tp: ThomaParameter, pi: Sequence[int], pi_prime: Sequence[int]
+) -> Scalar:
+    """Character of pi_prime * pi^-1 (permutations in one-line notation on a
+    common support)."""
+    if len(pi) != len(pi_prime):
+        raise ValueError("permutations must act on the same support")
+    _check_permutation(pi)
+    inv = [0] * len(pi)
+    for j, img in enumerate(pi):
+        inv[img] = j
+    composed = [pi_prime[inv[j]] for j in range(len(pi))]
+    return thoma_character(tp, permutation_cycle_type(composed))
 
 
 def maximal_monotone_paths(
@@ -282,8 +334,7 @@ def build_graph(p: ColoredPairPartition) -> CycleGraphAnalysis:
 
     path_counts = tuple(_increasing_run_count(c) for c in cycles)
     return CycleGraphAnalysis(
-        tuple(sorted(cls.items())), tuple(sorted(z.items())), bar_pp, bar_colors, arcs_pairs, arcs_bar,
-        tuple(cycles), path_counts
+        tuple(sorted(cls.items())), tuple(sorted(z.items())), bar_pp, bar_colors, tuple(cycles), path_counts
     )
 
 
@@ -421,7 +472,12 @@ def uncolored_cycles(
 def color_class(p: ColoredPairPartition, color: int) -> PairPartition:
     """The pairs of the given color, points relabeled order-preservingly to
     1..2s and the pairs sorted again."""
-    chosen = [pair for pair, c in zip(p.base.pairs, p.colors) if c == color]
+    return restrict(p.base, [j for j, c in enumerate(p.colors) if c == color])
+
+
+def restrict(v: PairPartition, pair_ids) -> PairPartition:
+    """The pairs with the given indices, relabeled as in `color_class`."""
+    chosen = [v.pairs[j] for j in pair_ids]
     points = sorted(q for pair in chosen for q in pair)
     relabel = {q: i + 1 for i, q in enumerate(points)}
     return PairPartition.of((relabel[l], relabel[r]) for l, r in chosen)
@@ -522,7 +578,7 @@ def t_q_star_n(t, q_base, n: int, v: PairPartition):
             value = partial
             for color in set(assignment):
                 ids = [jj for jj in range(m) if assignment[jj] == color]
-                value *= t(v.restrict(ids))
+                value *= t(restrict(v, ids))
                 if value == 0:
                     return
             total += value

@@ -21,7 +21,7 @@ from gbmoments.broken import (
     standard_form,
     standard_form_product,
 )
-from gbmoments.cyclegraph import build_graph, classify, profile, z_map
+from gbmoments.cyclegraph import build_graph
 from gbmoments.fock import (
     commutation_check,
     vacuum_expectation_dense,
@@ -80,9 +80,10 @@ def test_01_enumeration_counts():
 
 def test_02_twelve_point_analysis(twelve_point, twelve_point_expected):
     with Budget("2 twelve-point profile table", 1):
-        prof = profile(twelve_point)
-        cls = classify(twelve_point)
-        z = z_map(twelve_point)
+        prof = reference.profile(twelve_point)
+        analysis = build_graph(twelve_point)
+        cls = dict(analysis.classification)
+        z = dict(analysis.z)
         for key, row in twelve_point_expected["rows"].items():
             k = int(key)
             c = reference.point_color(twelve_point, k)

@@ -15,7 +15,6 @@ from gbmoments.broken import (
     PermutationBlock,
     RightHookRun,
     broken_count,
-    broken_from_json,
     embed,
     empty,
     enumerate_broken,
@@ -372,11 +371,6 @@ def test_enumerate_broken_counts():
     assert len(enumerate_broken(4, 1)) == 53
 
 
-def test_json_round_trip():
-    for d in [figure_dbar(), *enumerate_broken(3, 2, True), *enumerate_broken(2, 3, True)]:
-        assert broken_from_json(d.to_json()) == d
-
-
 def test_legs_are_points_in_leg_number_order():
     # solid right legs: number 1 at point 3, number 2 at point 1
     assert figure_d().to_json()["per_color"][0]["right_legs"] == {"1": 2, "3": 1}
@@ -484,39 +478,3 @@ def test_enumerate_broken_order_pinned(args, sha256):
     listing = json.dumps([d.to_json() for d in enumerate_broken(*args)], sort_keys=True)
     assert hashlib.sha256(listing.encode()).hexdigest() == sha256
 
-
-def _one_color(entry, n=2):
-    return {"n": n, "colors": 1, "per_color": [entry]}
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [
-        _one_color({"pairs": [[1, 2, 3]], "left_legs": {"2": 1}}, n=3),
-        _one_color({"pairs": [[True, 2]]}),
-        _one_color({"pairs": [], "left_legs": {"1": 1}, "right_legs": {"2": 2}}),
-        _one_color({"pairs": [], "left_legs": {"1": 1}, "right_legs": {"2": True}}),
-        _one_color({"pairs": [], "left_legs": {"x": 1, "2": 2}}),
-        {"n": 2, "colors": 2, "per_color": [{"pairs": [[1, 2]]}]},
-        {"n": True, "colors": 1, "per_color": [{"pairs": []}]},
-        [[1, 2]],
-    ],
-    ids=[
-        "three_point_pair",
-        "bool_point",
-        "non_bijective_numbering",
-        "bool_leg_number",
-        "non_numeric_point",
-        "per_color_count",
-        "bool_n",
-        "not_an_object",
-    ],
-)
-def test_broken_from_json_rejects_malformed(obj):
-    with pytest.raises(ValueError):
-        broken_from_json(obj)
-
-
-def test_broken_from_json_reads_leg_numbers():
-    obj = _one_color({"pairs": [], "right_legs": {"1": 2, "2": 1}})
-    assert broken_from_json(obj).right_legs == ((2, 1),)

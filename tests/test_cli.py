@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -746,6 +747,33 @@ def _value_classes(base):
     return [cls for sub in base.__subclasses__() for cls in (sub, *_value_classes(sub))]
 
 
+# the names `import gbmoments` offers, submodules aside: a name joins or
+# leaves the library's surface only through an edit of this list
+PUBLIC_NAMES = [
+    "BrokenPairPartition", "CapacityError", "ColorArityError", "ColoredPairPartition",
+    "CycleGraphAnalysis", "Letter", "PairPartition", "QMatrix", "StandardForm",
+    "ThomaParameter", "Word", "adjoint", "annihilate", "build_graph", "canonical_word",
+    "classify", "clt_error_bound", "clt_error_curve", "commutation_check",
+    "compatible_partitions", "create", "crossings", "double_factorial", "embed", "empty",
+    "enumerate_colored", "enumerate_pair_partitions", "evaluate_t_hat", "fock_moment",
+    "gram_blocks", "gram_matrix", "gram_psd_check", "involution", "left_hook", "multiply",
+    "noncrossing_hat", "q_product_eval", "rho_n_combinatorial", "right_hook",
+    "standard_form", "standard_form_product", "stirling_check", "t_colored", "t_free",
+    "t_n", "t_q_limit", "t_q_star_n", "t_tensor", "t_uncolored", "thoma_character",
+    "thoma_n", "uncolored_cycles", "vacuum_expectation_dense", "vacuum_expectation_lambda",
+    "wlim_identity_check", "word", "word_profile",
+]
+
+
+def test_public_names_are_pinned():
+    names = sorted(
+        name for name, value in vars(gbmoments).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert names == PUBLIC_NAMES
+
+
 def test_value_classes_share_one_path():
     # FrozenValue alone defines equality and hashing, its _assign alone
     # sets slots past the refusing __setattr__, and only FrozenValue reads
@@ -788,8 +816,7 @@ def test_value_classes_share_one_path():
     p = partitions.ColoredPairPartition.of([(1, 3), (2, 4)], [1, 1])
     form = broken.standard_form(p)
     samples = [p.base, p, broken.embed(p), form, *form.factors, qproduct.QMatrix.constant(2, half),
-               moments.ThomaParameter(alpha=(half,), beta=(half,)), cyclegraph.profile(p),
-               cyclegraph.build_graph(p)]
+               moments.ThomaParameter(alpha=(half,), beta=(half,)), cyclegraph.build_graph(p)]
     classes = _value_classes(partitions.FrozenValue)
     assert sorted(type(x).__name__ for x in samples) == sorted(cls.__name__ for cls in classes)
     for x in samples:

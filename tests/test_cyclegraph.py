@@ -5,15 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import kernel_reference as reference
 from gbmoments import moments
-from gbmoments.cyclegraph import (
-    bar_frame,
-    bar_partition,
-    build_graph,
-    classify,
-    point_roles,
-    profile,
-    z_map,
-)
+from gbmoments.cyclegraph import bar_frame, build_graph, classify, point_roles
 from gbmoments.partitions import (
     ColorArityError,
     ColoredPairPartition,
@@ -25,16 +17,20 @@ from gbmoments.partitions import (
 )
 
 
+# the package keeps no span-count profile: the profile tests read the
+# reference's, from which its classify, z_map and bar_partition are built,
+# and `build_graph` must match those
+
 def test_profile_single_pair():
     p = ColoredPairPartition.of([(1, 2)], [0])
-    prof = profile(p)
+    prof = reference.profile(p)
     assert [prof.p(0, u) for u in range(4)] == [0, 1, 1, 0]
     assert all(prof.p(1, u) == 0 for u in range(4))
 
 
 def test_profile_mixed_crossing():
     p = ColoredPairPartition.of([(1, 3), (2, 4)], [0, 1])
-    prof = profile(p)
+    prof = reference.profile(p)
     assert [prof.p(0, u) for u in range(1, 5)] == [1, 1, 1, 0]
     assert [prof.p(1, u) for u in range(1, 5)] == [0, 1, 1, 1]
 
@@ -42,7 +38,9 @@ def test_profile_mixed_crossing():
 def test_profile_rejects_other_arity():
     p = ColoredPairPartition.of([(1, 2)], [0], num_colors=3)
     with pytest.raises(ColorArityError):
-        profile(p)
+        build_graph(p)
+    with pytest.raises(ColorArityError):
+        reference.profile(p)
 
 
 def test_classify_examples():
@@ -54,19 +52,17 @@ def test_classify_examples():
 
 def test_z_map_examples():
     p = ColoredPairPartition.of([(1, 2)], [0])
-    assert z_map(p) == {1: 2, 2: 1}
+    assert build_graph(p).z == ((1, 2), (2, 1))
     p = ColoredPairPartition.of([(1, 3), (2, 4)], [0, 1])
-    assert z_map(p) == {1: 2, 2: 1, 3: 4, 4: 3}
+    assert build_graph(p).z == ((1, 2), (2, 1), (3, 4), (4, 3))
 
 
 def test_bar_partition_examples():
-    p = ColoredPairPartition.of([(1, 2)], [0])
-    bar, colors = bar_partition(p)
-    assert bar.pairs == ((1, 2),) and colors == (1,)
-    p = ColoredPairPartition.of([(1, 3), (2, 4)], [0, 1])
-    bar, colors = bar_partition(p)
-    assert bar.pairs == ((1, 2), (3, 4))
-    assert colors == (1, 0)
+    a = build_graph(ColoredPairPartition.of([(1, 2)], [0]))
+    assert a.bar_pairs.pairs == ((1, 2),) and a.bar_colors == (1,)
+    a = build_graph(ColoredPairPartition.of([(1, 3), (2, 4)], [0, 1]))
+    assert a.bar_pairs.pairs == ((1, 2), (3, 4))
+    assert a.bar_colors == (1, 0)
 
 
 def test_build_graph_mixed_crossing():
@@ -84,9 +80,10 @@ def test_build_graph_constant_crossing():
 
 
 def test_twelve_point_reference(twelve_point, twelve_point_expected):
-    prof = profile(twelve_point)
-    cls = classify(twelve_point)
-    z = z_map(twelve_point)
+    prof = reference.profile(twelve_point)
+    a = build_graph(twelve_point)
+    cls = dict(a.classification)
+    z = dict(a.z)
     for key, row in twelve_point_expected["rows"].items():
         k = int(key)
         c = reference.point_color(twelve_point, k)
@@ -95,9 +92,8 @@ def test_twelve_point_reference(twelve_point, twelve_point_expected):
         assert prof.p(1 - c, k) == row["p_other"]
         assert cls[k] == row["class"]
         assert z[k] == row["z"]
-    bar, colors = bar_partition(twelve_point)
-    assert [list(p) for p in bar.pairs] == twelve_point_expected["bar"]["pairs"]
-    assert list(colors) == twelve_point_expected["bar"]["colors"]
+    assert [list(p) for p in a.bar_pairs.pairs] == twelve_point_expected["bar"]["pairs"]
+    assert list(a.bar_colors) == twelve_point_expected["bar"]["colors"]
 
 
 def test_twelve_point_graph(twelve_point, twelve_point_expected):
@@ -152,13 +148,19 @@ def test_z_map_color_side_laws():
     # the partner lies on the same side exactly when the colors differ, and
     # in the same dominance class exactly when the colors agree
     for p in all_two_colored(4):
-        cls = classify(p)
-        z = z_map(p)
+        a = build_graph(p)
+        cls = dict(a.classification)
+        z = dict(a.z)
         lefts = reference.left_points(p.base)
         for k in range(1, p.size + 1):
             same_color = reference.point_color(p, k) == reference.point_color(p, z[k])
             assert (cls[z[k]] == cls[k]) == same_color
             assert ((z[k] in lefts) == (k in lefts)) == (not same_color)
+
+
+def _arcs(pairs, colors):
+    # color 1 keeps a pair's arc, color 0 reverses it
+    return {(l, r) if c else (r, l) for (l, r), c in zip(pairs, colors)}
 
 
 def test_structural_invariants_small():
@@ -169,10 +171,10 @@ def test_structural_invariants_small():
         # fixed-point-free involution
         assert all(z[z[k]] == k and z[k] != k for k in range(1, n + 1))
         # disjoint arc families, vertex-disjoint cycles covering [2m]
-        assert not set(a.arcs_pairs) & set(a.arcs_bar)
+        assert not _arcs(p.base.pairs, p.colors) & _arcs(a.bar_pairs.pairs, a.bar_colors)
         assert sorted(v for c in a.cycles for v in c) == list(range(1, n + 1))
         # unit jumps and boundary zeros of the profiles
-        prof = profile(p)
+        prof = reference.profile(p)
         for b in (0, 1):
             assert prof.p(b, 0) == 0 and prof.p(b, n + 1) == 0
             for u in range(1, n + 2):
@@ -181,7 +183,7 @@ def test_structural_invariants_small():
 
 def test_profile_steps_happen_at_own_color_endpoints():
     for p in all_two_colored(3):
-        prof = profile(p)
+        prof = reference.profile(p)
         lefts = reference.left_points(p.base)
         for b in (0, 1):
             for k in range(1, p.size + 1):
@@ -193,7 +195,7 @@ def test_profile_steps_happen_at_own_color_endpoints():
 
 def test_profile_intermediate_values():
     for p in all_two_colored(3):
-        prof = profile(p)
+        prof = reference.profile(p)
         n = p.size
         for b in (0, 1):
             values = [prof.p(b, u) for u in range(n + 2)]
@@ -208,7 +210,7 @@ def test_profile_endpoint_inequalities():
     # at a left point nothing closes, so no profile can drop across it;
     # symmetrically nothing opens across a right point
     for p in all_two_colored(3):
-        prof = profile(p)
+        prof = reference.profile(p)
         lefts = reference.left_points(p.base)
         for k in range(1, p.size + 1):
             c = reference.point_color(p, k)
@@ -295,11 +297,11 @@ def test_monotone_path_endpoints_are_dominant():
 
 def test_kernel_matches_reference_exhaustive():
     for p in all_two_colored(4):
-        assert build_graph(p) == reference.build_graph(p)
-        assert profile(p) == reference.profile(p)
-        assert classify(p) == reference.classify(p)
-        assert z_map(p) == reference.z_map(p)
-        assert bar_partition(p) == reference.bar_partition(p)
+        a = build_graph(p)
+        assert a == reference.build_graph(p)
+        assert classify(p) == dict(a.classification) == reference.classify(p)
+        assert dict(a.z) == reference.z_map(p)
+        assert (a.bar_pairs, a.bar_colors) == reference.bar_partition(p)
 
 
 @st.composite
@@ -315,7 +317,6 @@ def two_colored(draw, min_m=5, max_m=10):
 def test_kernel_matches_reference_random(p):
     a = build_graph(p)
     assert a == reference.build_graph(p)
-    assert profile(p) == reference.profile(p)
     z = dict(a.z)
     assert all(z[k] != k and z[z[k]] == k for k in range(1, p.size + 1))
     assert reference.total_increasing_paths(a) >= reference.num_cycles(a)

@@ -108,6 +108,36 @@ def test_compatible_partitions_reject_at_the_ends(monkeypatch):
     assert len(W.compatible_partitions((a, a_star))) == 1
 
 
+@pytest.mark.parametrize("items", [((0, 1, "a"), (0, 1, "a*")), ["a", "a*"], (None,)])
+def test_compatible_partitions_read_every_input_as_a_word(items):
+    # a tuple of items that are no Letter is refused as a list of them is
+    for letters in (tuple(items), list(items)):
+        with pytest.raises(ValueError, match="Letter"):
+            W.compatible_partitions(letters)
+        with pytest.raises(ValueError, match="Letter"):
+            fock_moment(letters, tn_handle(2))
+
+
+def test_compatible_partitions_refuse_a_word_over_the_budget(monkeypatch):
+    # 10 annihilators, then 10 creators, of one color and index: 10! = 3,628,800
+    # matchings, more than MAX_ENUM_PARTITIONS = 15!! = 2,027,025; refused
+    # by the closed-form count before any matching is searched
+    monkeypatch.setattr(W, "_matchings", lambda opens, closes: pytest.fail("searched"))
+    a, a_star = W.annihilate(0, 1), W.create(0, 1)
+    assert W.compatible_count((a,) * 10 + (a_star,) * 10) > W.MAX_ENUM_PARTITIONS
+    with pytest.raises(CapacityError):
+        W.compatible_partitions((a,) * 10 + (a_star,) * 10)
+    with pytest.raises(CapacityError):
+        fock_moment((a,) * 10 + (a_star,) * 10, tn_handle(2))
+    monkeypatch.undo()
+    # the budget is inclusive: at a budget of 3! the 3! matchings of 3 + 3
+    # letters are listed, and the 4! of 4 + 4 letters refused
+    monkeypatch.setattr(W, "MAX_ENUM_PARTITIONS", 6)
+    assert len(W.compatible_partitions((a,) * 3 + (a_star,) * 3)) == 6
+    with pytest.raises(CapacityError):
+        W.compatible_partitions((a,) * 4 + (a_star,) * 4)
+
+
 def _compatible_by_filter(w):
     """Reference: every pair partition of the word's points, in enumeration
     order, kept when each pair is an annihilator followed by its creator."""
@@ -1162,6 +1192,14 @@ def test_wlim_identity_randomized():
         lhs, rhs, ok = wlim_identity_check(a_word, b_word, b, i, n, pad)
         assert ok, (a_word, b_word, b, i, n, lhs, rhs)
         done += 1
+
+
+def test_wlim_identity_refuses_a_middle_index_among_the_padding():
+    # pad 1 pads on the color-0 index 2, so the middle letters a*_2 a_2
+    # would join the padding; the middle index 1 lies outside it
+    with pytest.raises(ValueError, match="padding"):
+        wlim_identity_check((), (), 0, 2, 2, 1)
+    assert wlim_identity_check((), (), 0, 1, 2, 1) == (0, 0, True)
 
 
 def test_wlim_identity_guards():

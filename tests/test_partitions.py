@@ -28,7 +28,7 @@ from gbmoments.broken import (
     standard_form,
 )
 from gbmoments import partitions
-from gbmoments.cyclegraph import ColorProfile, CycleGraphAnalysis, build_graph, profile
+from gbmoments.cyclegraph import CycleGraphAnalysis, build_graph
 from gbmoments.moments import ThomaParameter, t_free, t_n, thoma_character
 from gbmoments.qproduct import QMatrix
 
@@ -314,14 +314,14 @@ def test_cycles_match_hat_reference_beyond_enumeration(v):
 
 def test_color_class_relabels():
     p = ColoredPairPartition.of([(1, 4), (2, 5), (3, 6)], [0, 1, 0])
-    assert p.color_class(0).pairs == ((1, 3), (2, 4))
-    assert p.color_class(1).pairs == ((1, 2),)
-    assert p.base.restrict([2, 0]) == p.color_class(0)
+    minus, plus = p.base.split(p.colors, p.num_colors)
+    assert minus.pairs == ((1, 3), (2, 4))
+    assert plus.pairs == ((1, 2),)
 
 
 def test_color_class_matches_resorting_reference():
-    # the one-pass split, and color_class as its view, against the
-    # re-sorting relabel: every two-colored partition with m <= 5, then
+    # the one-pass split against the re-sorting relabel, class by class:
+    # every two-colored partition with m <= 5, then
     # seeded three-colored ones with up to 8 pairs
     rng = random.Random(0)
     cases = [p for m in range(6) for p in enumerate_colored(m, 2)]
@@ -333,21 +333,15 @@ def test_color_class_matches_resorting_reference():
     for p in cases:
         classes = [kernel_reference.color_class(p, color) for color in range(p.num_colors)]
         assert p.base.split(p.colors, p.num_colors) == classes
-        assert [p.color_class(color) for color in range(p.num_colors)] == classes
 
 
 @pytest.mark.parametrize("color", [2, 7, -1, "0", True, 1.0, None])
 def test_color_class_refuses_what_is_no_color(color):
-    p = ColoredPairPartition.of([(1, 4), (2, 5), (3, 6)], [0, 1, 0])
-    with pytest.raises(ValueError):
-        p.color_class(color)
-
-
-@pytest.mark.parametrize("pair_ids", [[-1], [3], [5], [0, 0], ["0"], [True], [1.0]])
-def test_restrict_refuses_what_is_no_pair_index(pair_ids):
+    # the color classes are the classes split reads off a coloring, which
+    # refuses what is no color id in [0, count)
     v = PairPartition(((1, 4), (2, 5), (3, 6)))
     with pytest.raises(ValueError):
-        v.restrict(pair_ids)
+        v.split((0, color, 1), 2)
 
 
 @pytest.mark.parametrize(
@@ -401,8 +395,7 @@ def test_split_builds_one_object_per_equal_class():
     assert first == [PairPartition(((1, 3), (2, 4))), PairPartition(((1, 2),))]
     assert all(a is b for a, b in zip(first, v.split((0, 1, 0), 2)))
     assert PairPartition(((1, 3), (2, 4))).split((0, 0), 1)[0] is first[0]
-    assert ColoredPairPartition(v, (0, 1, 0)).color_class(1) is first[1]
-    assert v.restrict([1]) is first[1]
+    assert v.split((1, 0, 1), 2)[0] is first[1]
     info = partitions._class_of.cache_info()
     assert info.maxsize is not None and info.maxsize <= 4096
 
@@ -487,10 +480,9 @@ def test_value_classes_are_slotted_and_frozen():
 
     # classes built by FrozenValue's default constructor, one value per field
     p = ColoredPairPartition.of([(1, 3), (2, 4)], [0, 1])
-    prof, graph = profile(p), build_graph(p)
-    _assert_frozen_value(prof, "counts", (prof.counts, prof.r_values))
+    graph = build_graph(p)
     fields = (graph.classification, graph.z, graph.bar_pairs, graph.bar_colors,
-              graph.arcs_pairs, graph.arcs_bar, graph.cycles, graph.path_counts)
+              graph.cycles, graph.path_counts)
     _assert_frozen_value(graph, "cycles", fields)
     assert hash(build_graph(p)) == hash(fields)
     assert graph == CycleGraphAnalysis(*fields) != CycleGraphAnalysis(*fields[:-1], (2,))
@@ -499,7 +491,7 @@ def test_value_classes_are_slotted_and_frozen():
     for obj, field in ((right, "colors"), (block, "perms"), (left, "colors")):
         _assert_frozen_value(obj, field, (getattr(obj, field),))
     # a wrong value count
-    for cls, values in ((RightHookRun, ((0,), (1,))), (ColorProfile, (prof.counts,)),
+    for cls, values in ((RightHookRun, ((0,), (1,))), (CycleGraphAnalysis, fields[:-1]),
                         (StandardForm, ())):
         with pytest.raises(ValueError):
             cls(*values)
